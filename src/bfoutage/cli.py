@@ -8,7 +8,8 @@ Subcommands:
   diversity      high-SNR slope per persistence value
   verify         full cross-method agreement suite with arbitration report
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 numeric failure or capability limit,
+3 verification failure.
 SNR is given in dB on the interface and converted to linear internally.
 """
 
@@ -26,7 +27,7 @@ from .analytic import AccuracyError, RangeError, SchemeId
 from .channel import BeyondFirstZeroError, PersistenceSpec, RngStream, SystemConfig
 from .codebook import load_codebook, rvq_generate
 from .montecarlo import TrialPlan
-from .specfun import ConvergenceError
+from .specfun import CapabilityError, ConvergenceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -407,12 +408,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    # ahead of ValueError: a CapabilityError is one, but not the user's mistake
+    except (CapabilityError, ConvergenceError, AccuracyError, RangeError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, BeyondFirstZeroError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, AccuracyError, RangeError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

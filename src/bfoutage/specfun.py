@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sc
@@ -89,128 +90,131 @@ def noncentral_chi2_cdf(
     """CDF of a noncentral chi-square with 2*half_dof degrees of freedom and
     noncentrality 2*half_noncentrality, evaluated at 2*half_argument.
 
-    Computed as the Poisson mixture of central chi-square CDFs,
-
-        sum_k pois(k; delta) * P(d + k, beta),
-
-    expanded outward from the Poisson mode so the leading weight never
-    underflows.  Truncation: stop once the unvisited Poisson mass (times the
-    uniform bound 1 on the central CDF factors) drops below rel_tol times the
-    partial sum.
+    Scalar form of :func:`_noncentral_chi2_cdf_grid`, which documents the
+    series and its truncation.
     """
-    d, delta, beta = half_dof, float(half_noncentrality), float(half_argument)
-    if int(d) != d or d < 1:
-        raise ValueError(f"half_dof must be a positive integer, got {half_dof!r}")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"half_noncentrality must be finite and >= 0, got {delta!r}")
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"half_argument must be finite and >= 0, got {beta!r}")
-    d = int(d)
-    if beta == 0.0:
-        return 0.0
-    if delta == 0.0:
-        return regularized_lower_gamma(d, beta)
-
-    mode = int(delta)
-    w0 = math.exp(mode * math.log(delta) - delta - math.lgamma(mode + 1))
-    partial = w0 * float(_sc.gammainc(d + mode, beta))
-    visited = w0
-    lo = hi = mode
-    w_lo = w_hi = w0
-
-    def remaining_mass() -> float:
-        # Unvisited Poisson mass, bounded two ways: the complement of the
-        # visited mass (which saturates at float precision) and geometric
-        # bounds on the two unexplored wings.
-        next_hi = w_hi * delta / (hi + 1)
-        hi_tail = next_hi / (1.0 - delta / (hi + 2)) if delta < hi + 2 else 1.0
-        if lo == 0:
-            lo_tail = 0.0
-        else:
-            next_lo = w_lo * lo / delta
-            lo_tail = next_lo / (1.0 - (lo - 1) / delta)
-        return min(max(1.0 - visited, 0.0), lo_tail + hi_tail)
-
-    terms = 1
-    while terms < tol.max_terms:
-        remaining = remaining_mass()
-        if remaining <= 0.0 or remaining < tol.rel_tol * partial:
-            return min(max(partial, 0.0), 1.0)
-        next_hi = w_hi * delta / (hi + 1)
-        next_lo = w_lo * lo / delta if lo > 0 else 0.0
-        if next_hi >= next_lo:
-            hi += 1
-            w_hi = next_hi
-            partial += w_hi * float(_sc.gammainc(d + hi, beta))
-            visited += w_hi
-        else:
-            lo -= 1
-            w_lo = next_lo
-            partial += w_lo * float(_sc.gammainc(d + lo, beta))
-            visited += w_lo
-        terms += 1
-    remaining = remaining_mass()
-    if remaining <= 0.0 or remaining < tol.rel_tol * partial:
-        return min(max(partial, 0.0), 1.0)
-    raise ConvergenceError(
-        f"noncentral chi-square series did not converge within {tol.max_terms} terms "
-        f"(d={d}, delta={delta:g}, beta={beta:g})",
-        min(max(partial, 0.0), 1.0),
+    return float(
+        _noncentral_chi2_cdf_grid(half_dof, float(half_noncentrality), float(half_argument), tol)
     )
+
+
+#: Entries of one (elements x k) block of series terms: bounds the kernel's
+#: scratch memory (a few hundred kB) whatever the grid size.
+_BLOCK_ENTRIES = 1 << 14
+#: Elements are summed in bands of this width in delta, so the g_k table of a
+#: band spans at most _DELTA_BAND + 3 * max_terms values of k.
+_DELTA_BAND = 1 << 16
+#: First window around each Poisson mode: this many standard deviations
+#: sqrt(delta) on either side, plus _WINDOW_PAD terms for small delta.
+_WINDOW_SIGMAS = 10.0
+_WINDOW_PAD = 16
 
 
 def _noncentral_chi2_cdf_grid(
     half_dof: int,
-    half_noncentralities: np.ndarray,
+    half_noncentralities: np.ndarray | float,
     half_argument: float,
     tol: SeriesTolerance = DEFAULT_TOLERANCE,
 ) -> np.ndarray:
-    """Vectorized version of :func:`noncentral_chi2_cdf` over an array of
-    noncentrality values at a shared argument.  Ascends from k = 0, which is
-    safe while exp(-max delta) stays representable; otherwise falls back to
-    the scalar mode-started evaluation per element.
+    """:func:`noncentral_chi2_cdf` over an array of half noncentralities delta
+    at a shared half argument beta: the Poisson mixture
+
+        F(delta) = sum_k pois(k; delta) * g_k,    g_k = P(d + k, beta),
+
+    started at the Poisson mode (Benton & Krishnamoorthy, CSDA 43, 2003;
+    Ding, AS 275, 1992).  g_k is computed once per call.  Each element sums
+    exp(k log delta - delta - log k!) * g_k over a window [lo, hi] around its
+    mode.  As g_k decreases in k, the unsummed terms are at most
+    P(K > hi) * g_{hi+1} + P(K < lo) * g_0; a window widens, its lower edge
+    straight to k = 0, until that is at most tol.rel_tol times its sum.  With
+    no absolute stopping rule, deep-tail values keep their relative accuracy,
+    and an element's value depends on its own arguments only.  Raises
+    ConvergenceError, carrying the partial sums, when a window would need
+    more than tol.max_terms terms.
     """
+    if int(half_dof) != half_dof or half_dof < 1:
+        raise ValueError(f"half_dof must be a positive integer, got {half_dof!r}")
+    d = int(half_dof)
     deltas = np.asarray(half_noncentralities, dtype=float)
     beta = float(half_argument)
-    if np.any(deltas < 0):
-        raise ValueError("noncentrality values must be >= 0")
-    if beta == 0.0:
-        return np.zeros_like(deltas)
-    if deltas.size and float(deltas.max()) > 700.0:
-        flat = deltas.reshape(-1)
-        out = np.array([noncentral_chi2_cdf(half_dof, dv, beta, tol) for dv in flat])
-        return out.reshape(deltas.shape)
+    if not np.all(np.isfinite(deltas) & (deltas >= 0)):
+        raise ValueError("half noncentralities must be finite and >= 0")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"half_argument must be finite and >= 0, got {beta!r}")
 
-    d = int(half_dof)
-    w = np.exp(-deltas)
-    visited = w.copy()
-    partial = w * float(_sc.gammainc(d, beta))
+    delta = deltas.reshape(-1)
+    sums = np.zeros_like(delta)
+    band = np.floor(delta / _DELTA_BAND)
+    for b in np.unique(band):
+        rows = np.flatnonzero(band == b)
+        sums[rows], converged = _poisson_mixture(d, delta[rows], beta, tol)
+        if not converged:
+            raise ConvergenceError(
+                f"noncentral chi-square series did not converge within {tol.max_terms} "
+                f"terms (d={d}, max delta={float(delta[rows].max()):g}, beta={beta:g})",
+                np.clip(sums, 0.0, 1.0).reshape(deltas.shape),
+            )
+    return np.clip(sums, 0.0, 1.0).reshape(deltas.shape)
 
-    def converged(k: int) -> np.ndarray:
-        # Ascending from zero, the unexplored region is the upper tail only;
-        # bound it both by 1 - visited and by a geometric wing bound.
-        next_w = w * deltas / (k + 1)
-        ratio = deltas / (k + 2)
-        with np.errstate(divide="ignore"):
-            wing = np.where(ratio < 1.0, next_w / (1.0 - ratio), 1.0)
-        remaining = np.minimum(np.maximum(1.0 - visited, 0.0), wing)
-        return (remaining <= 0.0) | (remaining < tol.rel_tol * partial)
 
-    k = 0
-    while k < tol.max_terms - 1:
-        if np.all(converged(k)):
-            return np.clip(partial, 0.0, 1.0)
-        k += 1
-        w = w * deltas / k
-        visited += w
-        partial += w * float(_sc.gammainc(d + k, beta))
-    if np.all(converged(k)):
-        return np.clip(partial, 0.0, 1.0)
-    raise ConvergenceError(
-        f"noncentral chi-square series did not converge within {tol.max_terms} terms "
-        f"(d={d}, max delta={float(deltas.max()):g}, beta={beta:g})",
-        np.clip(partial, 0.0, 1.0),
-    )
+def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesTolerance):
+    """Partial sums of the mixture series for each element, and whether
+    every element met its bound within tol.max_terms terms."""
+    log_delta = np.log(delta, out=np.zeros_like(delta), where=delta > 0)
+    g0 = float(_sc.gammainc(d, beta))
+    # The wing bounds hold wherever a window sits; capping the mode keeps
+    # every k exact as a float.
+    mode = np.floor(np.minimum(delta, 2.0**52)).astype(np.int64)
+    half = np.ceil(_WINDOW_SIGMAS * np.sqrt(delta)) + _WINDOW_PAD
+    half = np.minimum(half, (tol.max_terms - 1) // 2).astype(np.int64)
+    lo = np.maximum(mode - half, 0)
+    # delta = 0 is the central CDF: the k = 0 term alone, exp(0) * g_0.
+    hi = np.where(delta > 0, mode + half, 0)
+    partial = np.zeros_like(delta)
+    todo = np.ones(delta.shape, dtype=bool)
+    while True:
+        k = np.arange(lo.min(), hi.max() + 2)
+        g, log_fact = _sc.gammainc(d + k, beta), _sc.gammaln(k + 1.0)
+        partial[todo] = _window_sums(
+            lo[todo], hi[todo], delta[todo], log_delta[todo], k[0], g, log_fact
+        )
+        upper = _sc.pdtrc(hi, delta) * g[hi + 1 - k[0]]
+        lower = np.where(lo > 0, _sc.pdtr(lo - 1, delta) * g0, 0.0)
+        budget = tol.rel_tol * partial
+        todo = upper + lower > budget
+        if not todo.any():
+            return partial, True
+        grow_lo = todo & (lower > 0.5 * budget)
+        new_lo = np.where(grow_lo, np.maximum(hi - tol.max_terms + 1, 0), lo)
+        # A window already max_terms long moves to [0, max_terms) instead:
+        # windows are summed afresh, and that one suffices where g_k underflows.
+        new_lo[grow_lo & (new_lo == lo)] = 0
+        new_hi = np.where(todo & (upper > 0.5 * budget), 2 * hi - lo + 1, hi)
+        new_hi = np.minimum(new_hi, new_lo + tol.max_terms - 1)
+        if np.any(todo & (new_lo == lo) & (new_hi == hi)):
+            return partial, False
+        lo, hi = new_lo, new_hi
+
+
+def _window_sums(lo, hi, delta, log_delta, k0, g, log_fact) -> np.ndarray:
+    """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * g_k for each element i, summed
+    in order of k; g and log_fact hold g_k and log k! from k = k0 on.
+    Elements are taken longest window first, in blocks of at most
+    _BLOCK_ENTRIES terms, so little of a block is padding."""
+    lengths = hi - lo + 1
+    sums = np.empty(lengths.shape)
+    order = np.argsort(-lengths, kind="stable")
+    start = 0
+    while start < order.size:
+        rows = order[start : start + max(1, _BLOCK_ENTRIES // lengths[order[start]])]
+        n = lengths[rows, None]
+        k = lo[rows, None] + np.minimum(np.arange(n[0, 0]), n - 1)  # padding repeats hi_i
+        log_w = k * log_delta[rows, None] - delta[rows, None] - log_fact[k - k0]
+        # A running sum read at the row's last term does not see the padding.
+        running = np.cumsum(np.exp(log_w) * g[k - k0], axis=1)
+        sums[rows] = running[np.arange(rows.size), n[:, 0] - 1]
+        start += rows.size
+    return sums
 
 
 #: Largest supported degree k*(n_r - 1) of the truncated-exponential power.
@@ -221,7 +225,8 @@ def expansion_coeffs(n_r: int, k: int) -> list[float]:
     """Coefficients a_0..a_{k(n_r-1)} of (sum_{l<n_r} x^l / l!)^k.
 
     Computed by iterated convolution over exact rationals, then rounded once
-    to float.  a_0 = 1 for every valid input.
+    to float, and memoized: each call returns a fresh list.  a_0 = 1 for
+    every valid input.
     """
     if int(n_r) != n_r or n_r < 1:
         raise ValueError(f"n_r must be a positive integer, got {n_r!r}")
@@ -233,6 +238,11 @@ def expansion_coeffs(n_r: int, k: int) -> list[float]:
         raise CapabilityError(
             f"requested degree {degree} exceeds the supported maximum {MAX_EXPANSION_DEGREE}"
         )
+    return list(_expansion_coeffs(n_r, k))
+
+
+@lru_cache(maxsize=256)
+def _expansion_coeffs(n_r: int, k: int) -> tuple[float, ...]:
     base = [Fraction(1, math.factorial(l)) for l in range(n_r)]
     coeffs = [Fraction(1)]
     for _ in range(k):
@@ -243,7 +253,7 @@ def expansion_coeffs(n_r: int, k: int) -> list[float]:
             for j, b in enumerate(base):
                 product[i + j] += a * b
         coeffs = product
-    return [float(c) for c in coeffs]
+    return tuple(float(c) for c in coeffs)
 
 
 def lemma1_identity(m: int, n: int, k: int) -> tuple[int, int]:

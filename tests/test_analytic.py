@@ -190,6 +190,23 @@ class TestClosedVsQuadrature:
             abs=CLOSED_TOL,
         )
 
+    def test_miso_pbf_high_snr_rho_near_one(self):
+        # Noncentralities up to 1.8e4 at beta = 6, deep in the lower tail. The
+        # default 256 nodes leave a 6e-6 relative gap; 1024 resolve the density.
+        config = cfg(rho=0.999, snr_db=30.0)
+        closed = outage_pbf_closed(config).value
+        assert outage_semianalytic(SchemeId.MISO_PBF, config).value > 0.0
+        quadr = outage_semianalytic(SchemeId.MISO_PBF, config, QuadratureSpec(node_count=1024))
+        assert quadr.value == pytest.approx(closed, rel=1e-9)
+
+    def test_miso_rvq_rho_near_one(self):
+        # noncentralities up to about 1.8e3 over the 128 x 256 (nu, gain) grid
+        config = cfg(rho=0.99)
+        assert outage_rvq_closed(config, 8).value == pytest.approx(
+            outage_semianalytic(SchemeId.MISO_RVQ, config, codebook_size=8).value,
+            abs=CLOSED_TOL,
+        )
+
 
 class TestClosedFormLimits:
     def test_pbf_no_delay(self):

@@ -180,6 +180,15 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "numeric error" in err
 
+    def test_capability_limit_is_numeric(self, capsys):
+        # 32 users need expansion degree 66, beyond the supported 64
+        code, _, err = run_cli(
+            capsys, "analytic", "--scheme", "mu-pbf", "--nt", "4", "--nu", "32",
+            "--rho", "0.9", "--eval", "closed",
+        )
+        assert code == EXIT_NUMERIC
+        assert "degree 66" in err
+
 
 class TestConfigFile:
     def test_flags_win_over_file(self, capsys, tmp_path):

@@ -1,17 +1,20 @@
 """Special-function kernels against independent oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 from scipy.integrate import quad
 
 from bfoutage.specfun import (
     CapabilityError,
     ConvergenceError,
     SeriesTolerance,
+    _noncentral_chi2_cdf_grid,
     bessel_j0,
     expansion_coeffs,
     lemma1_identity,
@@ -157,6 +160,109 @@ class TestNoncentralChi2Cdf:
         assert hi >= lo - 1e-10
 
 
+def ncx2_decimal_oracle(d: int, delta: float, beta: float) -> float:
+    """sum_k pois(k; delta) * P(d + k, beta) in 50-digit decimal arithmetic.
+
+    P(n, beta) = e^-beta * sum_{j >= n} beta^j / j! is summed from the top
+    down, so every sum has positive terms only and no digits cancel.  Both
+    sums run far past their last significant term.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dl, b = Decimal(delta), Decimal(beta)
+        k_max = int(delta + 40 * math.sqrt(delta)) + 100
+        j_max = d + k_max + int(2 * beta) + 100
+        power = [Decimal(1)]  # beta^j / j!
+        for j in range(1, j_max + 1):
+            power.append(power[-1] * b / j)
+        upper = [Decimal(0)] * (j_max + 2)  # upper[n] = sum_{j >= n} beta^j / j!
+        for j in range(j_max, -1, -1):
+            upper[j] = upper[j + 1] + power[j]
+        weight, total = (-dl).exp(), Decimal(0)  # pois(k; delta)
+        for k in range(k_max + 1):
+            total += weight * upper[d + k]
+            weight = weight * dl / (k + 1)
+        return float(total * (-b).exp())
+
+
+#: (d, delta, beta) in the deep lower tail, where the terms far below the
+#: Poisson mode dominate and values reach down to 5e-204; then bulk points.
+DEEP_TAIL_POINTS = [
+    (2, 492.5, 0.603), (1, 499.0, 6.003), (4, 600.0, 60.0), (1, 200.0, 100.0),
+    (1, 20000.0, 14743.0), (2, 30000.0, 24000.0),
+]
+BULK_POINTS = [
+    (1, 0.5, 0.7), (1, 2.0, 1.5), (3, 2.5, 1.0), (2, 40.0, 35.0), (1, 50.0, 30.0),
+    (6, 3.0, 7.0), (4, 120.0, 140.0), (1, 800.0, 820.0), (4, 710.0, 60.3), (1, 1500.0, 1400.0),
+]
+
+
+class TestNoncentralChi2Kernel:
+    @pytest.mark.parametrize("d, delta, beta", DEEP_TAIL_POINTS + BULK_POINTS)
+    def test_decimal_oracle(self, d, delta, beta):
+        exact = ncx2_decimal_oracle(d, delta, beta)
+        assert exact > 0.0
+        assert noncentral_chi2_cdf(d, delta, beta) == pytest.approx(exact, rel=1e-10, abs=0)
+
+    def test_oracle_sums_the_central_case(self):
+        for d, beta in [(1, 0.7), (3, 2.5), (5, 40.0)]:
+            assert ncx2_decimal_oracle(d, 0.0, beta) == pytest.approx(
+                regularized_lower_gamma(d, beta), rel=1e-14
+            )
+
+    def test_chndtr_bulk(self):
+        deltas = np.linspace(0.0, 300.0, 61)
+        for d in (1, 2, 4, 6):
+            for beta in (0.5, 6.3, 60.3, 250.0):
+                got = _noncentral_chi2_cdf_grid(d, deltas, beta)
+                ref = sc.chndtr(2.0 * beta, 2.0 * d, 2.0 * deltas)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_scalar_equals_grid(self):
+        # an element's value does not depend on the rest of the array
+        near = np.array([[0.0, 0.3, 7.0, 55.0], [480.0, 900.0, 2500.0, 4000.0]])
+        far = np.array([[5.0, 70000.0]])  # two bands of delta
+        for d, beta, deltas in [(1, 6.3, near), (2, 0.603, near), (4, 60.3, near),
+                                (1, 70000.0, far)]:
+            grid = _noncentral_chi2_cdf_grid(d, deltas, beta)
+            assert grid.shape == deltas.shape
+            for idx, dv in np.ndenumerate(deltas):
+                assert grid[idx] == noncentral_chi2_cdf(d, float(dv), beta)
+
+    def test_window_capped_by_max_terms(self):
+        # max_terms = 36 cuts delta = 5's first window to [0, 22], short of its
+        # upper wing; max_terms = 21 leaves the window no room to grow
+        exact = ncx2_decimal_oracle(1, 5.0, 30.0)
+        got = noncentral_chi2_cdf(1, 5.0, 30.0, SeriesTolerance(max_terms=36))
+        assert got == pytest.approx(exact, rel=1e-12, abs=0)
+        with pytest.raises(ConvergenceError):
+            noncentral_chi2_cdf(1, 5.0, 30.0, SeriesTolerance(max_terms=21))
+
+    def test_grid_convergence_error_carries_partial_sums(self):
+        deltas = np.array([0.5, 50.0])
+        with pytest.raises(ConvergenceError) as exc:
+            _noncentral_chi2_cdf_grid(1, deltas, 30.0, SeriesTolerance(max_terms=30))
+        partial = exc.value.partial_sum
+        assert partial.shape == deltas.shape
+        assert np.all((partial >= 0.0) & (partial <= 1.0))
+
+    def test_underflowing_deep_tail_is_zero(self):
+        # F <= P(K < 10^4) + P(10^4 + 1, 60) < 1e-308, yet the mode-centred
+        # window's lower wing bound does not vanish; the window moves to [0, 10^4).
+        assert noncentral_chi2_cdf(1, 52258.5, 60.0) == 0.0
+
+    def test_huge_noncentrality(self):
+        # every term and both wing bounds underflow, so the value is exactly 0
+        assert noncentral_chi2_cdf(1, 1e300, 5.0) == 0.0
+        with pytest.raises(ConvergenceError):  # here the upper wing bound stays 1
+            noncentral_chi2_cdf(1, 1e300, 1e300)
+
+    def test_grid_domain_errors(self):
+        for bad in (np.array([1.0, -1.0]), np.array([1.0, np.nan]), np.array([np.inf])):
+            with pytest.raises(ValueError):
+                _noncentral_chi2_cdf_grid(1, bad, 1.0)
+
+
 class TestExpansionCoeffs:
     def test_zeroth_power(self):
         for n_r in (1, 2, 5):
@@ -190,6 +296,11 @@ class TestExpansionCoeffs:
     def test_degree_cap(self):
         with pytest.raises(CapabilityError):
             expansion_coeffs(10, 40)
+
+    def test_memoized_result_is_a_fresh_list(self):
+        first = expansion_coeffs(3, 4)
+        first[0] = -1.0
+        assert expansion_coeffs(3, 4)[0] == 1.0
 
 
 class TestLemma1Identity:
