@@ -18,7 +18,7 @@ survives Monte Carlo arbitration (see the verification module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -43,6 +43,7 @@ __all__ = [
     "QuadratureSpec",
     "RangeError",
     "SchemeId",
+    "UnderflowError",
     "conditional_outage",
     "diversity_order",
     "gain_distribution",
@@ -70,6 +71,11 @@ class AccuracyError(ArithmeticError):
 
 class RangeError(ArithmeticError):
     """A result underflowed past the representable range."""
+
+
+class UnderflowError(AccuracyError, RangeError):
+    """Quadrature returned zero for a delayed model, whose outage is positive:
+    the gain nodes miss the integrand, which may itself lie below the range."""
 
 
 class SchemeId(Enum):
@@ -255,6 +261,8 @@ def outage_semianalytic(
         cond = _noncentral_chi2_cdf_grid(dist.half_dof, deltas, params.beta, tol)
         inner = cond @ (w * pdf)
         value = float(w_nu @ (f_nu * inner))
+    if value <= 0.0:
+        raise UnderflowError(f"quadrature underflowed to 0 although rho < 1 (beta {params.beta:g})")
     return OutageEstimate(value=min(max(value, 0.0), 1.0), method="quadrature")
 
 
@@ -487,17 +495,6 @@ def outage_closed(
 # ---------------------------------------------------------------------------
 
 
-def _with_snr(config: SystemConfig, snr_linear: float) -> SystemConfig:
-    return SystemConfig(
-        n_t=config.n_t,
-        rate_bits=config.rate_bits,
-        snr_linear=snr_linear,
-        persistence=config.persistence,
-        n_r=config.n_r,
-        n_u=config.n_u,
-    )
-
-
 def diversity_order(
     scheme: SchemeId,
     config: SystemConfig,
@@ -512,7 +509,7 @@ def diversity_order(
     log_eps, log_p = [], []
     for db in snr_grid_db:
         eps = 10.0 ** (db / 10.0)
-        est = outage_semianalytic(scheme, _with_snr(config, eps), quad, codebook_size)
+        est = outage_semianalytic(scheme, replace(config, snr_linear=eps), quad, codebook_size)
         if est.value <= 0.0:
             raise RangeError(f"outage underflowed to zero at {db} dB; shrink the grid")
         log_eps.append(math.log10(eps))

@@ -268,7 +268,7 @@ def _cmd_sweep(args) -> int:
     if unknown:
         raise UsageError(f"unknown evaluator {unknown[0]!r} (choose from closed,quadrature,mc)")
     for value in values:
-        cfg = montecarlo._config_for(config, axis, value)
+        cfg = montecarlo._SWEEP_AXES[axis](config, value)
         n = opts["codebook_size"] if analytic.scheme_uses_codebook(scheme) else None
         if axis == "codebook_size":
             n = int(value)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import RngStream
+from .channel import RngStream, _complex_normal
 
 __all__ = [
     "Codebook",
@@ -78,9 +78,7 @@ def rvq_generate(rng: RngStream, n: int, n_t: int) -> Codebook:
     """N isotropic unit vectors, obtained by normalizing i.i.d. CN(0,1) draws."""
     if n < 1:
         raise ValueError("codebook cardinality must be >= 1")
-    gen = rng.generator()
-    z = gen.standard_normal((int(n), int(n_t), 2))
-    raw = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+    raw = _complex_normal(rng.generator(), (int(n), int(n_t)))
     vecs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     return Codebook(scheme="RVQ", n_t=int(n_t), vectors=vecs)
 

@@ -12,18 +12,26 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic import SchemeId, scheme_uses_codebook, validate_scheme
-from .channel import RngStream, SystemConfig, derive_params
-from .codebook import Codebook
+from .channel import PersistenceSpec, RngStream, SystemConfig, derive_params
+from .codebook import Codebook, rvq_generate
 
 __all__ = ["McResult", "TrialPlan", "simulate_outage", "sweep"]
 
 #: Stream-id stride between sweep axis values; chunk indices stay below it.
 _SWEEP_STRIDE = 1 << 32
+
+#: Sweep axis -> the config at one value of that axis.
+_SWEEP_AXES = {
+    "snr_db": lambda config, v: replace(config, snr_linear=10.0 ** (float(v) / 10.0)),
+    "rho": lambda config, v: replace(config, persistence=PersistenceSpec.from_rho(float(v))),
+    "users": lambda config, v: replace(config, n_u=int(v)),
+    "codebook_size": lambda config, v: config,
+}
 
 
 @dataclass(frozen=True)
@@ -62,16 +70,60 @@ class McResult:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _cn(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    z = gen.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+#: Trials per block when drawing fresh codebooks and projecting onto a codebook.
+_BLOCK = 2048
 
 
-def _rvq_vectors(gen, n: int, size: int, n_t: int, cb: Codebook | None, fixed: bool):
+def _power(z: np.ndarray, keep: int) -> np.ndarray:
+    """Sum of squares over every axis of z after the first `keep`."""
+    flat = z.reshape(z.shape[:keep] + (-1,))
+    return np.einsum("...j,...j->...", flat, flat)
+
+
+def _quadrature(z: np.ndarray) -> np.ndarray:
+    """(..., n, 2) (re, im) pairs to (..., 2n, 2), z and i*z flattened: for a
+    flattened alike, a @ _quadrature(z) holds (Re, Im) of sum(a * conj(z))."""
+    iz = np.stack([-z[..., 1], z[..., 0]], axis=-1)
+    return np.stack([z, iz], axis=-1).reshape(z.shape[:-2] + (-1, 2))
+
+
+def _inner_power(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|sum(a * conj(z))|^2 per row of two (n, n_t, 2) arrays."""
+    re = np.einsum("ij,ij->i", a.reshape(len(a), -1), z.reshape(len(z), -1))
+    im = np.einsum("ij,ij->i", a[..., 1], z[..., 0]) - np.einsum("ij,ij->i", a[..., 0], z[..., 1])
+    return re * re + im * im
+
+
+def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool):
+    """Per row of w (n, n_t, 2): the unit codebook vector v maximizing
+    |<w, v>|^2, and that maximum.
+
+    Unless fixed, every row gets a fresh codebook of cb's cardinality, drawn
+    block by block in row order, so the stream matches one (n, N, n_t, 2) draw.
+    """
+    n, n_t, _ = w.shape
+    size = cb.cardinality
+    best, top = np.empty_like(w), np.empty(n)
     if fixed:
-        return cb.vectors, True
-    raw = _cn(gen, (n, size, n_t))
-    return raw / np.linalg.norm(raw, axis=2, keepdims=True), False
+        vecs = np.stack([cb.vectors.real, cb.vectors.imag], axis=-1)
+        basis = _quadrature(vecs).transpose(1, 0, 2).reshape(2 * n_t, 2 * size)
+    else:
+        buf = np.empty((min(n, _BLOCK), size, n_t, 2))
+    for lo in range(0, n, _BLOCK):
+        rows = w[lo:lo + _BLOCK]
+        m = len(rows)
+        if fixed:
+            part = (rows.reshape(m, -1) @ basis).reshape(m, size, 2)
+        else:
+            vecs = gen.standard_normal(out=buf[:m])
+            vecs /= np.sqrt(_power(vecs, 2))[..., None, None]
+            part = vecs.reshape(m, size, -1) @ _quadrature(rows)
+        proj = part[..., 0] ** 2 + part[..., 1] ** 2
+        k = np.argmax(proj, axis=1)
+        i = np.arange(m)
+        top[lo:lo + m] = proj[i, k]
+        best[lo:lo + m] = vecs[k] if fixed else vecs[i, k]
+    return best, top
 
 
 def _count_chunk(
@@ -84,64 +136,47 @@ def _count_chunk(
     cb: Codebook | None,
     fixed_codebook: bool,
 ) -> int:
+    """Outages in n trials drawn from one stream, in the order: the stale
+    channel of every trial, then every fresh codebook vector, then the
+    innovation e of every trial.
+
+    Draws stay as unscaled (re, im) normal pairs, sqrt(2) times a CN(0, 1)
+    entry, so every gain is twice the physical one and meets 2 * gamma0.
+    """
     gen = rng.generator()
     decay = math.sqrt(1.0 - rho * rho)
     n_t = config.n_t
     idx = np.arange(n)
 
     if scheme is SchemeId.MISO_PBF:
-        h = _cn(gen, (n, n_t))
-        e = _cn(gen, (n, n_t))
-        aged = rho * h + decay * e
-        num = np.abs(np.einsum("ij,ij->i", aged, h.conj())) ** 2
-        den = np.einsum("ij,ij->i", h, h.conj()).real
-        gain = num / den
+        h = gen.standard_normal((n, n_t, 2))
+        aged = rho * h + decay * gen.standard_normal((n, n_t, 2))
+        gain = _inner_power(aged, h) / _power(h, 1)
     elif scheme is SchemeId.MISO_RVQ:
-        h = _cn(gen, (n, n_t))
-        vecs, shared = _rvq_vectors(gen, n, cb.cardinality, n_t, cb, fixed_codebook)
-        if shared:
-            proj = np.abs(h @ vecs.conj().T) ** 2
-            best = vecs[np.argmax(proj, axis=1)]
-        else:
-            proj = np.abs(np.einsum("ij,ikj->ik", h, vecs.conj())) ** 2
-            best = vecs[idx, np.argmax(proj, axis=1)]
-        e = _cn(gen, (n, n_t))
-        aged = rho * h + decay * e
-        gain = np.abs(np.einsum("ij,ij->i", aged, best.conj())) ** 2
+        h = gen.standard_normal((n, n_t, 2))
+        best, _ = _select_rvq(gen, h, cb, fixed_codebook)
+        aged = rho * h + decay * gen.standard_normal((n, n_t, 2))
+        gain = _inner_power(aged, best)
     elif scheme is SchemeId.MISO_TAS:
-        h = _cn(gen, (n, n_t))
-        e = _cn(gen, (n, n_t))
-        sel = np.argmax(np.abs(h) ** 2, axis=1)
-        aged = (rho * h + decay * e)[idx, sel]
-        gain = aged.real ** 2 + aged.imag ** 2
+        h = gen.standard_normal((n, n_t, 2))
+        e = gen.standard_normal((n, n_t, 2))
+        sel = np.argmax(h[..., 0] ** 2 + h[..., 1] ** 2, axis=1)
+        gain = _power(rho * h[idx, sel] + decay * e[idx, sel], 1)
     elif scheme is SchemeId.MU_TAS:
-        h = _cn(gen, (n, config.n_u, n_t, config.n_r))
-        norms = np.sum(np.abs(h) ** 2, axis=3).reshape(n, -1)  # user-major (k, i) order
-        rows = h.reshape(n, -1, config.n_r)[idx, np.argmax(norms, axis=1)]
-        e = _cn(gen, (n, config.n_r))
-        aged = rho * rows + decay * e
-        gain = np.sum(np.abs(aged) ** 2, axis=1)
-    elif scheme is SchemeId.MU_PBF:
-        h = _cn(gen, (n, config.n_u, n_t))
-        win = h[idx, np.argmax(np.sum(np.abs(h) ** 2, axis=2), axis=1)]
-        e = _cn(gen, (n, n_t))
-        aged = rho * win + decay * e
-        gain = np.sum(np.abs(aged) ** 2, axis=1)
-    elif scheme is SchemeId.MU_RVQ:
-        h = _cn(gen, (n, config.n_u, n_t))
-        win = h[idx, np.argmax(np.sum(np.abs(h) ** 2, axis=2), axis=1)]
-        vecs, shared = _rvq_vectors(gen, n, cb.cardinality, n_t, cb, fixed_codebook)
-        if shared:
-            proj = np.abs(win @ vecs.conj().T) ** 2
-        else:
-            proj = np.abs(np.einsum("ij,ikj->ik", win, vecs.conj())) ** 2
-        nu = np.max(proj, axis=1) / np.sum(np.abs(win) ** 2, axis=1)
-        e = _cn(gen, (n, n_t))
-        aged = rho * np.sqrt(nu)[:, None] * win + decay * e
-        gain = np.sum(np.abs(aged) ** 2, axis=1)
+        h = gen.standard_normal((n, config.n_u * n_t, config.n_r, 2))  # (user, antenna) rows
+        rows = h[idx, np.argmax(_power(h, 2), axis=1)]
+        gain = _power(rho * rows + decay * gen.standard_normal((n, config.n_r, 2)), 1)
+    elif scheme in (SchemeId.MU_PBF, SchemeId.MU_RVQ):
+        h = gen.standard_normal((n, config.n_u, n_t, 2))
+        win = h[idx, np.argmax(_power(h, 2), axis=1)]
+        scale = rho
+        if scheme is SchemeId.MU_RVQ:
+            _, top = _select_rvq(gen, win, cb, fixed_codebook)
+            scale = rho * np.sqrt(top / _power(win, 1))[:, None, None]
+        gain = _power(scale * win + decay * gen.standard_normal((n, n_t, 2)), 1)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return int(np.count_nonzero(gain < gamma0))
+    return int(np.count_nonzero(gain < 2.0 * gamma0))
 
 
 def simulate_outage(
@@ -189,30 +224,6 @@ def simulate_outage(
     return McResult(outage_count=sum(counts), trials=plan.trials)
 
 
-def _config_for(config: SystemConfig, axis: str, value) -> SystemConfig:
-    from .channel import PersistenceSpec
-
-    if axis == "snr_db":
-        return SystemConfig(
-            n_t=config.n_t, rate_bits=config.rate_bits,
-            snr_linear=10.0 ** (float(value) / 10.0),
-            persistence=config.persistence, n_r=config.n_r, n_u=config.n_u,
-        )
-    if axis == "rho":
-        return SystemConfig(
-            n_t=config.n_t, rate_bits=config.rate_bits, snr_linear=config.snr_linear,
-            persistence=PersistenceSpec.from_rho(float(value)), n_r=config.n_r, n_u=config.n_u,
-        )
-    if axis == "users":
-        return SystemConfig(
-            n_t=config.n_t, rate_bits=config.rate_bits, snr_linear=config.snr_linear,
-            persistence=config.persistence, n_r=config.n_r, n_u=int(value),
-        )
-    if axis == "codebook_size":
-        return config
-    raise ValueError(f"unknown sweep axis {axis!r}")
-
-
 def sweep(
     scheme: SchemeId,
     config_template: SystemConfig,
@@ -227,11 +238,11 @@ def sweep(
     The first value reuses the unshifted streams, so a single-value sweep
     reproduces a direct simulate_outage call with the same plan.
     """
-    from .codebook import rvq_generate
-
+    if axis not in _SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
     out = []
     for i, value in enumerate(values):
-        cfg = _config_for(config_template, axis, value)
+        cfg = _SWEEP_AXES[axis](config_template, value)
         cb = codebook
         if axis == "codebook_size" and scheme_uses_codebook(scheme):
             # only the cardinality matters unless the codebook is held fixed

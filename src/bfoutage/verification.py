@@ -256,14 +256,7 @@ def _swap_config(config: SystemConfig) -> SystemConfig:
     """Exchange the roles of n_r and n_t: a single-antenna transmitter facing
     n_u users with n_t receive antennas each, at the SNR that preserves the
     outage threshold."""
-    return SystemConfig(
-        n_t=1,
-        rate_bits=config.rate_bits,
-        snr_linear=config.snr_linear / config.n_t,
-        persistence=config.persistence,
-        n_r=config.n_t,
-        n_u=config.n_u,
-    )
+    return replace(config, n_t=1, snr_linear=config.snr_linear / config.n_t, n_r=config.n_t)
 
 
 def _dual_rvq_single_user(config: SystemConfig, n: int) -> float:

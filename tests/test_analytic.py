@@ -129,6 +129,14 @@ class TestQuadratureEngine:
         with pytest.raises(AccuracyError):
             outage_semianalytic(SchemeId.MISO_PBF, cfg(), QuadratureSpec(upper_cut=3.0))
 
+    def test_underflow_to_zero_raises(self):
+        # every gain node's conditional outage underflows here, while the
+        # closed form is 1.05e-21
+        config = cfg(rho=0.9999999, snr_db=60.0)
+        assert outage_closed(SchemeId.MISO_PBF, config).value > 1e-21
+        with pytest.raises(AccuracyError, match="underflowed"):
+            outage_semianalytic(SchemeId.MISO_PBF, config)
+
     def test_quadspec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(node_count=8)

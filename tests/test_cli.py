@@ -180,6 +180,14 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "numeric error" in err
 
+    def test_quadrature_underflow_is_numeric(self, capsys):
+        code, _, err = run_cli(
+            capsys, "analytic", "--scheme", "miso-pbf", "--rho", "0.9999999",
+            "--snr-db", "60", "--eval", "closed,quadrature",
+        )
+        assert code == EXIT_NUMERIC
+        assert "underflowed" in err
+
     def test_capability_limit_is_numeric(self, capsys):
         # 32 users need expansion degree 66, beyond the supported 64
         code, _, err = run_cli(

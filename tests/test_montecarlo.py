@@ -7,9 +7,17 @@ import pytest
 from scipy import special as sc
 
 from bfoutage.analytic import SchemeId, outage_rvq_closed, outage_tas_closed
-from bfoutage.channel import RngStream, derive_params
-from bfoutage.codebook import rvq_generate
-from bfoutage.montecarlo import McResult, TrialPlan, simulate_outage, sweep
+from bfoutage.channel import RngStream, _complex_normal, derive_params
+from bfoutage.codebook import (
+    Codebook,
+    pbf_codebook,
+    rvq_generate,
+    select_beamformer,
+    select_user_antenna,
+    select_user_maxnorm,
+    tas_codebook,
+)
+from bfoutage.montecarlo import McResult, TrialPlan, _count_chunk, simulate_outage, sweep
 
 from _util import cfg
 
@@ -122,6 +130,140 @@ class TestDeterminism:
         a = simulate_outage(SchemeId.MISO_PBF, config, None, plan)
         b = simulate_outage(SchemeId.MISO_PBF, config, None, plan)
         assert a.outage_count == b.outage_count
+
+
+#: label -> (scheme, cfg keywords, codebook size, fixed codebook)
+GOLDEN_VARIANTS = {
+    "miso-pbf": (SchemeId.MISO_PBF, {}, None, False),
+    "miso-rvq": (SchemeId.MISO_RVQ, {}, 8, False),
+    "miso-rvq-fixed": (SchemeId.MISO_RVQ, {}, 16, True),
+    "miso-rvq-nt2-n1": (SchemeId.MISO_RVQ, {"nt": 2}, 1, False),
+    "miso-tas": (SchemeId.MISO_TAS, {}, None, False),
+    "mu-tas": (SchemeId.MU_TAS, {"nr": 2, "nu": 3}, None, False),
+    "mu-pbf": (SchemeId.MU_PBF, {"nu": 3}, None, False),
+    "mu-rvq": (SchemeId.MU_RVQ, {"nu": 3}, 8, False),
+    "mu-rvq-fixed": (SchemeId.MU_RVQ, {"nu": 3}, 16, True),
+    "mu-rvq-nt2-n1": (SchemeId.MU_RVQ, {"nt": 2, "nu": 2}, 1, False),
+}
+GOLDEN_RHOS = (0.0, 0.9, 1.0)
+GOLDEN_SMALL_TRIALS = (1, 2047, 2049)
+GOLDEN_LARGE_TRIALS = 150_001
+GOLDEN_SEED = 97
+
+
+def _golden_count(label: str, rho: float, trials: int, workers: int) -> int:
+    scheme, kwargs, size, fixed = GOLDEN_VARIANTS[label]
+    config = cfg(rho=rho, **kwargs)
+    cb = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, config.n_t) if size else None
+    plan = TrialPlan(trials=trials, seed=GOLDEN_SEED, workers=workers)
+    return simulate_outage(scheme, config, cb, plan, fixed_codebook=fixed).outage_count
+
+
+class TestGoldenCounts:
+    """Outage counts recorded from the complex-arithmetic kernel of commit
+    aa4c2ac; any change to the random-stream consumption or to the selection
+    and aging arithmetic beyond rounding shows up here.  The trial counts
+    straddle the simulator's internal block edges and its chunk size."""
+
+    # per label: counts at (rho, trials) for rho in GOLDEN_RHOS, trials in
+    # GOLDEN_SMALL_TRIALS, in that nesting order
+    GOLDEN_SMALL = {
+        "miso-pbf": (0, 1422, 1405, 0, 203, 188, 0, 70, 70),
+        "miso-rvq": (1, 1383, 1462, 0, 655, 651, 0, 440, 438),
+        "miso-rvq-fixed": (1, 1433, 1397, 0, 537, 503, 0, 290, 290),
+        "miso-rvq-nt2-n1": (1, 954, 900, 0, 940, 939, 0, 929, 928),
+        "miso-tas": (0, 1447, 1427, 0, 722, 700, 0, 476, 477),
+        "mu-tas": (0, 710, 716, 0, 21, 16, 0, 0, 0),
+        "mu-pbf": (0, 64, 64, 0, 4, 6, 0, 0, 0),
+        "mu-rvq": (0, 58, 62, 0, 78, 84, 0, 48, 56),
+        "mu-rvq-fixed": (0, 64, 64, 0, 41, 39, 0, 14, 14),
+        "mu-rvq-nt2-n1": (0, 238, 238, 0, 488, 470, 0, 598, 578),
+    }
+    # per label: counts at rho 0.9, GOLDEN_LARGE_TRIALS trials
+    GOLDEN_LARGE = {
+        "miso-pbf": 14732,
+        "miso-rvq": 47134,
+        "miso-rvq-fixed": 37400,
+        "miso-rvq-nt2-n1": 67753,
+        "miso-tas": 52030,
+        "mu-tas": 1227,
+        "mu-pbf": 267,
+        "mu-rvq": 6048,
+        "mu-rvq-fixed": 3343,
+        "mu-rvq-nt2-n1": 35205,
+    }
+
+    @pytest.mark.parametrize("label", list(GOLDEN_VARIANTS))
+    def test_small_trial_counts(self, label):
+        counts = tuple(
+            _golden_count(label, rho, trials, 1)
+            for rho in GOLDEN_RHOS for trials in GOLDEN_SMALL_TRIALS
+        )
+        assert counts == self.GOLDEN_SMALL[label]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("label", list(GOLDEN_VARIANTS))
+    def test_multi_chunk_counts(self, label, workers):
+        count = _golden_count(label, 0.9, GOLDEN_LARGE_TRIALS, workers)
+        assert count == self.GOLDEN_LARGE[label]
+
+
+def _oracle_gain(scheme, h, e, book, rho):
+    """Aged effective gain of one trial, by the public selection rules."""
+    decay = math.sqrt(1.0 - rho * rho)
+    if scheme is SchemeId.MU_TAS:
+        sel = select_user_antenna(h)
+        return np.sum(np.abs(rho * h[sel.user_index, sel.beam_index] + decay * e) ** 2)
+    if scheme in (SchemeId.MU_PBF, SchemeId.MU_RVQ):
+        win = h[select_user_maxnorm(h).user_index]
+        nu = select_beamformer(win, book).tradeoff if book else 1.0
+        return np.sum(np.abs(rho * math.sqrt(nu) * win + decay * e) ** 2)
+    sel = select_beamformer(h, book)
+    beam = h / math.sqrt(sel.gain) if book.scheme == "PBF" else book.vectors[sel.beam_index]
+    return abs(np.vdot(beam, rho * h + decay * e)) ** 2
+
+
+class TestPerTrialOracle:
+    """A chunk draws, from its one stream: the stale channel of every trial,
+    then every fresh codebook, then every innovation e.  Redrawing that
+    stream and running the public selection functions trial by trial must
+    reproduce the simulator's outage counts at thresholds between the
+    oracle's sorted gains."""
+
+    TRIALS = 300
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    @pytest.mark.parametrize("label", list(GOLDEN_VARIANTS))
+    def test_counts_match_trial_by_trial_selection(self, label, rho):
+        scheme, kwargs, size, fixed = GOLDEN_VARIANTS[label]
+        config = cfg(rho=rho, **kwargs)
+        n, n_t = self.TRIALS, config.n_t
+        shape = {
+            SchemeId.MU_TAS: (config.n_u, n_t, config.n_r),
+            SchemeId.MU_PBF: (config.n_u, n_t),
+            SchemeId.MU_RVQ: (config.n_u, n_t),
+        }.get(scheme, (n_t,))
+        cb = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, n_t) if size else None
+        stream = RngStream(GOLDEN_SEED, 5)
+
+        gen = stream.generator()
+        h = _complex_normal(gen, (n,) + shape)
+        if size and not fixed:
+            raw = _complex_normal(gen, (n, size, n_t))
+            books = [Codebook("RVQ", n_t, v / np.linalg.norm(v, axis=1, keepdims=True))
+                     for v in raw]
+        else:
+            books = [{SchemeId.MISO_PBF: pbf_codebook(n_t), SchemeId.MISO_TAS: tas_codebook(n_t)}
+                     .get(scheme, cb)] * n
+        e = _complex_normal(gen, (n, config.n_r if scheme is SchemeId.MU_TAS else n_t))
+        gains = np.sort([_oracle_gain(scheme, h[i], e[i], books[i], rho) for i in range(n)])
+
+        below = list(range(30, n, 30))
+        counts = [
+            _count_chunk(scheme, config, n, stream, 0.5 * (gains[k - 1] + gains[k]), rho, cb, fixed)
+            for k in below
+        ]
+        assert counts == below
 
 
 class TestEstimatorCalibration:
