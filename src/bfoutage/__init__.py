@@ -41,7 +41,7 @@ from .codebook import (
     select_user_maxnorm,
     tas_codebook,
 )
-from .montecarlo import McResult, TrialPlan, simulate_outage, sweep
+from .montecarlo import McPoint, McResult, TrialPlan, simulate_outage, simulate_outages, sweep
 from .specfun import (
     SeriesTolerance,
     bessel_j0,

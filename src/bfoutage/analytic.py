@@ -136,7 +136,6 @@ class GainDistribution:
     pool_size: int
     shape: int
     half_dof: int
-    nu_codebook: int | None = None  # RVQ mixing: codebook cardinality
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -161,19 +160,14 @@ def gain_distribution(
     if scheme_uses_codebook(scheme):
         if codebook_size is None or codebook_size < 1:
             raise ValueError(f"{scheme.value} needs a codebook cardinality >= 1")
-        codebook_size = int(codebook_size)
-    if scheme is SchemeId.MISO_PBF:
+    if scheme in (SchemeId.MISO_PBF, SchemeId.MISO_RVQ):
         return GainDistribution(1, config.n_t, 1)
-    if scheme is SchemeId.MISO_RVQ:
-        return GainDistribution(1, config.n_t, 1, nu_codebook=codebook_size)
     if scheme is SchemeId.MISO_TAS:
         return GainDistribution(config.n_t, 1, 1)
     if scheme is SchemeId.MU_TAS:
         return GainDistribution(config.n_u * config.n_t, config.n_r, config.n_r)
-    if scheme is SchemeId.MU_PBF:
+    if scheme in (SchemeId.MU_PBF, SchemeId.MU_RVQ):
         return GainDistribution(config.n_u, config.n_t, config.n_t)
-    if scheme is SchemeId.MU_RVQ:
-        return GainDistribution(config.n_u, config.n_t, config.n_t, nu_codebook=codebook_size)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

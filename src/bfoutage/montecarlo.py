@@ -5,7 +5,7 @@ ages the winner by one feedback step, and tests the aged effective gain
 against the outage threshold.  Trials are split into fixed-size chunks; chunk
 j consumes the counter-based stream (seed, offset + j), so the outage count
 depends only on (trials, seed, chunk) and never on how many workers execute
-the chunks.
+the chunks, nor on which other points share their batch.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .analytic import SchemeId, scheme_uses_codebook, validate_scheme
 from .channel import PersistenceSpec, RngStream, SystemConfig, derive_params
 from .codebook import Codebook, rvq_generate
 
-__all__ = ["McResult", "TrialPlan", "simulate_outage", "sweep"]
+__all__ = ["McPoint", "McResult", "TrialPlan", "simulate_outage", "simulate_outages", "sweep"]
 
 #: Stream-id stride between sweep axis values; chunk indices stay below it.
 _SWEEP_STRIDE = 1 << 32
@@ -179,6 +180,60 @@ def _count_chunk(
     return int(np.count_nonzero(gain < 2.0 * gamma0))
 
 
+class McPoint(NamedTuple):
+    """The arguments of one simulate_outage call, as one point of a batch."""
+
+    scheme: SchemeId
+    config: SystemConfig
+    codebook: Codebook | None
+    plan: TrialPlan
+    fixed_codebook: bool = False
+    stream_offset: int = 0
+
+
+def simulate_outages(points: list[McPoint], workers: int) -> list[McResult]:
+    """One McResult per point, in input order, each equal to what
+    simulate_outage returns for that point alone.
+
+    Every chunk of every point runs on one pool of `workers` threads (each
+    point's plan.workers is ignored), so the short last chunk of one point
+    shares the workers with the chunks of the next.  Every point is validated
+    before any chunk runs, and the call returns only after every chunk has
+    finished.
+    """
+    if int(workers) != workers or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    jobs = []
+    for i, (scheme, config, codebook, plan, _, _) in enumerate(points):
+        validate_scheme(scheme, config)
+        if scheme_uses_codebook(scheme):
+            if codebook is None or codebook.cardinality < 1:
+                raise ValueError(f"{scheme.value} needs a codebook with at least one vector")
+            if codebook.n_t != config.n_t:
+                raise ValueError("codebook dimension does not match n_t")
+        gamma0 = derive_params(config).gamma0
+        jobs += [(i, j, min(plan.chunk, plan.trials - lo), gamma0)
+                 for j, lo in enumerate(range(0, plan.trials, plan.chunk))]
+
+    def job(item):
+        i, j, size, gamma0 = item
+        scheme, config, codebook, plan, fixed_codebook, stream_offset = points[i]
+        return _count_chunk(
+            scheme, config, size, RngStream(plan.seed, stream_offset + j),
+            gamma0, config.rho, codebook, fixed_codebook,
+        )
+
+    if workers == 1:
+        counts = [job(item) for item in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(job, jobs))
+    totals = [0] * len(points)
+    for (i, *_), count in zip(jobs, counts):
+        totals[i] += count
+    return [McResult(outage_count=total, trials=p.plan.trials) for total, p in zip(totals, points)]
+
+
 def simulate_outage(
     scheme: SchemeId,
     config: SystemConfig,
@@ -187,7 +242,8 @@ def simulate_outage(
     fixed_codebook: bool = False,
     stream_offset: int = 0,
 ) -> McResult:
-    """Empirical outage probability over plan.trials link realizations.
+    """Empirical outage probability over plan.trials link realizations, on
+    plan.workers threads: the one-point case of simulate_outages.
 
     RVQ schemes need a codebook argument; by default only its cardinality is
     used and a fresh codebook is drawn every trial, so the estimate averages
@@ -195,33 +251,8 @@ def simulate_outage(
     vectors in every trial.  PBF and TAS ignore the codebook (theirs are
     virtual).
     """
-    validate_scheme(scheme, config)
-    if scheme_uses_codebook(scheme):
-        if codebook is None or codebook.cardinality < 1:
-            raise ValueError(f"{scheme.value} needs a codebook with at least one vector")
-        if codebook.n_t != config.n_t:
-            raise ValueError("codebook dimension does not match n_t")
-    rho = config.rho
-    gamma0 = derive_params(config).gamma0
-
-    sizes = [plan.chunk] * (plan.trials // plan.chunk)
-    if plan.trials % plan.chunk:
-        sizes.append(plan.trials % plan.chunk)
-
-    def job(j_size):
-        j, size = j_size
-        return _count_chunk(
-            scheme, config, size, RngStream(plan.seed, stream_offset + j),
-            gamma0, rho, codebook, fixed_codebook,
-        )
-
-    jobs = list(enumerate(sizes))
-    if plan.workers == 1:
-        counts = [job(item) for item in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            counts = list(pool.map(job, jobs))
-    return McResult(outage_count=sum(counts), trials=plan.trials)
+    point = McPoint(scheme, config, codebook, plan, fixed_codebook, stream_offset)
+    return simulate_outages([point], plan.workers)[0]
 
 
 def sweep(
@@ -233,23 +264,21 @@ def sweep(
     codebook: Codebook | None = None,
     fixed_codebook: bool = False,
 ) -> list[tuple[float, McResult]]:
-    """One simulate_outage per axis value with stream-separated randomness.
+    """One batch of simulate_outages over the axis values, with
+    stream-separated randomness.
 
     The first value reuses the unshifted streams, so a single-value sweep
     reproduces a direct simulate_outage call with the same plan.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    out = []
+    values = list(values)
+    points = []
     for i, value in enumerate(values):
         cfg = _SWEEP_AXES[axis](config_template, value)
         cb = codebook
         if axis == "codebook_size" and scheme_uses_codebook(scheme):
             # only the cardinality matters unless the codebook is held fixed
             cb = rvq_generate(RngStream(plan.seed, _SWEEP_STRIDE - 1), int(value), cfg.n_t)
-        result = simulate_outage(
-            scheme, cfg, cb, plan,
-            fixed_codebook=fixed_codebook, stream_offset=i * _SWEEP_STRIDE,
-        )
-        out.append((value, result))
-    return out
+        points.append(McPoint(scheme, cfg, cb, plan, fixed_codebook, i * _SWEEP_STRIDE))
+    return list(zip(values, simulate_outages(points, plan.workers)))

@@ -18,7 +18,7 @@ from . import analytic, montecarlo, specfun
 from .analytic import SchemeId
 from .channel import PersistenceSpec, RngStream, SystemConfig, derive_params
 from .codebook import nu_pdf, rvq_generate
-from .montecarlo import McResult, TrialPlan
+from .montecarlo import McPoint, TrialPlan
 
 __all__ = [
     "CheckResult",
@@ -55,6 +55,8 @@ REDUCTION_TOL = 1e-9
 #: Gauss-Legendre nodes of the single-user dual RVQ reference; deliberately
 #: not the closed form's nu_node_count, so the two discretizations differ.
 _DUAL_RVQ_NODES = 64
+#: Rows per block of the empirical noncentral chi-square draws.
+_SAMPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,6 @@ def _codebook_size(scheme: SchemeId) -> int | None:
     return CODEBOOK_SIZE if analytic.scheme_uses_codebook(scheme) else None
 
 
-def _mc(scheme: SchemeId, config: SystemConfig, plan: TrialPlan) -> McResult:
-    cb = None
-    if analytic.scheme_uses_codebook(scheme):
-        cb = rvq_generate(RngStream(plan.seed, 0), CODEBOOK_SIZE, config.n_t)
-    return montecarlo.simulate_outage(scheme, config, cb, plan)
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: three-way agreement
 # ---------------------------------------------------------------------------
@@ -100,8 +95,10 @@ def _mc(scheme: SchemeId, config: SystemConfig, plan: TrialPlan) -> McResult:
 def three_way_agreement_checks(
     trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
 ) -> list[CheckResult]:
-    out = []
-    point = 0
+    """Closed form and quadrature at every grid point, then one Monte Carlo
+    batch over all points."""
+    plan = TrialPlan(trials=trials, seed=seed, workers=workers)
+    rows, points = [], []
     for scheme in SCHEME_MATRIX:
         n = _codebook_size(scheme)
         for snr_db in GRID_SNR_DB:
@@ -109,30 +106,26 @@ def three_way_agreement_checks(
                 config = _cfg(scheme, snr_db, rho)
                 closed = analytic.outage_closed(scheme, config, n).value
                 quad = analytic.outage_semianalytic(scheme, config, codebook_size=n).value
-                plan = TrialPlan(trials=trials, seed=seed, workers=workers)
-                mc = montecarlo.simulate_outage(
-                    scheme,
-                    config,
-                    rvq_generate(RngStream(seed, 0), n, config.n_t) if n else None,
-                    plan,
-                    stream_offset=point * (1 << 32),
-                )
-                gap_cq = abs(closed - quad)
-                dev_c = abs(closed - mc.p_hat)
-                dev_q = abs(quad - mc.p_hat)
-                bound = 3.0 * mc.std_err
-                ok = gap_cq < CLOSED_VS_QUAD_TOL and dev_c <= bound and dev_q <= bound
-                out.append(
-                    CheckResult(
-                        name=f"agreement {scheme.value} snr={snr_db:g}dB rho={rho:g}",
-                        passed=ok,
-                        detail=(
-                            f"closed={closed:.3e} quad={quad:.3e} mc={mc.p_hat:.3e} "
-                            f"|c-q|={gap_cq:.1e} dev={max(dev_c, dev_q):.2e} 3se={bound:.2e}"
-                        ),
-                    )
-                )
-                point += 1
+                cb = rvq_generate(RngStream(seed, 0), n, config.n_t) if n else None
+                points.append(McPoint(scheme, config, cb, plan, stream_offset=len(points) << 32))
+                rows.append((f"agreement {scheme.value} snr={snr_db:g}dB rho={rho:g}", closed, quad))
+    out = []
+    for (name, closed, quad), mc in zip(rows, montecarlo.simulate_outages(points, workers)):
+        gap_cq = abs(closed - quad)
+        dev_c = abs(closed - mc.p_hat)
+        dev_q = abs(quad - mc.p_hat)
+        bound = 3.0 * mc.std_err
+        ok = gap_cq < CLOSED_VS_QUAD_TOL and dev_c <= bound and dev_q <= bound
+        out.append(
+            CheckResult(
+                name=name,
+                passed=ok,
+                detail=(
+                    f"closed={closed:.3e} quad={quad:.3e} mc={mc.p_hat:.3e} "
+                    f"|c-q|={gap_cq:.1e} dev={max(dev_c, dev_q):.2e} 3se={bound:.2e}"
+                ),
+            )
+        )
     return out
 
 
@@ -165,8 +158,7 @@ def arbitration_report(
     """Evaluate every closed-form variant of the single-user matched-filter
     and antenna-selection expressions against Monte Carlo on the delayed part
     of the standard grid (rho < 1; at rho = 1 no variant differs)."""
-    report = ArbitrationReport()
-    point = 0
+    rows, points = [], []
     for family, scheme, variants, evaluator in (
         ("matched-filter-coefficient", SchemeId.MISO_PBF, analytic.PBF_VARIANTS,
          lambda cfg, v: analytic.outage_pbf_closed(cfg, variant=v).value),
@@ -176,17 +168,17 @@ def arbitration_report(
         for snr_db in GRID_SNR_DB:
             for rho in (r for r in GRID_RHO if r < 1.0):
                 config = _cfg(scheme, snr_db, rho)
-                plan = TrialPlan(trials=trials, seed=seed, workers=workers)
-                mc = _mc(scheme, config, plan if point == 0 else TrialPlan(
-                    trials=trials, seed=seed + point, workers=workers))
-                point += 1
-                for variant in variants:
-                    value = evaluator(config, variant)
-                    if math.isfinite(value) and 0.0 <= value <= 1.0:
-                        z = abs(value - mc.p_hat) / mc.std_err
-                    else:
-                        z = math.inf
-                    report.rows.append((family, variant, snr_db, rho, value, z))
+                plan = TrialPlan(trials=trials, seed=seed + len(points), workers=workers)
+                points.append(McPoint(scheme, config, None, plan))
+                rows.append([(family, v, snr_db, rho, evaluator(config, v)) for v in variants])
+    report = ArbitrationReport()
+    for row, mc in zip(rows, montecarlo.simulate_outages(points, workers)):
+        for family, variant, snr_db, rho, value in row:
+            if math.isfinite(value) and 0.0 <= value <= 1.0:
+                z = abs(value - mc.p_hat) / mc.std_err
+            else:
+                z = math.inf
+            report.rows.append((family, variant, snr_db, rho, value, z))
     return report
 
 
@@ -499,12 +491,13 @@ def combinatorial_checks(samples: int = 1_000_000, seed: int = 20260810) -> list
     gen = np.random.Generator(np.random.Philox(key=seed))
     worst_z = 0.0
     for d, delta, beta in triples:
-        z = gen.standard_normal((samples, 2 * d))
-        shifted = z.copy()
-        # spread the noncentrality evenly over the first two components
-        shifted[:, 0] += math.sqrt(2.0 * delta)
-        stat = np.sum(shifted ** 2, axis=1)
-        p_emp = float(np.mean(stat < 2.0 * beta))
+        hits = 0
+        # sequential draws in row blocks concatenate to one full draw exactly
+        for lo in range(0, samples, _SAMPLE_BLOCK):
+            z = gen.standard_normal((min(_SAMPLE_BLOCK, samples - lo), 2 * d))
+            z[:, 0] += math.sqrt(2.0 * delta)  # the whole noncentrality on one component
+            hits += np.count_nonzero(np.sum(z ** 2, axis=1) < 2.0 * beta)
+        p_emp = hits / samples
         se = math.sqrt(max(p_emp * (1 - p_emp), 1e-12) / samples)
         p_val = specfun.noncentral_chi2_cdf(d, delta, beta)
         worst_z = max(worst_z, abs(p_val - p_emp) / se)

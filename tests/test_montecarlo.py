@@ -17,7 +17,16 @@ from bfoutage.codebook import (
     select_user_maxnorm,
     tas_codebook,
 )
-from bfoutage.montecarlo import McResult, TrialPlan, _count_chunk, simulate_outage, sweep
+from bfoutage import montecarlo
+from bfoutage.montecarlo import (
+    McPoint,
+    McResult,
+    TrialPlan,
+    _count_chunk,
+    simulate_outage,
+    simulate_outages,
+    sweep,
+)
 
 from _util import cfg
 
@@ -264,6 +273,55 @@ class TestPerTrialOracle:
             for k in below
         ]
         assert counts == below
+
+
+def _batch_points() -> list[McPoint]:
+    """One point per GOLDEN_VARIANTS label, each with its own seed and stream
+    offset; chunks of 2048 leave a short last chunk of 1201 trials."""
+    points = []
+    for k, (label, (scheme, kwargs, size, fixed)) in enumerate(GOLDEN_VARIANTS.items()):
+        config = cfg(rho=0.9, **kwargs)
+        cb = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, config.n_t) if size else None
+        plan = TrialPlan(trials=5297, seed=GOLDEN_SEED + k, chunk=2048)
+        points.append(McPoint(scheme, config, cb, plan, fixed, stream_offset=3 * k))
+    return points
+
+
+class TestBatch:
+    """simulate_outages runs every chunk of every point on one pool; each
+    point's count must equal its own simulate_outage call."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_counts_equal_separate_calls(self, workers):
+        points = _batch_points()
+        separate = [simulate_outage(*p).outage_count for p in points]
+        batch = simulate_outages(points, workers)
+        assert [r.outage_count for r in batch] == separate
+        assert [r.trials for r in batch] == [p.plan.trials for p in points]
+
+    def test_empty_batch(self):
+        assert simulate_outages([], 2) == []
+
+    @pytest.mark.parametrize("position", [0, 5, 10])
+    @pytest.mark.parametrize("bad", [
+        McPoint(SchemeId.MISO_RVQ, cfg(), None, TrialPlan(trials=100, seed=1)),
+        McPoint(SchemeId.MISO_PBF, cfg(nu=2), None, TrialPlan(trials=100, seed=1)),
+        McPoint(SchemeId.MU_RVQ, cfg(nu=2), rvq_generate(RngStream(1, 0), 4, 3),
+                TrialPlan(trials=100, seed=1)),
+    ])
+    def test_invalid_point_raises_before_any_chunk(self, monkeypatch, bad, position):
+        calls = []
+        monkeypatch.setattr(montecarlo, "_count_chunk", lambda *a: calls.append(a) or 0)
+        points = _batch_points()
+        points.insert(position, bad)
+        with pytest.raises(ValueError):
+            simulate_outages(points, 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [0, 1.5])
+    def test_invalid_worker_count(self, workers):
+        with pytest.raises(ValueError):
+            simulate_outages(_batch_points(), workers)
 
 
 class TestEstimatorCalibration:
