@@ -15,9 +15,7 @@ from bfoutage import (
     SchemeId,
     SystemConfig,
     TrialPlan,
-    outage_mupbf_closed,
-    outage_murvq_closed,
-    outage_mutas_closed,
+    outage_closed,
     rvq_generate,
     simulate_outage,
 )
@@ -44,18 +42,11 @@ def main() -> int:
                 n_t=4, rate_bits=2.0, snr_linear=10 ** (snr_db / 10),
                 persistence=PersistenceSpec.from_rho(args.rho), **kw,
             )
-            if scheme is SchemeId.MU_TAS:
-                value = outage_mutas_closed(cfg).value
-            elif scheme is SchemeId.MU_PBF:
-                value = outage_mupbf_closed(cfg).value
-            else:
-                value = outage_murvq_closed(cfg, args.codebook_size).value
+            value = outage_closed(scheme, cfg, args.codebook_size).value
             rows.append([scheme.value, kw["n_u"], args.rho, float(snr_db),
                          "closed_form", value, 0.0])
             if args.trials:
-                cb = None
-                if scheme is SchemeId.MU_RVQ:
-                    cb = rvq_generate(RngStream(args.seed), args.codebook_size, 4)
+                cb = rvq_generate(RngStream(args.seed), args.codebook_size, 4)
                 res = simulate_outage(
                     scheme, cfg, cb, TrialPlan(trials=args.trials, seed=args.seed),
                     stream_offset=offset << 32,

@@ -15,8 +15,7 @@ from bfoutage import (
     SchemeId,
     SystemConfig,
     TrialPlan,
-    outage_rvq_closed,
-    outage_tas_closed,
+    outage_closed,
     rvq_generate,
     simulate_outage,
 )
@@ -42,16 +41,12 @@ def main() -> int:
             persistence=PersistenceSpec.from_rho(float(rho)),
         )
         scheme = SchemeId(scheme_name)
-        if scheme is SchemeId.MISO_RVQ:
-            value = outage_rvq_closed(cfg, args.codebook_size).value
-        else:
-            value = outage_tas_closed(cfg).value
+        value = outage_closed(scheme, cfg, args.codebook_size).value
         rows.append([scheme_name, nt, float(rho), "closed_form", value, 0.0])
         if args.trials:
             cb = rvq_generate(RngStream(args.seed), args.codebook_size, nt)
             res = simulate_outage(
-                scheme, cfg, cb if scheme is SchemeId.MISO_RVQ else None,
-                TrialPlan(trials=args.trials, seed=args.seed),
+                scheme, cfg, cb, TrialPlan(trials=args.trials, seed=args.seed),
                 stream_offset=offset << 32,
             )
             rows.append([scheme_name, nt, float(rho), "monte_carlo", res.p_hat, res.std_err])

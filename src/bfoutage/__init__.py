@@ -8,7 +8,6 @@ from .analytic import (
     OutageEstimate,
     QuadratureSpec,
     SchemeId,
-    conditional_outage,
     diversity_order,
     min_codebook_size,
     outage_closed,
@@ -25,22 +24,10 @@ from .channel import (
     PersistenceSpec,
     RngStream,
     SystemConfig,
-    age_channel,
     derive_params,
-    draw_channel,
-    draw_user_channels,
     jakes_persistence,
 )
-from .codebook import (
-    Codebook,
-    SelectionOutcome,
-    nu_pdf,
-    rvq_generate,
-    select_beamformer,
-    select_user_antenna,
-    select_user_maxnorm,
-    tas_codebook,
-)
+from .codebook import Codebook, nu_pdf, rvq_generate
 from .montecarlo import McPoint, McResult, TrialPlan, simulate_outage, simulate_outages, sweep
 from .specfun import (
     SeriesTolerance,
@@ -48,7 +35,6 @@ from .specfun import (
     expansion_coeffs,
     lemma1_identity,
     noncentral_chi2_cdf,
-    regularized_lower_gamma,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ survives Monte Carlo arbitration (see the verification module).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -25,14 +26,13 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sc
 
-from .channel import DerivedParams, SystemConfig, derive_params
+from .channel import SystemConfig, derive_params
 from .codebook import nu_pdf
 from .specfun import (
     DEFAULT_TOLERANCE,
     SeriesTolerance,
     _noncentral_chi2_cdf_grid,
     expansion_coeffs,
-    noncentral_chi2_cdf,
 )
 
 __all__ = [
@@ -42,9 +42,10 @@ __all__ = [
     "OutageEstimate",
     "QuadratureSpec",
     "RangeError",
+    "SCHEMES",
     "SchemeId",
+    "SchemeRecord",
     "UnderflowError",
-    "conditional_outage",
     "diversity_order",
     "gain_distribution",
     "min_codebook_size",
@@ -87,17 +88,56 @@ class SchemeId(Enum):
     MU_RVQ = "mu-rvq"
 
 
+@dataclass(frozen=True)
+class SchemeRecord:
+    """What a scheme is, for every evaluation path."""
+
+    fixed: tuple[str, ...]  # config fields the scheme fixes at 1
+    uses_codebook: bool  # needs a codebook cardinality >= 1; the others ignore it
+    law: Callable[[SystemConfig], GainDistribution]  # selected-gain law
+    closed: Callable[[SystemConfig, int | None, QuadratureSpec], OutageEstimate]
+
+
+# The closed-form entries call the evaluators by their module-level names, so
+# a wrapper installed on one of those names sees every call.
+SCHEMES = {
+    SchemeId.MISO_PBF: SchemeRecord(
+        ("n_r", "n_u"), False, lambda c: GainDistribution(1, c.n_t, 1),
+        lambda c, n, quad: outage_pbf_closed(c)),
+    SchemeId.MISO_RVQ: SchemeRecord(
+        ("n_r", "n_u"), True, lambda c: GainDistribution(1, c.n_t, 1),
+        lambda c, n, quad: outage_rvq_closed(c, n, quad)),
+    SchemeId.MISO_TAS: SchemeRecord(
+        ("n_r", "n_u"), False, lambda c: GainDistribution(c.n_t, 1, 1),
+        lambda c, n, quad: outage_tas_closed(c)),
+    SchemeId.MU_TAS: SchemeRecord(
+        (), False, lambda c: GainDistribution(c.n_u * c.n_t, c.n_r, c.n_r),
+        lambda c, n, quad: outage_mutas_closed(c)),
+    SchemeId.MU_PBF: SchemeRecord(
+        ("n_r",), False, lambda c: GainDistribution(c.n_u, c.n_t, c.n_t),
+        lambda c, n, quad: outage_mupbf_closed(c)),
+    SchemeId.MU_RVQ: SchemeRecord(
+        ("n_r",), True, lambda c: GainDistribution(c.n_u, c.n_t, c.n_t),
+        lambda c, n, quad: outage_murvq_closed(c, n, quad)),
+}
+
+
 def scheme_uses_codebook(scheme: SchemeId) -> bool:
-    return scheme in (SchemeId.MISO_RVQ, SchemeId.MU_RVQ)
+    return SCHEMES[scheme].uses_codebook
 
 
-def validate_scheme(scheme: SchemeId, config: SystemConfig) -> None:
-    if scheme in (SchemeId.MISO_PBF, SchemeId.MISO_RVQ, SchemeId.MISO_TAS):
-        if config.n_r != 1 or config.n_u != 1:
-            raise ValueError(f"{scheme.value} requires n_r = 1 and n_u = 1")
-    elif scheme in (SchemeId.MU_PBF, SchemeId.MU_RVQ):
-        if config.n_r != 1:
-            raise ValueError(f"{scheme.value} requires n_r = 1 per user")
+def validate_scheme(
+    scheme: SchemeId, config: SystemConfig, codebook_size: int | None = None
+) -> SchemeRecord:
+    """The scheme's record, once config has the shape the scheme fixes and,
+    for a codebook scheme, codebook_size is at least 1."""
+    record = SCHEMES[scheme]
+    if any(getattr(config, name) != 1 for name in record.fixed):
+        fixed = " and ".join(f"{name} = 1" for name in record.fixed)
+        raise ValueError(f"{scheme.value} requires {fixed}")
+    if record.uses_codebook and (codebook_size is None or codebook_size < 1):
+        raise ValueError(f"{scheme.value} needs a codebook cardinality >= 1")
+    return record
 
 
 @dataclass(frozen=True)
@@ -156,33 +196,7 @@ class GainDistribution:
 def gain_distribution(
     scheme: SchemeId, config: SystemConfig, codebook_size: int | None = None
 ) -> GainDistribution:
-    validate_scheme(scheme, config)
-    if scheme_uses_codebook(scheme):
-        if codebook_size is None or codebook_size < 1:
-            raise ValueError(f"{scheme.value} needs a codebook cardinality >= 1")
-    if scheme in (SchemeId.MISO_PBF, SchemeId.MISO_RVQ):
-        return GainDistribution(1, config.n_t, 1)
-    if scheme is SchemeId.MISO_TAS:
-        return GainDistribution(config.n_t, 1, 1)
-    if scheme is SchemeId.MU_TAS:
-        return GainDistribution(config.n_u * config.n_t, config.n_r, config.n_r)
-    if scheme in (SchemeId.MU_PBF, SchemeId.MU_RVQ):
-        return GainDistribution(config.n_u, config.n_t, config.n_t)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def conditional_outage(
-    gain: float,
-    params: DerivedParams,
-    half_dof: int = 1,
-    tol: SeriesTolerance = DEFAULT_TOLERANCE,
-) -> float:
-    """Outage probability given the selected stale gain."""
-    if params.no_delay:
-        raise ValueError("conditional outage is defined only in the delayed model")
-    if gain < 0:
-        raise ValueError(f"gain must be >= 0, got {gain!r}")
-    return noncentral_chi2_cdf(half_dof, params.mu * gain, params.beta, tol)
+    return validate_scheme(scheme, config, codebook_size).law(config)
 
 
 @lru_cache(maxsize=16)
@@ -213,12 +227,9 @@ def outage_semianalytic(
     selected-gain density (with an outer quantization-factor integral for the
     RVQ schemes).  At rho = 1 the integral degenerates to the gain CDF at the
     threshold."""
-    validate_scheme(scheme, config)
-    mixed = scheme_uses_codebook(scheme) and config.n_t > 1
-    if scheme_uses_codebook(scheme) and config.n_t == 1:
-        # single transmit antenna: the captured fraction is identically 1
-        scheme = SchemeId.MISO_PBF if scheme is SchemeId.MISO_RVQ else SchemeId.MU_PBF
     dist = gain_distribution(scheme, config, codebook_size)
+    # with one transmit antenna the captured fraction is identically 1
+    mixed = scheme_uses_codebook(scheme) and config.n_t > 1
     params = derive_params(config)
 
     if mixed:
@@ -330,6 +341,14 @@ def _clip(value: float) -> float:
     return min(max(float(value), 0.0), 1.0)
 
 
+def _variant_estimate(value: float, flag: str, variant: str) -> OutageEstimate:
+    """The corrected variant clipped to [0, 1]; diagnostic variants may fall
+    outside it and are reported unclipped."""
+    if variant == "corrected":
+        value = _clip(value)
+    return OutageEstimate(value=value, method="closed_form", flags=(f"{flag}-{variant}",))
+
+
 def outage_pbf_closed(config: SystemConfig, variant: str = "corrected") -> OutageEstimate:
     """Closed-form outage of unquantized (matched filter) beamforming on the
     stale channel estimate."""
@@ -340,11 +359,7 @@ def outage_pbf_closed(config: SystemConfig, variant: str = "corrected") -> Outag
             value=float(_sc.gammainc(config.n_t, params.gamma0)), method="closed_form"
         )
     value = float(_matched_filter_sum(config.n_t, params.mu, params.beta, variant))
-    flags = (f"coefficient-{variant}",)
-    if variant == "corrected":
-        return OutageEstimate(value=_clip(value), method="closed_form", flags=flags)
-    # diagnostic variants may fall outside [0, 1]; report them unclipped
-    return OutageEstimate(value=value, method="closed_form", flags=flags)
+    return _variant_estimate(value, "coefficient", variant)
 
 
 def outage_rvq_closed(
@@ -355,9 +370,7 @@ def outage_rvq_closed(
 ) -> OutageEstimate:
     """Closed-form outage of an RVQ codebook of cardinality n: the conditional
     finite sum averaged over the captured-fraction density by quadrature."""
-    validate_scheme(SchemeId.MISO_RVQ, config)
-    if n < 1:
-        raise ValueError("codebook cardinality must be >= 1")
+    validate_scheme(SchemeId.MISO_RVQ, config, n)
     if config.n_t == 1:
         return outage_pbf_closed(config, variant)
     params = derive_params(config)
@@ -366,11 +379,7 @@ def outage_rvq_closed(
         value = float(w_f @ _sc.gammainc(config.n_t, params.gamma0 / nu))
         return OutageEstimate(value=_clip(value), method="closed_form")
     vals = _matched_filter_sum(config.n_t, params.mu * nu, params.beta, variant)
-    value = float(w_f @ vals)
-    flags = (f"coefficient-{variant}",)
-    if variant == "corrected":
-        return OutageEstimate(value=_clip(value), method="closed_form", flags=flags)
-    return OutageEstimate(value=value, method="closed_form", flags=flags)
+    return _variant_estimate(float(w_f @ vals), "coefficient", variant)
 
 
 def outage_tas_closed(config: SystemConfig, variant: str = "corrected") -> OutageEstimate:
@@ -394,11 +403,7 @@ def outage_tas_closed(config: SystemConfig, variant: str = "corrected") -> Outag
         * (-math.expm1(-(k + 1) * x / (k + 1 + params.mu)))
         for k in range(n_t)
     )
-    value = n_t * total
-    flags = (f"exponent-{variant}",)
-    if variant == "corrected":
-        return OutageEstimate(value=_clip(value), method="closed_form", flags=flags)
-    return OutageEstimate(value=value, method="closed_form", flags=flags)
+    return _variant_estimate(n_t * total, "exponent", variant)
 
 
 # The multiuser evaluators model delayed selection feedback: the user (and
@@ -443,9 +448,7 @@ def outage_murvq_closed(
 ) -> OutageEstimate:
     """Closed-form outage of multiuser RVQ: the dual multiuser sum with the
     aging ratio scaled by the captured fraction, averaged over its density."""
-    validate_scheme(SchemeId.MU_RVQ, config)
-    if n < 1:
-        raise ValueError("codebook cardinality must be >= 1")
+    validate_scheme(SchemeId.MU_RVQ, config, n)
     if config.n_t == 1:
         return outage_mupbf_closed(config)
     params = derive_params(config)
@@ -464,24 +467,9 @@ def outage_closed(
     codebook_size: int | None = None,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> OutageEstimate:
-    """Closed-form dispatch over all schemes."""
-    if scheme is SchemeId.MISO_PBF:
-        return outage_pbf_closed(config)
-    if scheme is SchemeId.MISO_RVQ:
-        if codebook_size is None:
-            raise ValueError("miso-rvq needs a codebook cardinality")
-        return outage_rvq_closed(config, codebook_size, quad)
-    if scheme is SchemeId.MISO_TAS:
-        return outage_tas_closed(config)
-    if scheme is SchemeId.MU_TAS:
-        return outage_mutas_closed(config)
-    if scheme is SchemeId.MU_PBF:
-        return outage_mupbf_closed(config)
-    if scheme is SchemeId.MU_RVQ:
-        if codebook_size is None:
-            raise ValueError("mu-rvq needs a codebook cardinality")
-        return outage_murvq_closed(config, codebook_size, quad)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    """Closed form of any scheme; codebook_size is ignored by the schemes
+    without a codebook."""
+    return validate_scheme(scheme, config, codebook_size).closed(config, codebook_size, quad)
 
 
 # ---------------------------------------------------------------------------

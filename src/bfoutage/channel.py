@@ -1,4 +1,6 @@
-"""Rayleigh channel generation, Jakes persistence, and one-step feedback aging.
+"""The channel model's parameters: persistence (direct or Jakes), the system
+configuration, the thresholds derived from it, and counter-based random
+streams.
 
 The channel model: every entry of the estimated channel h and of the
 innovation e is i.i.d. standard complex Gaussian CN(0,1), and the channel in
@@ -24,10 +26,7 @@ __all__ = [
     "PersistenceSpec",
     "RngStream",
     "SystemConfig",
-    "age_channel",
     "derive_params",
-    "draw_channel",
-    "draw_user_channels",
     "jakes_persistence",
 ]
 
@@ -169,28 +168,3 @@ class RngStream:
 def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     z = gen.standard_normal(shape + (2,))
     return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
-
-
-def draw_channel(rng: RngStream, n_t: int, n_r: int = 1) -> np.ndarray:
-    """One (n_t, n_r) matrix of i.i.d. CN(0,1) entries."""
-    if n_t < 1 or n_r < 1:
-        raise ValueError("antenna counts must be >= 1")
-    return _complex_normal(rng.generator(), (int(n_t), int(n_r)))
-
-
-def draw_user_channels(rng: RngStream, n_u: int, n_t: int, n_r: int = 1) -> np.ndarray:
-    """Per-user channel stack of shape (n_u, n_t, n_r), i.i.d. CN(0,1)."""
-    if n_u < 1 or n_t < 1 or n_r < 1:
-        raise ValueError("user and antenna counts must be >= 1")
-    return _complex_normal(rng.generator(), (int(n_u), int(n_t), int(n_r)))
-
-
-def age_channel(h: np.ndarray, rho: float, rng: RngStream) -> np.ndarray:
-    """Apply one aging step: rho * h + sqrt(1 - rho^2) * e with fresh e."""
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
-    h = np.asarray(h)
-    if rho == 1.0:
-        return h.copy()
-    e = _complex_normal(rng.generator(), h.shape)
-    return rho * h + math.sqrt(1.0 - rho * rho) * e

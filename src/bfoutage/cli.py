@@ -197,7 +197,8 @@ def _codebook_for(scheme, config, opts, plan_seed):
         return None
     if opts.get("codebook_path"):
         return load_codebook(opts["codebook_path"])
-    return rvq_generate(RngStream(plan_seed, (1 << 32) - 1), opts["codebook_size"], config.n_t)
+    stream = RngStream(plan_seed, montecarlo._CODEBOOK_STREAM)
+    return rvq_generate(stream, opts["codebook_size"], config.n_t)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,7 @@ def _cmd_analytic(args) -> int:
     opts = _merge_config(args)
     scheme = _scheme(args.scheme)
     config = _system_config(opts)
-    n = opts["codebook_size"] if analytic.scheme_uses_codebook(scheme) else None
+    n = opts["codebook_size"]
     evaluators = [e.strip() for e in args.eval.split(",") if e.strip()]
     if not evaluators:
         raise UsageError("--eval must select at least one evaluator")
@@ -269,9 +270,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"unknown evaluator {unknown[0]!r} (choose from closed,quadrature,mc)")
     for value in values:
         cfg = montecarlo._SWEEP_AXES[axis](config, value)
-        n = opts["codebook_size"] if analytic.scheme_uses_codebook(scheme) else None
-        if axis == "codebook_size":
-            n = int(value)
+        n = int(value) if axis == "codebook_size" else opts["codebook_size"]
         for ev in deterministic:
             if ev == "closed":
                 est = analytic.outage_closed(scheme, cfg, n)
@@ -329,8 +328,7 @@ def _cmd_diversity(args) -> int:
         local = dict(opts)
         local["rho"], local["doppler_hz"], local["delay_s"] = rho, None, None
         config = _system_config(local)
-        n = opts["codebook_size"] if analytic.scheme_uses_codebook(scheme) else None
-        slope = analytic.diversity_order(scheme, config, grid, codebook_size=n)
+        slope = analytic.diversity_order(scheme, config, grid, codebook_size=opts["codebook_size"])
         rows.append({
             "scheme": scheme.value,
             "rho": rho,

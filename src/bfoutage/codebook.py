@@ -1,12 +1,9 @@
-"""Beamforming codebooks, selection rules, and the quantization-factor density.
+"""Beamforming codebooks and the quantization-factor density.
 
-Three codebook schemes share one selection interface:
-
-* RVQ: N independent isotropic unit vectors; the receiver feeds back the index
-  with the largest projected power.
-* TAS: the n_t standard basis vectors, i.e. activate the single best antenna.
-* PBF: a virtual codebook holding the matched filter h/||h||, the limit of
-  RVQ as N grows without bound.
+A codebook is a stack of unit vectors: an RVQ codebook holds N independent
+isotropic unit vectors, and the receiver feeds back the index with the
+largest projected power.  Files may also hold TAS codebooks, the n_t
+standard basis vectors.
 """
 
 from __future__ import annotations
@@ -20,40 +17,27 @@ from .channel import RngStream, _complex_normal
 
 __all__ = [
     "Codebook",
-    "SelectionOutcome",
     "load_codebook",
-    "nu_cdf",
     "nu_pdf",
-    "pbf_codebook",
     "rvq_generate",
     "save_codebook",
-    "select_beamformer",
-    "select_user_antenna",
-    "select_user_maxnorm",
-    "tas_codebook",
 ]
 
 _NORM_TOL = 1e-12
-_SCHEMES = ("RVQ", "TAS", "PBF")
+_SCHEMES = ("RVQ", "TAS")
 
 
 @dataclass(frozen=True)
 class Codebook:
     scheme: str
     n_t: int
-    vectors: np.ndarray | None  # (N, n_t) unit-norm rows; None for virtual PBF
+    vectors: np.ndarray  # (N, n_t) unit-norm rows
 
     def __post_init__(self) -> None:
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if self.n_t < 1:
             raise ValueError("n_t must be >= 1")
-        if self.scheme == "PBF":
-            if self.vectors is not None:
-                raise ValueError("PBF is a virtual codebook and carries no vectors")
-            return
-        if self.vectors is None:
-            raise ValueError(f"{self.scheme} codebook needs vectors")
         vecs = np.asarray(self.vectors)
         if vecs.ndim != 2 or vecs.shape[1] != self.n_t or vecs.shape[0] < 1:
             raise ValueError(f"vectors must have shape (N, {self.n_t}) with N >= 1")
@@ -63,15 +47,7 @@ class Codebook:
 
     @property
     def cardinality(self) -> int:
-        return 0 if self.vectors is None else int(self.vectors.shape[0])
-
-
-@dataclass(frozen=True)
-class SelectionOutcome:
-    beam_index: int
-    gain: float
-    user_index: int = 0
-    tradeoff: float | None = None  # fraction of ||h||^2 captured; always <= 1
+        return int(self.vectors.shape[0])
 
 
 def rvq_generate(rng: RngStream, n: int, n_t: int) -> Codebook:
@@ -81,58 +57,6 @@ def rvq_generate(rng: RngStream, n: int, n_t: int) -> Codebook:
     raw = _complex_normal(rng.generator(), (int(n), int(n_t)))
     vecs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     return Codebook(scheme="RVQ", n_t=int(n_t), vectors=vecs)
-
-
-def tas_codebook(n_t: int) -> Codebook:
-    return Codebook(scheme="TAS", n_t=int(n_t), vectors=np.eye(int(n_t), dtype=complex))
-
-
-def pbf_codebook(n_t: int) -> Codebook:
-    return Codebook(scheme="PBF", n_t=int(n_t), vectors=None)
-
-
-def select_beamformer(h: np.ndarray, cb: Codebook) -> SelectionOutcome:
-    """Pick the codebook vector maximizing |<h, p>|^2; ties go to the lowest index.
-
-    For the virtual PBF codebook the matched filter h/||h|| is 'selected',
-    giving gain ||h||^2.  The tradeoff field reports gain / ||h||^2.
-    """
-    h = np.asarray(h).reshape(-1)
-    if h.shape[0] != cb.n_t:
-        raise ValueError(f"channel has {h.shape[0]} entries but codebook expects {cb.n_t}")
-    total = float(np.sum(np.abs(h) ** 2))
-    if cb.scheme == "PBF":
-        return SelectionOutcome(beam_index=0, gain=total, tradeoff=1.0)
-    gains = np.abs(cb.vectors @ h.conj()) ** 2
-    idx = int(np.argmax(gains))
-    gain = float(gains[idx])
-    tradeoff = gain / total if total > 0 else None
-    return SelectionOutcome(beam_index=idx, gain=gain, tradeoff=tradeoff)
-
-
-def select_user_antenna(channels: np.ndarray) -> SelectionOutcome:
-    """Max per-antenna row norm over all (user, antenna) pairs.
-
-    channels has shape (n_u, n_t, n_r); ties resolve to the lowest
-    (user, antenna) pair in lexicographic order.
-    """
-    ch = np.asarray(channels)
-    if ch.ndim != 3 or ch.shape[0] < 1:
-        raise ValueError("channels must be a nonempty (n_u, n_t, n_r) stack")
-    norms = np.sum(np.abs(ch) ** 2, axis=2)  # (n_u, n_t)
-    flat = int(np.argmax(norms))  # first occurrence = lowest (user, antenna)
-    user, antenna = divmod(flat, ch.shape[1])
-    return SelectionOutcome(beam_index=antenna, user_index=user, gain=float(norms[user, antenna]))
-
-
-def select_user_maxnorm(channels: np.ndarray) -> SelectionOutcome:
-    """Max vector norm over users; channels has shape (n_u, n_t)."""
-    ch = np.asarray(channels)
-    if ch.ndim != 2 or ch.shape[0] < 1:
-        raise ValueError("channels must be a nonempty (n_u, n_t) stack")
-    norms = np.sum(np.abs(ch) ** 2, axis=1)
-    user = int(np.argmax(norms))
-    return SelectionOutcome(beam_index=0, user_index=user, gain=float(norms[user]))
 
 
 def nu_pdf(nu, n: int, n_t: int):
@@ -153,24 +77,9 @@ def nu_pdf(nu, n: int, n_t: int):
     return val if isinstance(nu, np.ndarray) else float(val)
 
 
-def nu_cdf(nu, n: int, n_t: int):
-    """CDF matching nu_pdf: (1 - (1-nu)^(n_t-1))^n."""
-    if n < 1:
-        raise ValueError("codebook cardinality must be >= 1")
-    if n_t < 2:
-        raise ValueError("nu_cdf needs n_t >= 2")
-    nu_arr = np.asarray(nu, dtype=float)
-    if np.any((nu_arr < 0) | (nu_arr > 1)):
-        raise ValueError("nu must lie in [0, 1]")
-    val = (1.0 - (1.0 - nu_arr) ** (n_t - 1)) ** n
-    return val if isinstance(nu, np.ndarray) else float(val)
-
-
 def save_codebook(cb: Codebook, path) -> None:
     """Write a codebook as text: header "SCHEME n_t N", then one vector per
     line with entries as "re,im" pairs separated by spaces."""
-    if cb.scheme == "PBF":
-        raise ValueError("the virtual PBF codebook has no vectors to save")
     lines = [f"{cb.scheme} {cb.n_t} {cb.cardinality}"]
     for row in cb.vectors:
         lines.append(" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
@@ -182,7 +91,7 @@ def load_codebook(path) -> Codebook:
     if not text:
         raise ValueError(f"{path}: empty codebook file")
     header = text[0].split()
-    if len(header) != 3 or header[0] not in ("RVQ", "TAS"):
+    if len(header) != 3 or header[0] not in _SCHEMES:
         raise ValueError(f"{path}: header must be 'RVQ|TAS n_t N', got {text[0]!r}")
     scheme, n_t, n = header[0], int(header[1]), int(header[2])
     if len(text) - 1 != n:

@@ -25,6 +25,9 @@ __all__ = ["McPoint", "McResult", "TrialPlan", "simulate_outage", "simulate_outa
 
 #: Stream-id stride between sweep axis values; chunk indices stay below it.
 _SWEEP_STRIDE = 1 << 32
+#: Stream of a codebook drawn for a plan's seed (by the CLI, or per size in
+#: a codebook-size sweep): the last id of the first stride, above every chunk.
+_CODEBOOK_STREAM = _SWEEP_STRIDE - 1
 
 #: Sweep axis -> the config at one value of that axis.
 _SWEEP_AXES = {
@@ -205,12 +208,9 @@ def simulate_outages(points: list[McPoint], workers: int) -> list[McResult]:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     jobs = []
     for i, (scheme, config, codebook, plan, _, _) in enumerate(points):
-        validate_scheme(scheme, config)
-        if scheme_uses_codebook(scheme):
-            if codebook is None or codebook.cardinality < 1:
-                raise ValueError(f"{scheme.value} needs a codebook with at least one vector")
-            if codebook.n_t != config.n_t:
-                raise ValueError("codebook dimension does not match n_t")
+        size = None if codebook is None else codebook.cardinality
+        if validate_scheme(scheme, config, size).uses_codebook and codebook.n_t != config.n_t:
+            raise ValueError("codebook dimension does not match n_t")
         gamma0 = derive_params(config).gamma0
         jobs += [(i, j, min(plan.chunk, plan.trials - lo), gamma0)
                  for j, lo in enumerate(range(0, plan.trials, plan.chunk))]
@@ -248,8 +248,7 @@ def simulate_outage(
     RVQ schemes need a codebook argument; by default only its cardinality is
     used and a fresh codebook is drawn every trial, so the estimate averages
     over codebook realizations.  Pass fixed_codebook=True to reuse the given
-    vectors in every trial.  PBF and TAS ignore the codebook (theirs are
-    virtual).
+    vectors in every trial.  The other schemes ignore the codebook.
     """
     point = McPoint(scheme, config, codebook, plan, fixed_codebook, stream_offset)
     return simulate_outages([point], plan.workers)[0]
@@ -279,6 +278,6 @@ def sweep(
         cb = codebook
         if axis == "codebook_size" and scheme_uses_codebook(scheme):
             # only the cardinality matters unless the codebook is held fixed
-            cb = rvq_generate(RngStream(plan.seed, _SWEEP_STRIDE - 1), int(value), cfg.n_t)
+            cb = rvq_generate(RngStream(plan.seed, _CODEBOOK_STREAM), int(value), cfg.n_t)
         points.append(McPoint(scheme, cfg, cb, plan, fixed_codebook, i * _SWEEP_STRIDE))
     return list(zip(values, simulate_outages(points, plan.workers)))

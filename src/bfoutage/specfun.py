@@ -23,7 +23,6 @@ __all__ = [
     "expansion_coeffs",
     "lemma1_identity",
     "noncentral_chi2_cdf",
-    "regularized_lower_gamma",
 ]
 
 
@@ -66,19 +65,6 @@ def bessel_j0(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"bessel_j0 needs a finite argument, got {x!r}")
     return float(_sc.j0(x))
-
-
-def regularized_lower_gamma(k: int, x: float) -> float:
-    """P(k, x) = (1/(k-1)!) * integral_0^x t^(k-1) e^(-t) dt for integer k >= 1.
-
-    Equals the CDF of a chi-square with 2k degrees of freedom evaluated at 2x.
-    """
-    if int(k) != k or k < 1:
-        raise ValueError(f"shape must be a positive integer, got {k!r}")
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"argument must be finite and >= 0, got {x!r}")
-    return float(_sc.gammainc(int(k), x))
 
 
 def noncentral_chi2_cdf(

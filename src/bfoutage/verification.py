@@ -83,10 +83,6 @@ def _cfg(scheme: SchemeId, snr_db: float, rho: float, rate: float = RATE) -> Sys
     )
 
 
-def _codebook_size(scheme: SchemeId) -> int | None:
-    return CODEBOOK_SIZE if analytic.scheme_uses_codebook(scheme) else None
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: three-way agreement
 # ---------------------------------------------------------------------------
@@ -99,14 +95,16 @@ def three_way_agreement_checks(
     batch over all points."""
     plan = TrialPlan(trials=trials, seed=seed, workers=workers)
     rows, points = [], []
+    n = CODEBOOK_SIZE
     for scheme in SCHEME_MATRIX:
-        n = _codebook_size(scheme)
         for snr_db in GRID_SNR_DB:
             for rho in GRID_RHO:
                 config = _cfg(scheme, snr_db, rho)
                 closed = analytic.outage_closed(scheme, config, n).value
                 quad = analytic.outage_semianalytic(scheme, config, codebook_size=n).value
-                cb = rvq_generate(RngStream(seed, 0), n, config.n_t) if n else None
+                cb = None
+                if analytic.scheme_uses_codebook(scheme):
+                    cb = rvq_generate(RngStream(seed, 0), n, config.n_t)
                 points.append(McPoint(scheme, config, cb, plan, stream_offset=len(points) << 32))
                 rows.append((f"agreement {scheme.value} snr={snr_db:g}dB rho={rho:g}", closed, quad))
     out = []

@@ -1,0 +1,103 @@
+"""A scalar, trial-by-trial model of channel draws, aging and selection.
+
+It is the independent implementation that TestPerTrialOracle checks the
+vectorized simulator against, so the simulator must never call it.  The
+matched filter needs no codebook here: its beam is h/||h||.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from bfoutage.channel import RngStream, _complex_normal
+from bfoutage.codebook import Codebook
+
+
+@dataclass(frozen=True)
+class SelectionOutcome:
+    beam_index: int
+    gain: float
+    user_index: int = 0
+    tradeoff: float | None = None  # fraction of ||h||^2 captured; always <= 1
+
+
+def draw_channel(rng: RngStream, n_t: int, n_r: int = 1) -> np.ndarray:
+    """One (n_t, n_r) matrix of i.i.d. CN(0,1) entries."""
+    if n_t < 1 or n_r < 1:
+        raise ValueError("antenna counts must be >= 1")
+    return _complex_normal(rng.generator(), (int(n_t), int(n_r)))
+
+
+def draw_user_channels(rng: RngStream, n_u: int, n_t: int, n_r: int = 1) -> np.ndarray:
+    """Per-user channel stack of shape (n_u, n_t, n_r), i.i.d. CN(0,1)."""
+    if n_u < 1 or n_t < 1 or n_r < 1:
+        raise ValueError("user and antenna counts must be >= 1")
+    return _complex_normal(rng.generator(), (int(n_u), int(n_t), int(n_r)))
+
+
+def age_channel(h: np.ndarray, rho: float, rng: RngStream) -> np.ndarray:
+    """Apply one aging step: rho * h + sqrt(1 - rho^2) * e with fresh e."""
+    if not (0.0 <= rho <= 1.0):
+        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+    h = np.asarray(h)
+    if rho == 1.0:
+        return h.copy()
+    e = _complex_normal(rng.generator(), h.shape)
+    return rho * h + math.sqrt(1.0 - rho * rho) * e
+
+
+def tas_codebook(n_t: int) -> Codebook:
+    return Codebook(scheme="TAS", n_t=int(n_t), vectors=np.eye(int(n_t), dtype=complex))
+
+
+def select_beamformer(h: np.ndarray, cb: Codebook) -> SelectionOutcome:
+    """Pick the codebook vector maximizing |<h, p>|^2; ties go to the lowest
+    index.  The tradeoff field reports gain / ||h||^2."""
+    h = np.asarray(h).reshape(-1)
+    if h.shape[0] != cb.n_t:
+        raise ValueError(f"channel has {h.shape[0]} entries but codebook expects {cb.n_t}")
+    total = float(np.sum(np.abs(h) ** 2))
+    gains = np.abs(cb.vectors @ h.conj()) ** 2
+    idx = int(np.argmax(gains))
+    gain = float(gains[idx])
+    tradeoff = gain / total if total > 0 else None
+    return SelectionOutcome(beam_index=idx, gain=gain, tradeoff=tradeoff)
+
+
+def select_user_antenna(channels: np.ndarray) -> SelectionOutcome:
+    """Max per-antenna row norm over all (user, antenna) pairs.
+
+    channels has shape (n_u, n_t, n_r); ties resolve to the lowest
+    (user, antenna) pair in lexicographic order.
+    """
+    ch = np.asarray(channels)
+    if ch.ndim != 3 or ch.shape[0] < 1:
+        raise ValueError("channels must be a nonempty (n_u, n_t, n_r) stack")
+    norms = np.sum(np.abs(ch) ** 2, axis=2)  # (n_u, n_t)
+    flat = int(np.argmax(norms))  # first occurrence = lowest (user, antenna)
+    user, antenna = divmod(flat, ch.shape[1])
+    return SelectionOutcome(beam_index=antenna, user_index=user, gain=float(norms[user, antenna]))
+
+
+def select_user_maxnorm(channels: np.ndarray) -> SelectionOutcome:
+    """Max vector norm over users; channels has shape (n_u, n_t)."""
+    ch = np.asarray(channels)
+    if ch.ndim != 2 or ch.shape[0] < 1:
+        raise ValueError("channels must be a nonempty (n_u, n_t) stack")
+    norms = np.sum(np.abs(ch) ** 2, axis=1)
+    user = int(np.argmax(norms))
+    return SelectionOutcome(beam_index=0, user_index=user, gain=float(norms[user]))
+
+
+def nu_cdf(nu, n: int, n_t: int):
+    """CDF matching codebook.nu_pdf: (1 - (1-nu)^(n_t-1))^n."""
+    if n < 1:
+        raise ValueError("codebook cardinality must be >= 1")
+    if n_t < 2:
+        raise ValueError("nu_cdf needs n_t >= 2")
+    nu_arr = np.asarray(nu, dtype=float)
+    if np.any((nu_arr < 0) | (nu_arr > 1)):
+        raise ValueError("nu must lie in [0, 1]")
+    val = (1.0 - (1.0 - nu_arr) ** (n_t - 1)) ** n
+    return val if isinstance(nu, np.ndarray) else float(val)

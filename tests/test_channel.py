@@ -1,4 +1,4 @@
-"""Channel generation, persistence resolution, and derived parameters."""
+"""Persistence resolution, derived parameters, and the oracle's channel draws."""
 
 import math
 
@@ -12,12 +12,11 @@ from bfoutage.channel import (
     PersistenceSpec,
     RngStream,
     SystemConfig,
-    age_channel,
     derive_params,
-    draw_channel,
-    draw_user_channels,
     jakes_persistence,
 )
+
+from _oracle import age_channel, draw_channel, draw_user_channels
 
 
 def j0_series(x: float) -> float:

@@ -1,4 +1,5 @@
-"""Codebook construction, selection rules, and the quantization-factor law."""
+"""Codebook construction, the oracle's selection rules, and the
+quantization-factor law."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,13 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from bfoutage.channel import RngStream, draw_channel, draw_user_channels
-from bfoutage.codebook import (
-    Codebook,
-    load_codebook,
+from bfoutage.channel import RngStream
+from bfoutage.codebook import Codebook, load_codebook, nu_pdf, rvq_generate, save_codebook
+
+from _oracle import (
+    draw_channel,
+    draw_user_channels,
     nu_cdf,
-    nu_pdf,
-    pbf_codebook,
-    rvq_generate,
-    save_codebook,
     select_beamformer,
     select_user_antenna,
     select_user_maxnorm,
@@ -58,8 +57,10 @@ class TestCodebookConstruction:
             Codebook(scheme="RVQ", n_t=2, vectors=np.array([[1.0, 1.0]], dtype=complex))
 
     def test_pbf_virtual(self):
-        cb = pbf_codebook(4)
-        assert cb.vectors is None and cb.cardinality == 0
+        # the matched filter is no codebook kind, and every codebook has vectors
+        for scheme in ("PBF", "RVQ"):
+            with pytest.raises(ValueError):
+                Codebook(scheme=scheme, n_t=4, vectors=None)
 
 
 class TestSelectBeamformer:
@@ -87,10 +88,11 @@ class TestSelectBeamformer:
             assert out.beam_index == int(np.argmax(gains))
 
     def test_pbf_gain_is_full_norm(self):
+        # the matched filter h/||h|| alone captures all of ||h||^2
         h = draw_channel(RngStream(23), 4, 1).ravel()
-        out = select_beamformer(h, pbf_codebook(4))
+        out = select_beamformer(h, Codebook("RVQ", 4, (h / np.linalg.norm(h))[None]))
         assert out.gain == pytest.approx(float(np.sum(np.abs(h) ** 2)), rel=1e-14)
-        assert out.tradeoff == 1.0
+        assert out.tradeoff == pytest.approx(1.0, rel=1e-14)
 
     def test_tas_gain_exact(self):
         for seed in range(10):
@@ -219,7 +221,3 @@ class TestCodebookIO:
         path.write_text("RVQ 4 2\n1.0,0.0 0.0,0.0 0.0,0.0 0.0,0.0\n")
         with pytest.raises(ValueError):
             load_codebook(path)
-
-    def test_pbf_not_saveable(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_codebook(pbf_codebook(4), tmp_path / "x.txt")

@@ -8,15 +8,7 @@ from scipy import special as sc
 
 from bfoutage.analytic import SchemeId, outage_rvq_closed, outage_tas_closed
 from bfoutage.channel import RngStream, _complex_normal, derive_params
-from bfoutage.codebook import (
-    Codebook,
-    pbf_codebook,
-    rvq_generate,
-    select_beamformer,
-    select_user_antenna,
-    select_user_maxnorm,
-    tas_codebook,
-)
+from bfoutage.codebook import Codebook, rvq_generate
 from bfoutage import montecarlo
 from bfoutage.montecarlo import (
     McPoint,
@@ -28,6 +20,7 @@ from bfoutage.montecarlo import (
     sweep,
 )
 
+from _oracle import select_beamformer, select_user_antenna, select_user_maxnorm, tas_codebook
 from _util import cfg
 
 
@@ -218,7 +211,8 @@ class TestGoldenCounts:
 
 
 def _oracle_gain(scheme, h, e, book, rho):
-    """Aged effective gain of one trial, by the public selection rules."""
+    """Aged effective gain of one trial, by the oracle's selection rules; no
+    book means the matched filter."""
     decay = math.sqrt(1.0 - rho * rho)
     if scheme is SchemeId.MU_TAS:
         sel = select_user_antenna(h)
@@ -227,15 +221,17 @@ def _oracle_gain(scheme, h, e, book, rho):
         win = h[select_user_maxnorm(h).user_index]
         nu = select_beamformer(win, book).tradeoff if book else 1.0
         return np.sum(np.abs(rho * math.sqrt(nu) * win + decay * e) ** 2)
-    sel = select_beamformer(h, book)
-    beam = h / math.sqrt(sel.gain) if book.scheme == "PBF" else book.vectors[sel.beam_index]
+    if book is None:
+        beam = h / math.sqrt(np.sum(np.abs(h) ** 2))
+    else:
+        beam = book.vectors[select_beamformer(h, book).beam_index]
     return abs(np.vdot(beam, rho * h + decay * e)) ** 2
 
 
 class TestPerTrialOracle:
     """A chunk draws, from its one stream: the stale channel of every trial,
     then every fresh codebook, then every innovation e.  Redrawing that
-    stream and running the public selection functions trial by trial must
+    stream and running the oracle's selection functions trial by trial must
     reproduce the simulator's outage counts at thresholds between the
     oracle's sorted gains."""
 
@@ -262,8 +258,7 @@ class TestPerTrialOracle:
             books = [Codebook("RVQ", n_t, v / np.linalg.norm(v, axis=1, keepdims=True))
                      for v in raw]
         else:
-            books = [{SchemeId.MISO_PBF: pbf_codebook(n_t), SchemeId.MISO_TAS: tas_codebook(n_t)}
-                     .get(scheme, cb)] * n
+            books = [tas_codebook(n_t) if scheme is SchemeId.MISO_TAS else cb] * n
         e = _complex_normal(gen, (n, config.n_r if scheme is SchemeId.MU_TAS else n_t))
         gains = np.sort([_oracle_gain(scheme, h[i], e[i], books[i], rho) for i in range(n)])
 
