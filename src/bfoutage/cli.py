@@ -239,6 +239,8 @@ def _cmd_simulate(args) -> int:
     opts = _merge_config(args)
     opts["codebook_path"] = args.codebook
     scheme = _scheme(args.scheme)
+    if args.codebook and not analytic.scheme_uses_codebook(scheme):
+        raise UsageError(f"--codebook is for RVQ schemes; {scheme.value} uses no codebook")
     config = _system_config(opts)
     plan = _plan(opts)
     cb = _codebook_for(scheme, config, opts, plan.seed)

@@ -90,8 +90,8 @@ _BLOCK_ENTRIES = 1 << 14
 #: Elements are summed in bands of this width in delta, so the g_k table of a
 #: band spans at most _DELTA_BAND + 3 * max_terms values of k.
 _DELTA_BAND = 1 << 16
-#: First window around each Poisson mode: this many standard deviations
-#: sqrt(delta) on either side, plus _WINDOW_PAD terms for small delta.
+#: First window around the peak of each element's terms: this many times
+#: sqrt(peak) on either side, plus _WINDOW_PAD terms for small peaks.
 _WINDOW_SIGMAS = 10.0
 _WINDOW_PAD = 16
 
@@ -105,18 +105,34 @@ def _noncentral_chi2_cdf_grid(
     """:func:`noncentral_chi2_cdf` over an array of half noncentralities delta
     at a shared half argument beta: the Poisson mixture
 
-        F(delta) = sum_k pois(k; delta) * g_k,    g_k = P(d + k, beta),
+        F(delta) = sum_k t_k,    t_k = pois(k; delta) * g_k,    g_k = P(d + k, beta),
 
-    started at the Poisson mode (Benton & Krishnamoorthy, CSDA 43, 2003;
-    Ding, AS 275, 1992).  g_k is computed once per call.  Each element sums
-    exp(k log delta - delta - log k!) * g_k over a window [lo, hi] around its
-    mode.  As g_k decreases in k, the unsummed terms are at most
-    P(K > hi) * g_{hi+1} + P(K < lo) * g_0; a window widens, its lower edge
-    straight to k = 0, until that is at most tol.rel_tol times its sum.  With
-    no absolute stopping rule, deep-tail values keep their relative accuracy,
-    and an element's value depends on its own arguments only.  Raises
-    ConvergenceError, carrying the partial sums, when a window would need
-    more than tol.max_terms terms.
+    summed over a window of k (Benton & Krishnamoorthy, CSDA 43, 2003; Ding,
+    AS 275, 1992).  g_k is computed once per call.  Each element sums
+    exp(k log delta - delta - log k!) * g_k over a window [lo, hi] centred on
+    the peak of its terms, not on the Poisson mode: while delta <= beta,
+    g_k stays near 1 up to k ~ delta and the peak is near delta; when
+    delta >> beta, g_k falls like beta^k / (d + k)! and the peak is near
+    sqrt(delta * beta).  The first window spans 10 sqrt(peak) + 16 terms
+    on either side of min(delta, sqrt(delta * beta)).
+
+    The unsummed terms are bounded rigorously.  Below the window, as g_k
+    decreases in k, they are at most P(K < lo) * g_0.  Above it they are at
+    most the smaller of two bounds:
+
+    - P(K > hi) * g_{hi+1}, again because g_k decreases;
+    - t_{hi+1} / (1 - r) when r < 1, with r = delta * beta / ((hi + 2) (d + hi + 2)).
+      By the positive series P(a, x) = x^a e^-x sum_j x^j / Gamma(a + j + 1)
+      (DLMF 8.7.1), P(a + 1, x) <= x / (a + 1) * P(a, x) term by term, so for
+      k > hi, t_{k+1} / t_k = delta / (k + 1) * g_{k+1} / g_k <= r, and the
+      wing is at most the geometric series t_{hi+1} (1 + r + r^2 + ...).
+
+    A window widens, its lower edge straight toward k = 0, until the bounds
+    are at most tol.rel_tol times its sum.  With no absolute stopping rule,
+    deep-tail values keep their relative accuracy, and an element's value
+    depends on its own arguments only.  Raises ConvergenceError, carrying
+    the partial sums, when a window would need more than tol.max_terms
+    terms.
     """
     if int(half_dof) != half_dof or half_dof < 1:
         raise ValueError(f"half_dof must be a positive integer, got {half_dof!r}")
@@ -148,14 +164,15 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
     every element met its bound within tol.max_terms terms."""
     log_delta = np.log(delta, out=np.zeros_like(delta), where=delta > 0)
     g0 = float(_sc.gammainc(d, beta))
-    # The wing bounds hold wherever a window sits; capping the mode keeps
-    # every k exact as a float.
-    mode = np.floor(np.minimum(delta, 2.0**52)).astype(np.int64)
-    half = np.ceil(_WINDOW_SIGMAS * np.sqrt(delta)) + _WINDOW_PAD
+    # The wing bounds hold wherever a window sits; capping the peak keeps
+    # every k exact as a float.  sqrt(delta) * sqrt(beta) cannot overflow.
+    peak = np.minimum(delta, np.sqrt(delta) * math.sqrt(beta))
+    centre = np.floor(np.minimum(peak, 2.0**52)).astype(np.int64)
+    half = np.ceil(_WINDOW_SIGMAS * np.sqrt(peak)) + _WINDOW_PAD
     half = np.minimum(half, (tol.max_terms - 1) // 2).astype(np.int64)
-    lo = np.maximum(mode - half, 0)
+    lo = np.maximum(centre - half, 0)
     # delta = 0 is the central CDF: the k = 0 term alone, exp(0) * g_0.
-    hi = np.where(delta > 0, mode + half, 0)
+    hi = np.where(delta > 0, centre + half, 0)
     partial = np.zeros_like(delta)
     todo = np.ones(delta.shape, dtype=bool)
     while True:
@@ -164,7 +181,7 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
         partial[todo] = _window_sums(
             lo[todo], hi[todo], delta[todo], log_delta[todo], k[0], g, log_fact
         )
-        upper = _sc.pdtrc(hi, delta) * g[hi + 1 - k[0]]
+        upper = _upper_wing_bound(d, delta, beta, hi, g[hi + 1 - k[0]])
         lower = np.where(lo > 0, _sc.pdtr(lo - 1, delta) * g0, 0.0)
         budget = tol.rel_tol * partial
         todo = upper + lower > budget
@@ -180,6 +197,21 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
         if np.any(todo & (new_lo == lo) & (new_hi == hi)):
             return partial, False
         lo, hi = new_lo, new_hi
+
+
+def _upper_wing_bound(d: int, delta: np.ndarray, beta: float, hi: np.ndarray, g_next):
+    """Bound on sum_{k > hi} t_k for each element, given g_next = g_{hi+1}:
+    the smaller of P(K > hi) * g_{hi+1} and, where r < 1, t_{hi+1} / (1 - r)
+    (derived in :func:`_noncentral_chi2_cdf_grid`)."""
+    upper = _sc.pdtrc(hi, delta) * g_next
+    log_delta = np.log(delta, out=np.full_like(delta, -np.inf), where=delta > 0)
+    log_beta = math.log(beta) if beta > 0 else -math.inf
+    # r is formed in logs: delta * beta overflows for delta near 1e300
+    log_r = log_delta + log_beta - np.log(hi + 2.0) - np.log(d + hi + 2.0)
+    t_next = np.exp((hi + 1) * log_delta - delta - _sc.gammaln(hi + 2.0)) * g_next
+    shrinks = log_r < 0
+    upper[shrinks] = np.minimum(upper[shrinks], t_next[shrinks] / -np.expm1(log_r[shrinks]))
+    return upper
 
 
 def _window_sums(lo, hi, delta, log_delta, k0, g, log_fact) -> np.ndarray:

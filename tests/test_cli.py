@@ -99,6 +99,26 @@ class TestSimulate:
         assert code == EXIT_OK
         assert 0.0 <= float(parse_csv(out)[0]["p_out"]) <= 1.0
 
+    def test_codebook_file_without_codebook_scheme_is_usage(self, capsys, tmp_path):
+        valid = tmp_path / "cb.txt"
+        save_codebook(rvq_generate(RngStream(3), 8, 4), valid)
+        for path in (tmp_path / "missing.txt", valid):
+            code, out, err = run_cli(
+                capsys, "simulate", "--scheme", "miso-tas", "--rho", "0.9",
+                "--trials", "100", "--seed", "1", "--codebook", str(path),
+            )
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "--codebook" in err and "miso-tas" in err
+
+    def test_missing_codebook_file_for_rvq_is_usage(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scheme", "miso-rvq", "--rho", "0.9",
+            "--trials", "100", "--seed", "1", "--codebook", str(tmp_path / "missing.txt"),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+
 
 class TestSweep:
     def test_tidy_rows(self, capsys):

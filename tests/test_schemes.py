@@ -97,9 +97,23 @@ PINNED = (
     ('mu-rvq', (4, 1, 2), 10.0, 1.0, 8, 0.06554332723939539, 0.06554332723939539),
     ('mu-rvq', (4, 1, 1), 15.0, 0.95, 2, 0.0427416212491324, 0.042741621249131626),
 )
+#: The same, recorded on commit 90e3536, before the chi-square kernel's
+#: windows were centred on the peak of their terms: the quadrature points
+#: whose windows moved most.
+PINNED_WINDOWS = (
+    ('miso-rvq', (4, 1, 1), 10.0, 0.97, 8, 0.24396618997950803, 0.24396618997950523),
+    ('mu-rvq', (4, 1, 2), 10.0, 0.97, 8, 0.06582931901343485, 0.06582931901343403),
+    ('miso-pbf', (4, 1, 1), 30.0, 0.999, None, 3.505288667769678e-09, 3.505310146609383e-09),
+    ('mu-tas', (4, 2, 2), 30.0, 0.99, None, 1.7997756063259374e-17, 1.477150876443806e-17),
+    ('mu-pbf', (4, 1, 2), 30.0, 0.99, None, 1.2632583175810485e-14, 1.2632583181668782e-14),
+    ('miso-rvq', (4, 1, 1), 40.0, 0.9, 8, 7.045011455731598e-05, 7.04501145573154e-05),
+    ('miso-rvq', (4, 1, 1), 50.0, 0.9, 8, 7.014267683631548e-06, 7.014267683631491e-06),
+)
 
 
-@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]:g}dB-rho{c[3]:g}")
+@pytest.mark.parametrize(
+    "case", PINNED + PINNED_WINDOWS, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]:g}dB-rho{c[3]:g}"
+)
 def test_pinned_values(case):
     name, (n_t, n_r, n_u), snr_db, rho, size, closed, quad = case
     scheme, config = SchemeId(name), cfg(nt=n_t, nr=n_r, nu=n_u, snr_db=snr_db, rho=rho)

@@ -15,6 +15,7 @@ from bfoutage.specfun import (
     ConvergenceError,
     SeriesTolerance,
     _noncentral_chi2_cdf_grid,
+    _upper_wing_bound,
     bessel_j0,
     expansion_coeffs,
     lemma1_identity,
@@ -135,7 +136,8 @@ class TestNoncentralChi2Cdf:
         assert noncentral_chi2_cdf(1, 2.0, 1.5) == pytest.approx(p_emp, abs=3 * se)
 
     def test_large_noncentrality_mode_start(self):
-        # exp(-delta) underflows; mode-started expansion must still work
+        # exp(-delta) underflows; a window started at the peak of the terms,
+        # here the Poisson mode, must still work
         val = noncentral_chi2_cdf(1, 800.0, 820.0)
         assert 0.0 < val < 1.0
 
@@ -166,8 +168,9 @@ class TestNoncentralChi2Cdf:
         assert hi >= lo - 1e-10
 
 
-def ncx2_decimal_oracle(d: int, delta: float, beta: float) -> float:
-    """sum_k pois(k; delta) * P(d + k, beta) in 50-digit decimal arithmetic.
+def ncx2_decimal_terms(d: int, delta: float, beta: float) -> list[Decimal]:
+    """t_k = pois(k; delta) * P(d + k, beta) for k = 0 .. k_max in 50-digit
+    decimal arithmetic.
 
     P(n, beta) = e^-beta * sum_{j >= n} beta^j / j! is summed from the top
     down, so every sum has positive terms only and no digits cancel.  Both
@@ -184,11 +187,18 @@ def ncx2_decimal_oracle(d: int, delta: float, beta: float) -> float:
         upper = [Decimal(0)] * (j_max + 2)  # upper[n] = sum_{j >= n} beta^j / j!
         for j in range(j_max, -1, -1):
             upper[j] = upper[j + 1] + power[j]
-        weight, total = (-dl).exp(), Decimal(0)  # pois(k; delta)
+        weight, terms = (-dl - b).exp(), []  # weight = pois(k; delta) * e^-beta
         for k in range(k_max + 1):
-            total += weight * upper[d + k]
+            terms.append(weight * upper[d + k])
             weight = weight * dl / (k + 1)
-        return float(total * (-b).exp())
+        return terms
+
+
+def ncx2_decimal_oracle(d: int, delta: float, beta: float) -> float:
+    """sum_k pois(k; delta) * P(d + k, beta), summed in 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(sum(ncx2_decimal_terms(d, delta, beta)))
 
 
 #: (d, delta, beta) in the deep lower tail, where the terms far below the
@@ -253,8 +263,9 @@ class TestNoncentralChi2Kernel:
         assert np.all((partial >= 0.0) & (partial <= 1.0))
 
     def test_underflowing_deep_tail_is_zero(self):
-        # F <= P(K < 10^4) + P(10^4 + 1, 60) < 1e-308, yet the mode-centred
-        # window's lower wing bound does not vanish; the window moves to [0, 10^4).
+        # F <= P(K < 10^4) + P(10^4 + 1, 60) < 1e-308.  The terms peak near
+        # sqrt(delta * beta) ~ 1770, and at the window there every term and
+        # both wing bounds underflow, so the first window settles the value.
         assert noncentral_chi2_cdf(1, 52258.5, 60.0) == 0.0
 
     def test_huge_noncentrality(self):
@@ -267,6 +278,42 @@ class TestNoncentralChi2Kernel:
         for bad in (np.array([1.0, -1.0]), np.array([1.0, np.nan]), np.array([np.inf])):
             with pytest.raises(ValueError):
                 _noncentral_chi2_cdf_grid(1, bad, 1.0)
+
+
+#: (d, delta, beta) with delta << beta, delta = beta and delta >> beta at
+#: each d, and one large point near delta = beta.
+WING_POINTS = [
+    (d, delta, 60.0) for d in (1, 2, 4, 6) for delta in (3.0, 60.0, 600.0)
+] + [(1, 20000.0, 14743.0)]
+
+
+class TestUpperWingBound:
+    """The unsummed terms above a window's top hi are at most t_{hi+1} / (1 - r),
+    r = delta * beta / ((hi + 2) (d + hi + 2)), wherever r < 1."""
+
+    @pytest.mark.parametrize("d, delta, beta", WING_POINTS)
+    def test_geometric_bound_holds_and_is_used(self, d, delta, beta):
+        terms = ncx2_decimal_terms(d, delta, beta)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            tails = [Decimal(0)] * (len(terms) + 1)  # tails[k] = sum_{j >= k} t_j
+            for k in range(len(terms) - 1, -1, -1):
+                tails[k] = tails[k + 1] + terms[k]
+            product = Decimal(delta) * Decimal(beta)
+            # twelve hi from the first with r < 1 to the top of the first window
+            first = next(h for h in range(len(terms)) if (h + 2) * (d + h + 2) > product)
+            peak = min(delta, math.sqrt(delta * beta))
+            top = math.floor(peak) + math.ceil(10.0 * math.sqrt(peak)) + 16
+            his = np.unique(np.linspace(first, top, 12).astype(np.int64))
+            geometric = [terms[h + 1] / (1 - product / ((h + 2) * (d + h + 2))) for h in his]
+            assert all(tails[h + 1] <= g for h, g in zip(his, geometric))
+        bound = _upper_wing_bound(
+            d, np.full(his.shape, delta), beta, his, sc.gammainc(d + his + 1, beta)
+        )
+        assert np.all(bound >= [float(tails[h + 1]) for h in his])
+        # the kernel takes it wherever it beats P(K > hi) * g_{hi+1}; 1e-8
+        # covers the log-space rounding of t_{hi+1} at delta = 20000
+        assert np.all(bound <= np.array([float(g) for g in geometric]) * (1.0 + 1e-8))
 
 
 class TestExpansionCoeffs:
