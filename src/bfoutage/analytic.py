@@ -26,14 +26,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sc
 
-from .channel import SystemConfig, derive_params
+from .channel import SystemConfig, db_to_linear, derive_params
 from .codebook import nu_pdf
-from .specfun import (
-    DEFAULT_TOLERANCE,
-    SeriesTolerance,
-    _noncentral_chi2_cdf_grid,
-    expansion_coeffs,
-)
+from .specfun import _noncentral_chi2_cdf_grid, expansion_coeffs
 
 __all__ = [
     "AccuracyError",
@@ -164,7 +159,6 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 class OutageEstimate:
     value: float
     method: str  # "closed_form" | "quadrature" | "monte_carlo"
-    ci_halfwidth: float = 0.0
     flags: tuple[str, ...] = ()
 
 
@@ -221,7 +215,6 @@ def outage_semianalytic(
     config: SystemConfig,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
     codebook_size: int | None = None,
-    tol: SeriesTolerance = DEFAULT_TOLERANCE,
 ) -> OutageEstimate:
     """Outage by numeric integration of the conditional outage against the
     selected-gain density (with an outer quantization-factor integral for the
@@ -259,11 +252,11 @@ def outage_semianalytic(
         raise AccuracyError(f"gain density mass {mass!r} deviates from {1.0 - tail!r}")
 
     if not mixed:
-        cond = _noncentral_chi2_cdf_grid(dist.half_dof, params.mu * x, params.beta, tol)
+        cond = _noncentral_chi2_cdf_grid(dist.half_dof, params.mu * x, params.beta)
         value = float(w @ (pdf * cond))
     else:
         deltas = params.mu * nu[:, None] * x[None, :]
-        cond = _noncentral_chi2_cdf_grid(dist.half_dof, deltas, params.beta, tol)
+        cond = _noncentral_chi2_cdf_grid(dist.half_dof, deltas, params.beta)
         inner = cond @ (w * pdf)
         value = float(w_nu @ (f_nu * inner))
     if value <= 0.0:
@@ -490,7 +483,7 @@ def diversity_order(
         raise ValueError("need at least two SNR grid points")
     log_eps, log_p = [], []
     for db in snr_grid_db:
-        eps = 10.0 ** (db / 10.0)
+        eps = db_to_linear(db)
         est = outage_semianalytic(scheme, replace(config, snr_linear=eps), quad, codebook_size)
         if est.value <= 0.0:
             raise RangeError(f"outage underflowed to zero at {db} dB; shrink the grid")

@@ -26,6 +26,7 @@ __all__ = [
     "PersistenceSpec",
     "RngStream",
     "SystemConfig",
+    "db_to_linear",
     "derive_params",
     "jakes_persistence",
 ]
@@ -39,6 +40,11 @@ class BeyondFirstZeroError(ValueError):
     Negative correlation is not a meaningful persistence value, so it is
     rejected instead of clamped.
     """
+
+
+def db_to_linear(db: float) -> float:
+    """Linear power ratio of a level in dB."""
+    return 10.0 ** (db / 10.0)
 
 
 def jakes_persistence(doppler_hz: float, delay_s: float) -> float:
@@ -160,9 +166,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = (self.seed % _U64) | ((self.stream_id % _U64) << 64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def offset(self, delta: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + delta)
 
 
 def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import analytic, montecarlo, verification
 from .analytic import AccuracyError, RangeError, SchemeId
-from .channel import BeyondFirstZeroError, PersistenceSpec, RngStream, SystemConfig
+from .channel import BeyondFirstZeroError, PersistenceSpec, RngStream, SystemConfig, db_to_linear
 from .codebook import load_codebook, rvq_generate
 from .montecarlo import TrialPlan
 from .specfun import CapabilityError, ConvergenceError
@@ -35,6 +35,8 @@ EXIT_NUMERIC = 2
 EXIT_VERIFY = 3
 
 OUTAGE_FIELDS = ("axis", "value", "scheme", "evaluator", "p_out", "std_err", "flags")
+#: --eval name -> the evaluator column of its rows
+_EVALUATORS = {"closed": "closed_form", "quadrature": "quadrature", "mc": "monte_carlo"}
 
 
 class UsageError(Exception):
@@ -44,10 +46,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         raise UsageError(message)
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 def _fmt(value) -> str:
@@ -85,55 +83,39 @@ def _outage_row(axis, value, scheme, evaluator, p_out, std_err=0.0, flags=()):
 
 
 # ---------------------------------------------------------------------------
-# flag plumbing: defaults live in one table so a key=value config file can be
-# merged underneath explicit flags
+# flag plumbing: one table declares each flag, parses it from a key=value
+# config file merged underneath explicit flags, and holds its default
 # ---------------------------------------------------------------------------
 
-_CONFIG_DEFAULTS = {
-    "nt": 4,
-    "nr": 1,
-    "nu": 1,
-    "rate": 2.0,
-    "snr_db": 10.0,
-    "rho": None,
-    "doppler_hz": None,
-    "delay_s": None,
-    "codebook_size": 8,
-    "trials": None,
-    "seed": None,
-    "workers": 1,
-    "chunk": 1 << 16,
-}
-
-_CONVERTERS = {
-    "nt": int, "nr": int, "nu": int, "rate": float, "snr_db": float,
-    "rho": float, "doppler_hz": float, "delay_s": float,
-    "codebook_size": int, "trials": int, "seed": int, "workers": int, "chunk": int,
+#: key -> (type, default, help, Monte Carlo only)
+_FLAGS = {
+    "nt": (int, 4, "transmit antennas", False),
+    "nr": (int, 1, "receive antennas per user", False),
+    "nu": (int, 1, "user count", False),
+    "rate": (float, 2.0, "transmission rate, bits/s/Hz", False),
+    "snr_db": (float, 10.0, "SNR in dB", False),
+    "rho": (float, None, "persistence in [0, 1]", False),
+    "doppler_hz": (float, None, "max Doppler shift", False),
+    "delay_s": (float, None, "feedback delay, seconds", False),
+    "codebook_size": (int, 8, "RVQ cardinality", False),
+    "trials": (int, None, "Monte Carlo trials", True),
+    "seed": (int, None, "Monte Carlo seed (required)", True),
+    "workers": (int, 1, "parallel workers (no output effect)", True),
+    "chunk": (int, 1 << 16, "trials per random stream", True),
 }
 
 
 def _add_common(parser, include_mc: bool):
     parser.add_argument("--config", help="key=value file merged under explicit flags")
-    parser.add_argument("--nt", type=int, help="transmit antennas")
-    parser.add_argument("--nr", type=int, help="receive antennas per user")
-    parser.add_argument("--nu", type=int, help="user count")
-    parser.add_argument("--rate", type=float, help="transmission rate, bits/s/Hz")
-    parser.add_argument("--snr-db", dest="snr_db", type=float, help="SNR in dB")
-    parser.add_argument("--rho", type=float, help="persistence in [0, 1]")
-    parser.add_argument("--doppler-hz", dest="doppler_hz", type=float, help="max Doppler shift")
-    parser.add_argument("--delay-s", dest="delay_s", type=float, help="feedback delay, seconds")
-    parser.add_argument("--codebook-size", dest="codebook_size", type=int, help="RVQ cardinality")
+    for key, (kind, _, text, mc_only) in _FLAGS.items():
+        if include_mc or not mc_only:
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", help="output path (default: stdout)")
-    if include_mc:
-        parser.add_argument("--trials", type=int, help="Monte Carlo trials")
-        parser.add_argument("--seed", type=int, help="Monte Carlo seed (required)")
-        parser.add_argument("--workers", type=int, help="parallel workers (no output effect)")
-        parser.add_argument("--chunk", type=int, help="trials per random stream")
 
 
 def _merge_config(args) -> dict:
-    merged = dict(_CONFIG_DEFAULTS)
+    merged = {key: default for key, (_, default, _, _) in _FLAGS.items()}
     path = getattr(args, "config", None)
     if path:
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -146,7 +128,7 @@ def _merge_config(args) -> dict:
             key = key.replace("-", "_")
             if key not in merged:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            merged[key] = _CONVERTERS[key](value)
+            merged[key] = _FLAGS[key][0](value)
     for key in merged:
         explicit = getattr(args, key, None)
         if explicit is not None:
@@ -175,6 +157,11 @@ def _system_config(opts) -> SystemConfig:
     )
 
 
+def _config_at_rho(opts, rho: float) -> SystemConfig:
+    """The config of opts with its persistence replaced by rho."""
+    return _system_config({**opts, "rho": rho, "doppler_hz": None, "delay_s": None})
+
+
 def _plan(opts) -> TrialPlan:
     if opts["seed"] is None:
         raise UsageError("--seed is required for Monte Carlo runs")
@@ -192,13 +179,20 @@ def _scheme(name: str) -> SchemeId:
         raise UsageError(f"unknown scheme {name!r}") from None
 
 
-def _codebook_for(scheme, config, opts, plan_seed):
-    if not analytic.scheme_uses_codebook(scheme):
-        return None
-    if opts.get("codebook_path"):
-        return load_codebook(opts["codebook_path"])
-    stream = RngStream(plan_seed, montecarlo._CODEBOOK_STREAM)
-    return rvq_generate(stream, opts["codebook_size"], config.n_t)
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _evaluators(text: str) -> list[str]:
+    names = [e.strip() for e in text.split(",") if e.strip()]
+    if not names:
+        raise UsageError("--eval must select at least one evaluator")
+    for name in names:
+        if name not in _EVALUATORS:
+            raise UsageError(f"unknown evaluator {name!r} (choose from closed,quadrature,mc)")
+        if names.count(name) > 1:
+            raise UsageError(f"evaluator {name!r} is named twice in --eval")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -206,106 +200,81 @@ def _codebook_for(scheme, config, opts, plan_seed):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analytic(args) -> int:
+def _outage(args, axis: str, values: str | None, evals: str, codebook_path=None) -> int:
+    """The one outage path of analytic, simulate and sweep: closed form and
+    quadrature at each axis value, Monte Carlo as one montecarlo.sweep batch,
+    then one block of rows per value with the evaluators in request order.
+
+    values None is the one value --snr-db on the snr_db axis.  A codebook_path
+    holds that codebook fixed in every trial; otherwise an RVQ scheme draws
+    a fresh codebook of --codebook-size vectors per trial.
+    """
     opts = _merge_config(args)
     scheme = _scheme(args.scheme)
+    if codebook_path and not analytic.scheme_uses_codebook(scheme):
+        raise UsageError(f"--codebook is for RVQ schemes; {scheme.value} uses no codebook")
+    points = [opts["snr_db"]] if values is None else _floats(values)
+    if not points:
+        raise UsageError("--values must list at least one point")
+    if axis in ("users", "codebook_size"):
+        points = [int(v) for v in points]
+    if axis == "rho" and opts["rho"] is None and opts["doppler_hz"] is None:
+        opts["rho"] = points[0]  # template persistence; replaced per axis value
     config = _system_config(opts)
-    n = opts["codebook_size"]
-    evaluators = [e.strip() for e in args.eval.split(",") if e.strip()]
-    if not evaluators:
-        raise UsageError("--eval must select at least one evaluator")
-    rows = []
-    for ev in evaluators:
-        if ev == "closed":
-            est = analytic.outage_closed(scheme, config, n)
-            rows.append(_outage_row("snr_db", opts["snr_db"], scheme, "closed_form",
-                                    est.value, 0.0, est.flags))
-        elif ev == "quadrature":
-            est = analytic.outage_semianalytic(scheme, config, codebook_size=n)
-            rows.append(_outage_row("snr_db", opts["snr_db"], scheme, "quadrature", est.value))
-        elif ev == "mc":
-            plan = _plan(opts)
-            cb = _codebook_for(scheme, config, opts, plan.seed)
-            res = montecarlo.simulate_outage(scheme, config, cb, plan)
-            rows.append(_outage_row("snr_db", opts["snr_db"], scheme, "monte_carlo",
-                                    res.p_hat, res.std_err))
-        else:
-            raise UsageError(f"unknown evaluator {ev!r} (choose from closed,quadrature,mc)")
+    names = _evaluators(evals)
+    cells = [{} for _ in points]  # per value: evaluator -> (p_out, std_err, flags)
+    for value, cell in zip(points, cells):
+        cfg = montecarlo._SWEEP_AXES[axis](config, value)
+        n = int(value) if axis == "codebook_size" else opts["codebook_size"]
+        if "closed" in names:
+            est = analytic.outage_closed(scheme, cfg, n)
+            cell["closed"] = (est.value, 0.0, est.flags)
+        if "quadrature" in names:
+            est = analytic.outage_semianalytic(scheme, cfg, codebook_size=n)
+            cell["quadrature"] = (est.value,)
+    if "mc" in names:
+        plan = _plan(opts)
+        cb = None
+        if codebook_path:
+            cb = load_codebook(codebook_path)
+        elif analytic.scheme_uses_codebook(scheme):
+            stream = RngStream(plan.seed, montecarlo._CODEBOOK_STREAM)
+            cb = rvq_generate(stream, opts["codebook_size"], config.n_t)
+        batch = montecarlo.sweep(
+            scheme, config, axis, points, plan, cb, fixed_codebook=bool(codebook_path)
+        )
+        for cell, (_, res) in zip(cells, batch):
+            cell["mc"] = (res.p_hat, res.std_err)
+    rows = [
+        _outage_row(axis, value, scheme, _EVALUATORS[name], *cell[name])
+        for value, cell in zip(points, cells)
+        for name in names
+    ]
     _write_rows(rows, OUTAGE_FIELDS, args.format, args.output)
     return EXIT_OK
+
+
+def _cmd_analytic(args) -> int:
+    return _outage(args, "snr_db", None, args.eval)
 
 
 def _cmd_simulate(args) -> int:
-    opts = _merge_config(args)
-    opts["codebook_path"] = args.codebook
-    scheme = _scheme(args.scheme)
-    if args.codebook and not analytic.scheme_uses_codebook(scheme):
-        raise UsageError(f"--codebook is for RVQ schemes; {scheme.value} uses no codebook")
-    config = _system_config(opts)
-    plan = _plan(opts)
-    cb = _codebook_for(scheme, config, opts, plan.seed)
-    res = montecarlo.simulate_outage(scheme, config, cb, plan, fixed_codebook=bool(args.codebook))
-    rows = [_outage_row("snr_db", opts["snr_db"], scheme, "monte_carlo", res.p_hat, res.std_err)]
-    _write_rows(rows, OUTAGE_FIELDS, args.format, args.output)
-    return EXIT_OK
+    return _outage(args, "snr_db", None, "mc", codebook_path=args.codebook)
 
 
 def _cmd_sweep(args) -> int:
-    opts = _merge_config(args)
-    scheme = _scheme(args.scheme)
-    axis = args.axis.replace("-", "_")
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise UsageError("--values must list at least one point")
-    if axis in ("users", "codebook_size"):
-        values = [int(v) for v in values]
-    evaluators = [e.strip() for e in args.eval.split(",") if e.strip()]
-    if not evaluators:
-        raise UsageError("--eval must select at least one evaluator")
-    if axis == "rho" and opts["rho"] is None and opts["doppler_hz"] is None:
-        opts["rho"] = values[0]  # template persistence; replaced per axis value
-    config = _system_config(opts)
-    rows = []
-    deterministic = [e for e in evaluators if e in ("closed", "quadrature")]
-    unknown = [e for e in evaluators if e not in ("closed", "quadrature", "mc")]
-    if unknown:
-        raise UsageError(f"unknown evaluator {unknown[0]!r} (choose from closed,quadrature,mc)")
-    for value in values:
-        cfg = montecarlo._SWEEP_AXES[axis](config, value)
-        n = int(value) if axis == "codebook_size" else opts["codebook_size"]
-        for ev in deterministic:
-            if ev == "closed":
-                est = analytic.outage_closed(scheme, cfg, n)
-                rows.append(_outage_row(axis, value, scheme, "closed_form",
-                                        est.value, 0.0, est.flags))
-            else:
-                est = analytic.outage_semianalytic(scheme, cfg, codebook_size=n)
-                rows.append(_outage_row(axis, value, scheme, "quadrature", est.value))
-    if "mc" in evaluators:
-        plan = _plan(opts)
-        cb = _codebook_for(scheme, config, opts, plan.seed)
-        for value, res in montecarlo.sweep(scheme, config, axis, values, plan, cb):
-            rows.append(_outage_row(axis, value, scheme, "monte_carlo", res.p_hat, res.std_err))
-        # keep tidy ordering: one block per value, evaluators in request order
-        order = {"closed_form": 0, "quadrature": 1, "monte_carlo": 2}
-        rows.sort(key=lambda r: (values.index(r["value"]), order[r["evaluator"]]))
-    _write_rows(rows, OUTAGE_FIELDS, args.format, args.output)
-    return EXIT_OK
+    return _outage(args, args.axis.replace("-", "_"), args.values, args.eval)
 
 
 def _cmd_codebook_size(args) -> int:
     opts = _merge_config(args)
-    rho_values = [float(v) for v in args.rho_values.split(",") if v.strip()]
-    targets = [float(v) for v in args.targets.split(",") if v.strip()]
+    rho_values, targets = _floats(args.rho_values), _floats(args.targets)
     if not rho_values or not targets:
         raise UsageError("--rho-values and --targets must list at least one point each")
     rows = []
     for target in targets:
         for rho in rho_values:
-            local = dict(opts)
-            local["rho"], local["doppler_hz"], local["delay_s"] = rho, None, None
-            config = _system_config(local)
-            res = analytic.min_codebook_size(target, config, n_max=args.n_max)
+            res = analytic.min_codebook_size(target, _config_at_rho(opts, rho), n_max=args.n_max)
             rows.append({
                 "rho": rho,
                 "target": target,
@@ -321,15 +290,12 @@ def _cmd_codebook_size(args) -> int:
 def _cmd_diversity(args) -> int:
     opts = _merge_config(args)
     scheme = _scheme(args.scheme)
-    rho_values = [float(v) for v in args.rho_values.split(",") if v.strip()]
-    grid = tuple(float(v) for v in args.grid_db.split(",") if v.strip())
+    rho_values, grid = _floats(args.rho_values), tuple(_floats(args.grid_db))
     if len(grid) < 2:
         raise UsageError("--grid-db needs at least two points")
     rows = []
     for rho in rho_values:
-        local = dict(opts)
-        local["rho"], local["doppler_hz"], local["delay_s"] = rho, None, None
-        config = _system_config(local)
+        config = _config_at_rho(opts, rho)
         slope = analytic.diversity_order(scheme, config, grid, codebook_size=opts["codebook_size"])
         rows.append({
             "scheme": scheme.value,

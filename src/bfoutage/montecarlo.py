@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import SchemeId, scheme_uses_codebook, validate_scheme
-from .channel import PersistenceSpec, RngStream, SystemConfig, derive_params
+from .channel import PersistenceSpec, RngStream, SystemConfig, db_to_linear, derive_params
 from .codebook import Codebook, rvq_generate
 
 __all__ = ["McPoint", "McResult", "TrialPlan", "simulate_outage", "simulate_outages", "sweep"]
@@ -31,7 +31,7 @@ _CODEBOOK_STREAM = _SWEEP_STRIDE - 1
 
 #: Sweep axis -> the config at one value of that axis.
 _SWEEP_AXES = {
-    "snr_db": lambda config, v: replace(config, snr_linear=10.0 ** (float(v) / 10.0)),
+    "snr_db": lambda config, v: replace(config, snr_linear=db_to_linear(float(v))),
     "rho": lambda config, v: replace(config, persistence=PersistenceSpec.from_rho(float(v))),
     "users": lambda config, v: replace(config, n_u=int(v)),
     "codebook_size": lambda config, v: config,

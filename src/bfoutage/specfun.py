@@ -189,9 +189,6 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
             return partial, True
         grow_lo = todo & (lower > 0.5 * budget)
         new_lo = np.where(grow_lo, np.maximum(hi - tol.max_terms + 1, 0), lo)
-        # A window already max_terms long moves to [0, max_terms) instead:
-        # windows are summed afresh, and that one suffices where g_k underflows.
-        new_lo[grow_lo & (new_lo == lo)] = 0
         new_hi = np.where(todo & (upper > 0.5 * budget), 2 * hi - lo + 1, hi)
         new_hi = np.minimum(new_hi, new_lo + tol.max_terms - 1)
         if np.any(todo & (new_lo == lo) & (new_hi == hi)):

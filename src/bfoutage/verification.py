@@ -16,7 +16,7 @@ from scipy import special as _sc
 
 from . import analytic, montecarlo, specfun
 from .analytic import SchemeId
-from .channel import PersistenceSpec, RngStream, SystemConfig, derive_params
+from .channel import PersistenceSpec, RngStream, SystemConfig, db_to_linear, derive_params
 from .codebook import nu_pdf, rvq_generate
 from .montecarlo import McPoint, TrialPlan
 
@@ -76,7 +76,7 @@ def _cfg(scheme: SchemeId, snr_db: float, rho: float, rate: float = RATE) -> Sys
     return SystemConfig(
         n_t=n_t,
         rate_bits=rate,
-        snr_linear=10.0 ** (snr_db / 10.0),
+        snr_linear=db_to_linear(snr_db),
         persistence=PersistenceSpec.from_rho(rho),
         n_r=n_r,
         n_u=n_u,
@@ -291,7 +291,7 @@ def reduction_identity_checks() -> list[CheckResult]:
     for snr_db in GRID_SNR_DB:
         for rho in GRID_RHO:
             persistence = PersistenceSpec.from_rho(rho)
-            eps = 10.0 ** (snr_db / 10.0)
+            eps = db_to_linear(snr_db)
             tag = f"snr={snr_db:g}dB rho={rho:g}"
 
             single = SystemConfig(n_t=4, rate_bits=RATE, snr_linear=eps, persistence=persistence)
@@ -393,7 +393,7 @@ def figure_shape_checks() -> list[CheckResult]:
         vals = []
         for n_u in (1, 2, 4):
             config = SystemConfig(
-                n_t=4, rate_bits=RATE, snr_linear=10.0 ** (snr_db / 10.0),
+                n_t=4, rate_bits=RATE, snr_linear=db_to_linear(snr_db),
                 persistence=PersistenceSpec.from_rho(0.9), n_r=2, n_u=n_u,
             )
             vals.append(analytic.outage_mutas_closed(config).value)
@@ -414,7 +414,7 @@ def figure_shape_checks() -> list[CheckResult]:
         sizes_d = []
         for rho in (0.995, 0.99, 0.98, 0.97):
             config = SystemConfig(
-                n_t=4, rate_bits=RATE, snr_linear=10.0 ** (15.0 / 10.0),
+                n_t=4, rate_bits=RATE, snr_linear=db_to_linear(15.0),
                 persistence=PersistenceSpec.from_rho(rho),
             )
             res = analytic.min_codebook_size(target, config, n_max=1 << 14)

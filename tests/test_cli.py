@@ -59,6 +59,18 @@ class TestAnalytic:
         assert code == EXIT_USAGE
         assert "usage" in err
 
+    def test_evaluator_named_twice_is_usage(self, capsys):
+        for command, evals in (("analytic", "mc,mc"), ("sweep", "closed,closed"),
+                               ("sweep", "closed,mc,mc")):
+            argv = [command, "--scheme", "miso-pbf", "--rho", "0.9", "--eval", evals,
+                    "--trials", "1000", "--seed", "1"]
+            if command == "sweep":
+                argv += ["--axis", "snr-db", "--values", "5,10"]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "named twice" in err
+
     def test_json_mirror(self, capsys):
         code, out, _ = run_cli(
             capsys, "analytic", "--scheme", "miso-pbf", "--rho", "0.9",
@@ -145,6 +157,31 @@ class TestSweep:
             ("1.0", "closed_form"), ("1.0", "monte_carlo"),
         ]
 
+    def test_rows_keep_request_order_with_mc(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--scheme", "miso-tas", "--axis", "snr-db",
+            "--values", "5,10", "--rho", "0.9", "--eval", "quadrature,closed,mc",
+            "--trials", "2000", "--seed", "9",
+        )
+        assert code == EXIT_OK
+        rows = parse_csv(out)
+        assert [(r["value"], r["evaluator"]) for r in rows] == [
+            (value, ev) for value in ("5.0", "10.0")
+            for ev in ("quadrature", "closed_form", "monte_carlo")
+        ]
+
+    def test_repeated_value_gets_its_own_block(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--scheme", "miso-tas", "--axis", "snr-db",
+            "--values", "5,5", "--rho", "0.9", "--eval", "closed,mc",
+            "--trials", "2000", "--seed", "9",
+        )
+        assert code == EXIT_OK
+        rows = parse_csv(out)
+        assert [r["evaluator"] for r in rows] == ["closed_form", "monte_carlo"] * 2
+        # each value is its own Monte Carlo point, on its own streams
+        assert rows[1]["p_out"] != rows[3]["p_out"]
+
 
 class TestCodebookSizeCommand:
     def test_table(self, capsys):
@@ -192,13 +229,14 @@ class TestExitCodes:
         assert "first zero" in err
 
     def test_numeric_error_exit(self, capsys):
-        # an explicit too-short gain cut trips the accuracy guard
+        # at 900 dB the quadrature underflows to 0 (beta ~ 6e-89) and raises
         code, _, err = run_cli(
             capsys, "diversity", "--scheme", "mu-pbf", "--nu", "2",
             "--rho-values", "0.9", "--grid-db", "900,1000",
         )
         assert code == EXIT_NUMERIC
         assert "numeric error" in err
+        assert "underflowed" in err
 
     def test_quadrature_underflow_is_numeric(self, capsys):
         code, _, err = run_cli(
@@ -257,6 +295,22 @@ class TestByteStability:
         assert main(args + ["--output", str(a)]) == EXIT_OK
         assert main(args + ["--output", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_analytic_is_one_value_sweep(self, capsys):
+        common = ["--scheme", "miso-rvq", "--nt", "2", "--rho", "0.9", "--codebook-size", "4",
+                  "--eval", "closed,quadrature,mc", "--trials", "20000", "--seed", "17"]
+        single = run_cli(capsys, "analytic", "--snr-db", "7.5", *common)
+        swept = run_cli(capsys, "sweep", "--axis", "snr-db", "--values", "7.5", *common)
+        assert single[0] == EXIT_OK
+        assert single == swept
+
+    def test_simulate_is_analytic_mc(self, capsys):
+        common = ["--scheme", "mu-rvq", "--nu", "2", "--rho", "0.9", "--snr-db", "5",
+                  "--trials", "20000", "--seed", "19", "--chunk", "6000"]
+        simulated = run_cli(capsys, "simulate", *common)
+        analytic = run_cli(capsys, "analytic", "--eval", "mc", *common)
+        assert simulated[0] == EXIT_OK
+        assert simulated == analytic
 
     def test_workers_do_not_change_output(self, tmp_path):
         base = [
