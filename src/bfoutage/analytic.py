@@ -297,32 +297,96 @@ def _matched_filter_sum(n_t: int, mu, beta: float, variant: str):
     return (1.0 + mu) ** (1 - n_t) * total
 
 
+@lru_cache(maxsize=32)
+def _selection_tables(d: int, pool: int):
+    """The coefficients of :func:`_selection_diversity_sum` for shape d and a
+    pool, each integer rounded once to float, on a (k, m) grid padded to the
+    largest degree (pool - 1)(d - 1):
+
+    - first[m]: the first k whose degree k (d - 1) reaches m;
+    - cells: the (k, n) index arrays of the grid cells with n <= k (d - 1);
+    - prefix[k, m]: m! a_m, a_m from expansion_coeffs(d, k) (0 where padded);
+    - num[n]: (d + n - 1)!;
+    - den[k, n]: n! (1 + k)^(d + n) (1 where padded);
+    - binom[m, n]: C(d + m - 1, d + n - 1) (0 above n = m);
+    - signed[k]: C(pool - 1, k) (-1)^k.
+
+    expansion_coeffs raises CapabilityError at the first k past its degree
+    limit, before any table is filled.  The arrays are read-only, since
+    every call shares them.
+    """
+    coeffs = [expansion_coeffs(d, k) for k in range(pool)]
+    size = len(coeffs[-1])
+    first = tuple(-(-m // max(d - 1, 1)) for m in range(size))
+    cells = np.nonzero(np.arange(size) <= np.arange(pool)[:, None] * (d - 1))
+    prefix, den = np.zeros((pool, size)), np.ones((pool, size))
+    for k, a in enumerate(coeffs):
+        prefix[k, : len(a)] = [math.factorial(m) * a_m for m, a_m in enumerate(a)]
+        den[k, : len(a)] = [float(math.factorial(n) * (1 + k) ** (d + n)) for n in range(len(a))]
+    num = tuple(float(math.factorial(d + n - 1)) for n in range(size))
+    binom = np.array([[float(math.comb(d + m - 1, d + n - 1)) if n <= m else 0.0
+                       for n in range(size)] for m in range(size)])
+    signed = np.array([float(math.comb(pool - 1, k) * (-1) ** k) for k in range(pool)])
+    for table in (*cells, prefix, den, binom, signed):
+        table.flags.writeable = False
+    return first, cells, prefix, num, den, binom, signed
+
+
 def _selection_diversity_sum(pool: int, shape: int, mu, beta: float):
     """Finite-sum outage for max-of-pool Gamma(shape) selection followed by a
-    2*shape-dof aged gain; vectorized over the aging ratio mu."""
-    mu = np.asarray(mu, dtype=float)
-    total = np.zeros_like(mu)
+    2*shape-dof aged gain; vectorized over the aging ratio mu.
+
+    With d = shape, a_m the coefficients of (sum_{l<d} x^l / l!)^k,
+    b_k = 1 + k + mu and g_kn = P(d + n, (1 + k) beta / b_k),
+
+        outage = pool / (d - 1)! * sum_k C(pool - 1, k) (-1)^k inner_k,
+        inner_k = sum_m m! a_m / b_k^m * s_km,
+        s_km = sum_{n<=m} mu^n (d + n - 1)! / (n! (1 + k)^(d + n)) * C(d + m - 1, d + n - 1) * g_kn.
+
+    Evaluation order, the same for each element of mu: every integer is
+    rounded once to float (see _selection_tables), each term is formed left
+    to right as written, and each sum is a running sum from 0 that adds one
+    term at a time: s_km in ascending n, inner_k in ascending m, the outage
+    in ascending k.  np.add.accumulate keeps that order along any axis; no
+    axis goes to np.sum, which may add pairwise.  So an element's value does
+    not depend on the shape of mu.  The (k, m) grid is padded to the largest
+    degree: a padded s_km is never formed and stays 0, so its term in
+    inner_k is an exact 0, which leaves the sum unchanged.  mu^n is a power
+    with a scalar exponent; b_k^m is the scalar power for a scalar mu and
+    the array power for an array mu, which may round differently.  A degree
+    (pool - 1)(d - 1) past MAX_EXPANSION_DEGREE raises CapabilityError
+    before any term is formed.
+    """
     d = shape
-    for k in range(pool):
-        a = expansion_coeffs(d, k)
-        arg = (1 + k) * beta / (1.0 + k + mu)
-        gam = [_sc.gammainc(d + n, arg) for n in range(len(a))]
-        inner = np.zeros_like(mu)
-        for m, a_m in enumerate(a):
-            if a_m == 0.0:
-                continue
-            prefix = math.factorial(m) * a_m / (1.0 + k + mu) ** m
-            s = np.zeros_like(mu)
-            for n in range(m + 1):
-                s = s + (
-                    mu ** n
-                    * math.factorial(d + n - 1)
-                    / (math.factorial(n) * (1 + k) ** (d + n))
-                    * math.comb(d + m - 1, d + n - 1)
-                ) * gam[n]
-            inner = inner + prefix * s
-        total = total + math.comb(pool - 1, k) * (-1) ** k * inner
+    first, (kk, nn), prefix, num, den, binom, signed = _selection_tables(d, pool)
+    size = len(num)
+    mu = np.asarray(mu, dtype=float)
+    lead = (Ellipsis,) + (None,) * mu.ndim  # table axes ahead of mu's axes
+    k = np.arange(pool)[lead]
+    base = 1.0 + k + mu
+    gam = np.zeros(prefix.shape + mu.shape)
+    gam[kk, nn] = _sc.gammainc((d + nn)[lead], ((1 + k) * beta / base)[kk])
+    weight = np.array([mu ** n * num[n] for n in range(size)]) / den[lead]
+    s = np.zeros(prefix.shape + mu.shape)
+    for m, lo in enumerate(first):
+        terms = weight[lo:, : m + 1] * binom[m, : m + 1][lead] * gam[lo:, : m + 1]
+        s[lo:, m] = _running_sum(terms, axis=1)
+    if mu.ndim:
+        power = np.stack([base ** m for m in range(size)], axis=1)
+    else:
+        power = np.array([[b ** m for m in range(size)] for b in base])
+    inner = _running_sum(prefix[lead] / power * s, axis=1)
+    total = _running_sum(signed[lead] * inner, axis=0)
     return pool / math.factorial(d - 1) * total
+
+
+def _running_sum(terms: np.ndarray, axis: int):
+    """The sum along axis as a loop of total = total + term forms it: from 0,
+    one term at a time in order.  np.add.accumulate adds in sequence, where
+    np.sum may add pairwise."""
+    padded = np.zeros(terms.shape[:axis] + (terms.shape[axis] + 1,) + terms.shape[axis + 1 :])
+    padded[(slice(None),) * axis + (slice(1, None),)] = terms
+    return np.add.accumulate(padded, axis=axis)[(slice(None),) * axis + (-1,)]
 
 
 def _nu_grid(quad: QuadratureSpec, n: int, n_t: int):

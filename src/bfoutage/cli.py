@@ -217,6 +217,11 @@ def _outage(args, axis: str, values: str | None, evals: str, codebook_path=None)
     if not points:
         raise UsageError("--values must list at least one point")
     if axis in ("users", "codebook_size"):
+        fractional = [v for v in points if not v.is_integer()]
+        if fractional:
+            raise UsageError(
+                f"--values on the {axis.replace('_', '-')} axis must be whole numbers, "
+                f"got {fractional[0]!r}")
         points = [int(v) for v in points]
     if axis == "rho" and opts["rho"] is None and opts["doppler_hz"] is None:
         opts["rho"] = points[0]  # template persistence; replaced per axis value
@@ -237,7 +242,8 @@ def _outage(args, axis: str, values: str | None, evals: str, codebook_path=None)
         cb = None
         if codebook_path:
             cb = load_codebook(codebook_path)
-        elif analytic.scheme_uses_codebook(scheme):
+        elif analytic.scheme_uses_codebook(scheme) and axis != "codebook_size":
+            # a codebook-size sweep draws one codebook per value itself
             stream = RngStream(plan.seed, montecarlo._CODEBOOK_STREAM)
             cb = rvq_generate(stream, opts["codebook_size"], config.n_t)
         batch = montecarlo.sweep(

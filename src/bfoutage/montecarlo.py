@@ -130,6 +130,12 @@ def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool):
     return best, top
 
 
+def _innovation(gen, shape: tuple[int, ...], decay: float) -> np.ndarray:
+    """The innovation e of every trial; zeros, with nothing drawn, when its
+    weight decay is 0."""
+    return gen.standard_normal(shape) if decay else np.zeros(shape)
+
+
 def _count_chunk(
     scheme: SchemeId,
     config: SystemConfig,
@@ -142,7 +148,8 @@ def _count_chunk(
 ) -> int:
     """Outages in n trials drawn from one stream, in the order: the stale
     channel of every trial, then every fresh codebook vector, then the
-    innovation e of every trial.
+    innovation e of every trial.  At rho = 1 the innovation is not drawn:
+    its weight sqrt(1 - rho^2) is 0, and no draw comes after it.
 
     Draws stay as unscaled (re, im) normal pairs, sqrt(2) times a CN(0, 1)
     entry, so every gain is twice the physical one and meets 2 * gamma0.
@@ -154,22 +161,22 @@ def _count_chunk(
 
     if scheme is SchemeId.MISO_PBF:
         h = gen.standard_normal((n, n_t, 2))
-        aged = rho * h + decay * gen.standard_normal((n, n_t, 2))
+        aged = rho * h + decay * _innovation(gen, (n, n_t, 2), decay)
         gain = _inner_power(aged, h) / _power(h, 1)
     elif scheme is SchemeId.MISO_RVQ:
         h = gen.standard_normal((n, n_t, 2))
         best, _ = _select_rvq(gen, h, cb, fixed_codebook)
-        aged = rho * h + decay * gen.standard_normal((n, n_t, 2))
+        aged = rho * h + decay * _innovation(gen, (n, n_t, 2), decay)
         gain = _inner_power(aged, best)
     elif scheme is SchemeId.MISO_TAS:
         h = gen.standard_normal((n, n_t, 2))
-        e = gen.standard_normal((n, n_t, 2))
+        e = _innovation(gen, (n, n_t, 2), decay)
         sel = np.argmax(h[..., 0] ** 2 + h[..., 1] ** 2, axis=1)
         gain = _power(rho * h[idx, sel] + decay * e[idx, sel], 1)
     elif scheme is SchemeId.MU_TAS:
         h = gen.standard_normal((n, config.n_u * n_t, config.n_r, 2))  # (user, antenna) rows
         rows = h[idx, np.argmax(_power(h, 2), axis=1)]
-        gain = _power(rho * rows + decay * gen.standard_normal((n, config.n_r, 2)), 1)
+        gain = _power(rho * rows + decay * _innovation(gen, (n, config.n_r, 2), decay), 1)
     elif scheme in (SchemeId.MU_PBF, SchemeId.MU_RVQ):
         h = gen.standard_normal((n, config.n_u, n_t, 2))
         win = h[idx, np.argmax(_power(h, 2), axis=1)]
@@ -177,7 +184,7 @@ def _count_chunk(
         if scheme is SchemeId.MU_RVQ:
             _, top = _select_rvq(gen, win, cb, fixed_codebook)
             scale = rho * np.sqrt(top / _power(win, 1))[:, None, None]
-        gain = _power(scale * win + decay * gen.standard_normal((n, n_t, 2)), 1)
+        gain = _power(scale * win + decay * _innovation(gen, (n, n_t, 2), decay), 1)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return int(np.count_nonzero(gain < 2.0 * gamma0))

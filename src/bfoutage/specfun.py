@@ -127,6 +127,12 @@ def _noncentral_chi2_cdf_grid(
       k > hi, t_{k+1} / t_k = delta / (k + 1) * g_{k+1} / g_k <= r, and the
       wing is at most the geometric series t_{hi+1} (1 + r + r^2 + ...).
 
+    The Poisson tail P(K > hi) (scipy.special.pdtrc) is evaluated only for
+    the elements whose geometric bound plus lower-wing bound exceeds their
+    budget, which includes every element with r >= 1.  For the others the
+    geometric bound alone meets the budget, so taking the smaller bound
+    could not change whether the window stops.
+
     A window widens, its lower edge straight toward k = 0, until the bounds
     are at most tol.rel_tol times its sum.  With no absolute stopping rule,
     deep-tail values keep their relative accuracy, and an element's value
@@ -181,9 +187,9 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
         partial[todo] = _window_sums(
             lo[todo], hi[todo], delta[todo], log_delta[todo], k[0], g, log_fact
         )
-        upper = _upper_wing_bound(d, delta, beta, hi, g[hi + 1 - k[0]])
         lower = np.where(lo > 0, _sc.pdtr(lo - 1, delta) * g0, 0.0)
         budget = tol.rel_tol * partial
+        upper = _upper_wing_bound(d, delta, beta, hi, g[hi + 1 - k[0]], lower, budget)
         todo = upper + lower > budget
         if not todo.any():
             return partial, True
@@ -196,18 +202,25 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
         lo, hi = new_lo, new_hi
 
 
-def _upper_wing_bound(d: int, delta: np.ndarray, beta: float, hi: np.ndarray, g_next):
+def _upper_wing_bound(d: int, delta: np.ndarray, beta: float, hi: np.ndarray, g_next,
+                      lower: np.ndarray, budget: np.ndarray) -> np.ndarray:
     """Bound on sum_{k > hi} t_k for each element, given g_next = g_{hi+1}:
     the smaller of P(K > hi) * g_{hi+1} and, where r < 1, t_{hi+1} / (1 - r)
-    (derived in :func:`_noncentral_chi2_cdf_grid`)."""
-    upper = _sc.pdtrc(hi, delta) * g_next
+    (derived in :func:`_noncentral_chi2_cdf_grid`).  Where the geometric
+    bound plus the lower-wing bound already meets the budget, P(K > hi) is
+    not evaluated and the geometric bound is returned: the stop test
+    `upper + lower > budget` comes out the same for either bound.
+    """
     log_delta = np.log(delta, out=np.full_like(delta, -np.inf), where=delta > 0)
     log_beta = math.log(beta) if beta > 0 else -math.inf
     # r is formed in logs: delta * beta overflows for delta near 1e300
     log_r = log_delta + log_beta - np.log(hi + 2.0) - np.log(d + hi + 2.0)
     t_next = np.exp((hi + 1) * log_delta - delta - _sc.gammaln(hi + 2.0)) * g_next
     shrinks = log_r < 0
-    upper[shrinks] = np.minimum(upper[shrinks], t_next[shrinks] / -np.expm1(log_r[shrinks]))
+    upper = np.full_like(delta, np.inf)
+    upper[shrinks] = t_next[shrinks] / -np.expm1(log_r[shrinks])
+    open_ = upper + lower > budget
+    upper[open_] = np.minimum(_sc.pdtrc(hi[open_], delta[open_]) * g_next[open_], upper[open_])
     return upper
 
 

@@ -1,17 +1,24 @@
-"""A scalar, trial-by-trial model of channel draws, aging and selection.
+"""Scalar reference implementations that the vectorized package code is
+checked against.
 
-It is the independent implementation that TestPerTrialOracle checks the
-vectorized simulator against, so the simulator must never call it.  The
-matched filter needs no codebook here: its beam is h/||h||.
+A trial-by-trial model of channel draws, aging and selection: the
+independent implementation that TestPerTrialOracle checks the vectorized
+simulator against, so the simulator must never call it.  The matched filter
+needs no codebook here: its beam is h/||h||.
+
+The multiuser selection sum as a scalar (k, m, n) loop, which the array
+form in bfoutage.analytic must equal bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sc
 
 from bfoutage.channel import RngStream, _complex_normal
 from bfoutage.codebook import Codebook
+from bfoutage.specfun import expansion_coeffs
 
 
 @dataclass(frozen=True)
@@ -101,3 +108,31 @@ def nu_cdf(nu, n: int, n_t: int):
         raise ValueError("nu must lie in [0, 1]")
     val = (1.0 - (1.0 - nu_arr) ** (n_t - 1)) ** n
     return val if isinstance(nu, np.ndarray) else float(val)
+
+
+def selection_diversity_sum(pool: int, shape: int, mu, beta: float):
+    """The multiuser selection sum as a scalar (k, m, n) triple loop: the
+    reference that analytic._selection_diversity_sum must equal bit for bit."""
+    mu = np.asarray(mu, dtype=float)
+    total = np.zeros_like(mu)
+    d = shape
+    for k in range(pool):
+        a = expansion_coeffs(d, k)
+        arg = (1 + k) * beta / (1.0 + k + mu)
+        gam = [sc.gammainc(d + n, arg) for n in range(len(a))]
+        inner = np.zeros_like(mu)
+        for m, a_m in enumerate(a):
+            if a_m == 0.0:
+                continue
+            prefix = math.factorial(m) * a_m / (1.0 + k + mu) ** m
+            s = np.zeros_like(mu)
+            for n in range(m + 1):
+                s = s + (
+                    mu ** n
+                    * math.factorial(d + n - 1)
+                    / (math.factorial(n) * (1 + k) ** (d + n))
+                    * math.comb(d + m - 1, d + n - 1)
+                ) * gam[n]
+            inner = inner + prefix * s
+        total = total + math.comb(pool - 1, k) * (-1) ** k * inner
+    return pool / math.factorial(d - 1) * total

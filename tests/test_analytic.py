@@ -13,6 +13,7 @@ from bfoutage.analytic import (
     QuadratureSpec,
     RangeError,
     SchemeId,
+    _selection_diversity_sum,
     diversity_order,
     gain_distribution,
     min_codebook_size,
@@ -27,8 +28,9 @@ from bfoutage.analytic import (
     validate_scheme,
 )
 from bfoutage.channel import derive_params
-from bfoutage.specfun import noncentral_chi2_cdf
+from bfoutage.specfun import CapabilityError, noncentral_chi2_cdf
 
+from _oracle import selection_diversity_sum
 from _util import cfg
 
 
@@ -402,3 +404,39 @@ class TestDispatch:
     def test_rvq_requires_cardinality(self):
         with pytest.raises(ValueError):
             outage_closed(SchemeId.MISO_RVQ, cfg())
+
+
+#: (shape, pool) of the selection sum: shape 1 up to a pool of 128, and for
+#: shapes 2-4 the largest pool within the degree limit 64 and the first past
+#: it, which must raise the same CapabilityError as the reference.
+SELECTION_CASES = (
+    [(1, pool) for pool in (1, 2, 7, 32, 128)]
+    + [(2, pool) for pool in (2, 9, 65, 66)]
+    + [(3, pool) for pool in (2, 8, 33, 34)]
+    + [(4, pool) for pool in (2, 8, 22, 23)]
+)
+#: a scalar aging ratio, a zero one, and the 128 captured-fraction nodes of
+#: the RVQ forms scaled to an aging ratio of 4.5
+SELECTION_MU = (2.7, 0.0, 4.5 * 0.5 * (np.polynomial.legendre.leggauss(128)[0] + 1.0))
+
+
+def _bits(value):
+    return np.asarray(value).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("shape, pool", SELECTION_CASES, ids=lambda v: str(v))
+def test_selection_sum_equals_the_loop_bit_for_bit(shape, pool):
+    # the scalar (k, m, n) loop of tests/_oracle.py, in the same float
+    # operations and order, so the values are identical, not just close
+    if (shape - 1) * (pool - 1) > 64:  # the message names the first degree past 64
+        with pytest.raises(CapabilityError) as want:
+            selection_diversity_sum(pool, shape, 2.7, 6.3)
+        with pytest.raises(CapabilityError, match=f"^{want.value}$"):
+            _selection_diversity_sum(pool, shape, 2.7, 6.3)
+        return
+    for beta in (0.5, 6.3, 60.3):
+        for mu in SELECTION_MU:
+            want = selection_diversity_sum(pool, shape, mu, beta)
+            got = _selection_diversity_sum(pool, shape, mu, beta)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert _bits(got) == _bits(want)

@@ -182,6 +182,30 @@ class TestSweep:
         # each value is its own Monte Carlo point, on its own streams
         assert rows[1]["p_out"] != rows[3]["p_out"]
 
+    def test_fractional_count_is_usage(self, capsys):
+        for scheme, axis, values in (("mu-tas", "users", "2.7,3"),
+                                     ("miso-rvq", "codebook-size", "8,1.5")):
+            code, out, err = run_cli(
+                capsys, "sweep", "--scheme", scheme, "--axis", axis, "--values", values,
+                "--rho", "0.9", "--eval", "closed",
+            )
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "whole numbers" in err
+
+    def test_codebook_size_sweep_ignores_the_template_size(self, capsys):
+        # each value draws its own codebook, so --codebook-size plays no part
+        outputs = []
+        for size in ("0", "8"):
+            code, out, _ = run_cli(
+                capsys, "sweep", "--scheme", "miso-rvq", "--axis", "codebook-size",
+                "--values", "1,8", "--codebook-size", size, "--rho", "0.9",
+                "--eval", "closed,mc", "--trials", "100", "--seed", "1",
+            )
+            assert code == EXIT_OK
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
 
 class TestCodebookSizeCommand:
     def test_table(self, capsys):

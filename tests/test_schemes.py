@@ -110,9 +110,23 @@ PINNED_WINDOWS = (
     ('miso-rvq', (4, 1, 1), 50.0, 0.9, 8, 7.014267683631548e-06, 7.014267683631491e-06),
 )
 
+#: The same, recorded on commit 9873610, before the multiuser selection sum
+#: was evaluated as array updates: the sums of largest degree.  Some closed
+#: forms here are far from quadrature (mu-tas with 32 users clips to 1.0);
+#: the pins hold the float operations, not the accuracy.
+PINNED_SUMS = (
+    ('mu-tas', (4, 3, 8), 10.0, 0.9, None, 1.7750669106031403e-05, 1.7615431304116154e-05),
+    ('mu-tas', (4, 1, 32), 10.0, 0.9, None, 1.0, 0.0028235905763400408),
+    ('mu-pbf', (4, 1, 16), 10.0, 0.9, None, 4.402409641649877e-06, 4.402410678391353e-06),
+    ('mu-rvq', (4, 1, 4), 10.0, 0.9, 8, 0.028739687155990477, 0.028739687155990373),
+    ('mu-tas', (4, 3, 8), 30.0, 0.99, None, 0.0, 3.473794743975361e-53),
+    ('mu-pbf', (4, 1, 16), 5.0, 0.97, None, 0.0018693358197277021, 0.0018693358140811096),
+)
+
 
 @pytest.mark.parametrize(
-    "case", PINNED + PINNED_WINDOWS, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]:g}dB-rho{c[3]:g}"
+    "case", PINNED + PINNED_WINDOWS + PINNED_SUMS,
+    ids=lambda c: f"{c[0]}-{c[1]}-{c[2]:g}dB-rho{c[3]:g}",
 )
 def test_pinned_values(case):
     name, (n_t, n_r, n_u), snr_db, rho, size, closed, quad = case

@@ -18,6 +18,8 @@ SCRIPTS = {
     "multiuser_sweep.py": (["--trials", "2000"], "scheme,users,rho,snr_db,evaluator,p_out,std_err"),
     "codebook_tradeoff.py": ([], "target,rho,min_size,attainable,pbf_floor"),
     "scheme_comparison.py": ([], "scheme,rho,snr_db,p_out"),
+    "value_fingerprint.py": (
+        [], "scheme,nt,nr,nu,snr_db,rho,codebook_size,path,value,method,flags,error"),
 }
 
 

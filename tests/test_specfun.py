@@ -307,13 +307,40 @@ class TestUpperWingBound:
             his = np.unique(np.linspace(first, top, 12).astype(np.int64))
             geometric = [terms[h + 1] / (1 - product / ((h + 2) * (d + h + 2))) for h in his]
             assert all(tails[h + 1] <= g for h, g in zip(his, geometric))
+        # with no budget to spare, every element takes the smaller of both bounds
+        zero = np.zeros(his.shape)
         bound = _upper_wing_bound(
-            d, np.full(his.shape, delta), beta, his, sc.gammainc(d + his + 1, beta)
+            d, np.full(his.shape, delta), beta, his, sc.gammainc(d + his + 1, beta), zero, zero
         )
         assert np.all(bound >= [float(tails[h + 1]) for h in his])
         # the kernel takes it wherever it beats P(K > hi) * g_{hi+1}; 1e-8
         # covers the log-space rounding of t_{hi+1} at delta = 20000
         assert np.all(bound <= np.array([float(g) for g in geometric]) * (1.0 + 1e-8))
+
+    @pytest.mark.parametrize("d, delta, beta", [(1, 3.0, 600.0), (4, 300.0, 1000.0)])
+    def test_poisson_tail_only_where_the_geometric_bound_falls_short(self, d, delta, beta):
+        # hi from r >= 1 (no geometric bound) to r well below 1
+        his = np.arange(10, 400, 13)
+        deltas, g_next = np.full(his.shape, delta), sc.gammainc(d + his + 1, beta)
+        zero = np.zeros(his.shape)
+        both = _upper_wing_bound(d, deltas, beta, his, g_next, zero, zero)
+        no_limit = np.full(his.shape, np.inf)
+        geometric = _upper_wing_bound(d, deltas, beta, his, g_next, zero, no_limit)
+        assert np.isinf(geometric[0]) and np.isfinite(both).all()
+        budget = np.geomspace(1e-300, 1.0, his.size)
+        lower = 0.25 * budget
+        got = _upper_wing_bound(d, deltas, beta, his, g_next, lower, budget)
+        want = np.where(geometric + lower > budget, both, geometric)
+        assert np.array_equal(got, want)
+        assert (got + lower > budget).tolist() == (both + lower > budget).tolist()
+
+    def test_first_window_settled_by_the_poisson_tail(self):
+        # The first window is [110, 490], where r = 1.24: only P(K > hi) * g_{hi+1}
+        # bounds its upper wing.  max_terms = 381 is that window's length, so
+        # the window cannot widen and the value must come from it alone.
+        exact = ncx2_decimal_oracle(1, 300.0, 1000.0)
+        got = noncentral_chi2_cdf(1, 300.0, 1000.0, SeriesTolerance(max_terms=381))
+        assert got == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 class TestExpansionCoeffs:
