@@ -195,7 +195,10 @@ def gain_distribution(
 
 @lru_cache(maxsize=16)
 def _gl_base(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, since every
+    call shares them."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -590,12 +593,11 @@ def min_codebook_size(
 
     if outage(1) <= target:
         return CodebookSizeResult(size=1, attainable=True, pbf_floor=floor, target=target)
-    hi = 1
-    while hi < n_max:
+    hi, met = 1, False
+    while hi < n_max and not met:
         hi = min(2 * hi, n_max)
-        if outage(hi) <= target:
-            break
-    if outage(hi) > target:
+        met = outage(hi) <= target
+    if not met:
         return CodebookSizeResult(size=None, attainable=False, pbf_floor=floor, target=target)
     lo = hi // 2  # fails the target; hi meets it
     while hi - lo > 1:

@@ -41,6 +41,8 @@ class Codebook:
         vecs = np.asarray(self.vectors)
         if vecs.ndim != 2 or vecs.shape[1] != self.n_t or vecs.shape[0] < 1:
             raise ValueError(f"vectors must have shape (N, {self.n_t}) with N >= 1")
+        if not np.all(np.isfinite(vecs)):
+            raise ValueError("codebook vectors must have finite entries")
         norms = np.sum(np.abs(vecs) ** 2, axis=1)
         if np.max(np.abs(norms - 1.0)) > _NORM_TOL:
             raise ValueError("codebook vectors must have unit squared norm within 1e-12")
@@ -63,7 +65,8 @@ def nu_pdf(nu, n: int, n_t: int):
     """Density of the captured-power fraction for an RVQ codebook of size n.
 
     f(nu) = n (n_t - 1) (1 - (1-nu)^(n_t-1))^(n-1) (1-nu)^(n_t-2) on [0, 1].
-    Requires n_t >= 2; for n_t = 1 the fraction is identically 1.
+    Requires n_t >= 2; for n_t = 1 the fraction is identically 1.  A scalar
+    nu gives a float, and an array or list of them an array.
     """
     if n < 1:
         raise ValueError("codebook cardinality must be >= 1")
@@ -74,7 +77,7 @@ def nu_pdf(nu, n: int, n_t: int):
         raise ValueError("nu must lie in [0, 1]")
     one_m = 1.0 - nu_arr
     val = n * (n_t - 1) * (1.0 - one_m ** (n_t - 1)) ** (n - 1) * one_m ** (n_t - 2)
-    return val if isinstance(nu, np.ndarray) else float(val)
+    return float(val) if val.ndim == 0 else val
 
 
 def save_codebook(cb: Codebook, path) -> None:

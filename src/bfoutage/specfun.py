@@ -145,7 +145,7 @@ def _noncentral_chi2_cdf_grid(
     d = int(half_dof)
     deltas = np.asarray(half_noncentralities, dtype=float)
     beta = float(half_argument)
-    if not np.all(np.isfinite(deltas) & (deltas >= 0)):
+    if not (np.isfinite(deltas) & (deltas >= 0)).all():
         raise ValueError("half noncentralities must be finite and >= 0")
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"half_argument must be finite and >= 0, got {beta!r}")
@@ -154,7 +154,7 @@ def _noncentral_chi2_cdf_grid(
     sums = np.zeros_like(delta)
     band = np.floor(delta / _DELTA_BAND)
     for b in np.unique(band):
-        rows = np.flatnonzero(band == b)
+        rows = band == b
         sums[rows], converged = _poisson_mixture(d, delta[rows], beta, tol)
         if not converged:
             raise ConvergenceError(
@@ -183,13 +183,11 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
     todo = np.ones(delta.shape, dtype=bool)
     while True:
         k = np.arange(lo.min(), hi.max() + 2)
-        g, log_fact = _sc.gammainc(d + k, beta), _sc.gammaln(k + 1.0)
-        partial[todo] = _window_sums(
-            lo[todo], hi[todo], delta[todo], log_delta[todo], k[0], g, log_fact
-        )
+        tables = _series_tables(d, beta, k)
+        partial[todo] = _window_sums(lo[todo], hi[todo], delta[todo], log_delta[todo], k[0], tables)
         lower = np.where(lo > 0, _sc.pdtr(lo - 1, delta) * g0, 0.0)
         budget = tol.rel_tol * partial
-        upper = _upper_wing_bound(d, delta, beta, hi, g[hi + 1 - k[0]], lower, budget)
+        upper = _upper_wing_bound(d, delta, beta, hi, tables[1][hi + 1 - k[0]], lower, budget)
         todo = upper + lower > budget
         if not todo.any():
             return partial, True
@@ -200,6 +198,20 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
         if np.any(todo & (new_lo == lo) & (new_hi == hi)):
             return partial, False
         lo, hi = new_lo, new_hi
+
+
+def _series_tables(d: int, beta: float, k: np.ndarray) -> np.ndarray:
+    """log k! and g_k = P(d + k, beta) over a run of k, the two rows of one
+    array, each followed by as many padding entries with log k! = +inf and
+    g_k = 0, whose terms are exactly exp(-inf) * 0 = 0.  A window inside the
+    run is no longer than the run, so :func:`_window_sums` reads no further
+    than the padding."""
+    tables = np.empty((2, 2 * k.size))
+    log_fact, g = tables
+    _sc.gammaln(k + 1.0, out=log_fact[: k.size])
+    _sc.gammainc(d + k, beta, out=g[: k.size])
+    log_fact[k.size :], g[k.size :] = np.inf, 0.0
+    return tables
 
 
 def _upper_wing_bound(d: int, delta: np.ndarray, beta: float, hi: np.ndarray, g_next,
@@ -224,23 +236,48 @@ def _upper_wing_bound(d: int, delta: np.ndarray, beta: float, hi: np.ndarray, g_
     return upper
 
 
-def _window_sums(lo, hi, delta, log_delta, k0, g, log_fact) -> np.ndarray:
+def _window_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * g_k for each element i, summed
-    in order of k; g and log_fact hold g_k and log k! from k = k0 on.
+    in order of k; tables holds log k! and g_k from k = k0 on, padded as
+    :func:`_series_tables` pads them.
+
     Elements are taken longest window first, in blocks of at most
-    _BLOCK_ENTRIES terms, so little of a block is padding."""
+    _BLOCK_ENTRIES terms, so that little of a block lies past its rows' ends.
+    A block is as wide as its first row, n0 terms.  Each row i reads
+    k = lo_i ... lo_i + n0 - 1 of both tables as one contiguous slice, a row
+    of a read-only strided view, rather than gathering term by term; a
+    shorter row reads on past hi_i into later entries or the padding.  With
+    k the float lo_i + j (exact below 2^53), the terms
+    exp((k log delta - delta) - log k!) * g_k and their running sum along k
+    are formed in place in one scratch block, and the sum is read at the
+    row's own last term, so nothing past hi_i is added.
+    """
     lengths = hi - lo + 1
     sums = np.empty(lengths.shape)
     order = np.argsort(-lengths, kind="stable")
+    width = int(lengths[order[0]])
+    # runs[:, m] is both tables from k = k0 + m on, width entries long; the
+    # constructor checks that the view stays inside the tables
+    step = tables.strides[1]
+    runs = np.ndarray((2, tables.shape[1] - width + 1, width), buffer=tables,
+                      strides=(tables.strides[0], step, step))
+    runs.flags.writeable = False
+    j = np.arange(width, dtype=float)
+    scratch = np.empty(min(max(_BLOCK_ENTRIES, width), lengths.size * width))
     start = 0
     while start < order.size:
-        rows = order[start : start + max(1, _BLOCK_ENTRIES // lengths[order[start]])]
-        n = lengths[rows, None]
-        k = lo[rows, None] + np.minimum(np.arange(n[0, 0]), n - 1)  # padding repeats hi_i
-        log_w = k * log_delta[rows, None] - delta[rows, None] - log_fact[k - k0]
-        # A running sum read at the row's last term does not see the padding.
-        running = np.cumsum(np.exp(log_w) * g[k - k0], axis=1)
-        sums[rows] = running[np.arange(rows.size), n[:, 0] - 1]
+        n0 = int(lengths[order[start]])
+        rows = order[start : start + max(1, _BLOCK_ENTRIES // n0)]
+        log_fact, g = runs[:, lo[rows] - k0, :n0]
+        w = scratch[: rows.size * n0].reshape(rows.size, n0)
+        np.add(lo[rows, None], j[:n0], out=w)
+        w *= log_delta[rows, None]
+        w -= delta[rows, None]
+        w -= log_fact
+        np.exp(w, out=w)
+        w *= g
+        np.cumsum(w, axis=1, out=w)
+        sums[rows] = w[np.arange(rows.size), lengths[rows] - 1]
         start += rows.size
     return sums
 

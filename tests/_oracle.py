@@ -8,6 +8,9 @@ needs no codebook here: its beam is h/||h||.
 
 The multiuser selection sum as a scalar (k, m, n) loop, which the array
 form in bfoutage.analytic must equal bit for bit.
+
+The Poisson-mixture window sums one element at a time, which the blocked
+form in bfoutage.specfun must equal bit for bit.
 """
 
 import math
@@ -107,7 +110,7 @@ def nu_cdf(nu, n: int, n_t: int):
     if np.any((nu_arr < 0) | (nu_arr > 1)):
         raise ValueError("nu must lie in [0, 1]")
     val = (1.0 - (1.0 - nu_arr) ** (n_t - 1)) ** n
-    return val if isinstance(nu, np.ndarray) else float(val)
+    return float(val) if val.ndim == 0 else val
 
 
 def selection_diversity_sum(pool: int, shape: int, mu, beta: float):
@@ -136,3 +139,20 @@ def selection_diversity_sum(pool: int, shape: int, mu, beta: float):
             inner = inner + prefix * s
         total = total + math.comb(pool - 1, k) * (-1) ** k * inner
     return pool / math.factorial(d - 1) * total
+
+
+def window_sums(d: int, beta: float, lo, hi, delta) -> np.ndarray:
+    """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * P(d + k, beta) for each element
+    i: the reference that specfun._window_sums must equal bit for bit.  Each
+    element's terms are formed by the same numpy ufuncs on a 1-D array, then
+    added one at a time in order of k."""
+    sums = np.empty(len(lo))
+    for i, (lo_i, hi_i, delta_i) in enumerate(zip(lo, hi, delta)):
+        k = np.arange(lo_i, hi_i + 1)
+        log_delta = np.log(delta_i) if delta_i > 0 else 0.0
+        terms = np.exp(k * log_delta - delta_i - sc.gammaln(k + 1.0)) * sc.gammainc(d + k, beta)
+        total = 0.0
+        for t in terms:
+            total = total + t
+        sums[i] = total
+    return sums

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
+from bfoutage import analytic
 from bfoutage.analytic import (
     AccuracyError,
     QuadratureSpec,
@@ -138,6 +139,13 @@ class TestQuadratureEngine:
         assert outage_closed(SchemeId.MISO_PBF, config).value > 1e-21
         with pytest.raises(AccuracyError, match="underflowed"):
             outage_semianalytic(SchemeId.MISO_PBF, config)
+
+    def test_cached_nodes_are_read_only(self):
+        x, w = analytic._gl_base(16)
+        for table in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        assert analytic._gl_base(16)[0] is x
 
     def test_quadspec_validation(self):
         with pytest.raises(ValueError):
@@ -384,6 +392,22 @@ class TestMinCodebookSize:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             min_codebook_size(0.0, cfg())
+
+    @pytest.mark.parametrize("target, snr_db, rho, n_max, size", [
+        (0.01, 15.0, 0.995, 4096, 9), (0.05, 15.0, 0.995, 4096, 4),
+        (0.01, 15.0, 0.995, 8, None), (0.01, 15.0, 0.995, 1, None),
+    ])
+    def test_one_evaluation_per_cardinality(self, monkeypatch, target, snr_db, rho, n_max, size):
+        evaluated = []
+
+        def counted(config, n, *args):
+            evaluated.append(n)
+            return outage_rvq_closed(config, n, *args)
+
+        monkeypatch.setattr(analytic, "outage_rvq_closed", counted)
+        res = min_codebook_size(target, cfg(snr_db=snr_db, rho=rho), n_max=n_max)
+        assert res.size == size
+        assert sorted(evaluated) == sorted(set(evaluated))
 
 
 class TestDispatch:

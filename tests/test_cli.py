@@ -123,6 +123,17 @@ class TestSimulate:
             assert out == ""
             assert "--codebook" in err and "miso-tas" in err
 
+    def test_nonfinite_codebook_file_is_usage(self, capsys, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("RVQ 2 2\nnan,0 0.0,0.0\n0.0,0.0 1.0,0.0\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--scheme", "miso-rvq", "--nt", "2", "--snr-db", "10",
+            "--rho", "0.9", "--trials", "1000", "--seed", "1", "--codebook", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
     def test_missing_codebook_file_for_rvq_is_usage(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "simulate", "--scheme", "miso-rvq", "--rho", "0.9",

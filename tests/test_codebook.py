@@ -56,6 +56,13 @@ class TestCodebookConstruction:
         with pytest.raises(ValueError):
             Codebook(scheme="RVQ", n_t=2, vectors=np.array([[1.0, 1.0]], dtype=complex))
 
+    def test_rejects_nonfinite_entries(self):
+        # nan > tolerance is False, so a norm test alone lets NaN through
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            vecs = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+            with pytest.raises(ValueError, match="finite"):
+                Codebook(scheme="RVQ", n_t=2, vectors=vecs)
+
     def test_pbf_virtual(self):
         # the matched filter is no codebook kind, and every codebook has vectors
         for scheme in ("PBF", "RVQ"):
@@ -174,6 +181,14 @@ class TestNuDistribution:
         with pytest.raises(ValueError):
             nu_pdf(0.5, 4, 1)
 
+    def test_array_in_array_out(self):
+        got = nu_pdf([0.1, 0.2], 8, 4)
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert got.tolist() == [nu_pdf(0.1, 8, 4), nu_pdf(0.2, 8, 4)]
+        assert nu_pdf(np.array([0.3]), 8, 4).shape == (1,)
+        for scalar in (0.3, np.float64(0.3), np.asarray(0.3)):
+            assert type(nu_pdf(scalar, 8, 4)) is float
+
     def test_measured_nu_uniform_ks(self):
         nu, _ = _sample_nu(101, 100_000, 1, 2)
         stat = stats.kstest(nu, "uniform").statistic
@@ -218,6 +233,8 @@ class TestCodebookIO:
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("RVQ 4 2\n1.0,0.0 0.0,0.0 0.0,0.0 0.0,0.0\n")
-        with pytest.raises(ValueError):
-            load_codebook(path)
+        for text in ("RVQ 4 2\n1.0,0.0 0.0,0.0 0.0,0.0 0.0,0.0\n",
+                     "RVQ 2 2\nnan,0 0.0,0.0\n0.0,0.0 1.0,0.0\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                load_codebook(path)

@@ -11,16 +11,21 @@ from scipy import special as sc
 from scipy.integrate import quad
 
 from bfoutage.specfun import (
+    _BLOCK_ENTRIES,
     CapabilityError,
     ConvergenceError,
     SeriesTolerance,
     _noncentral_chi2_cdf_grid,
+    _series_tables,
     _upper_wing_bound,
+    _window_sums,
     bessel_j0,
     expansion_coeffs,
     lemma1_identity,
     noncentral_chi2_cdf,
 )
+
+from _oracle import window_sums as reference_window_sums
 
 
 def j0_power_series(x: float) -> float:
@@ -341,6 +346,67 @@ class TestUpperWingBound:
         exact = ncx2_decimal_oracle(1, 300.0, 1000.0)
         got = noncentral_chi2_cdf(1, 300.0, 1000.0, SeriesTolerance(max_terms=381))
         assert got == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def _window_sums_and_reference(d, beta, lo, hi, delta):
+    """The kernel's window sums on a block built by hand, with its tables
+    and log delta made as _poisson_mixture makes them, and the reference."""
+    lo, hi, delta = np.asarray(lo), np.asarray(hi), np.asarray(delta, dtype=float)
+    log_delta = np.log(delta, out=np.zeros_like(delta), where=delta > 0)
+    k = np.arange(lo.min(), hi.max() + 2)
+    got = _window_sums(lo, hi, delta, log_delta, k[0], _series_tables(d, beta, k))
+    return got, reference_window_sums(d, beta, lo, hi, delta)
+
+
+def _bits(values):
+    return np.asarray(values).view(np.int64).tolist()
+
+
+class TestWindowSums:
+    """The blocked window sums equal the element-at-a-time loop of
+    tests/_oracle.py bit for bit."""
+
+    def test_rows_of_unequal_length(self):
+        # one block of four rows, and 400 rows of 1-300 terms over several blocks
+        got, want = _window_sums_and_reference(
+            2, 30.0, [0, 5, 40, 3], [120, 30, 41, 3], [50.0, 12.0, 40.5, 2.0]
+        )
+        assert _bits(got) == _bits(want)
+        rng = np.random.default_rng(5)
+        lo = rng.integers(0, 500, 400)
+        hi = lo + rng.integers(0, 300, 400)
+        delta = rng.uniform(0.0, 800.0, 400)
+        assert (hi - lo + 1).sum() > 3 * _BLOCK_ENTRIES
+        got, want = _window_sums_and_reference(3, 60.3, lo, hi, delta)
+        assert _bits(got) == _bits(want)
+
+    def test_short_row_reads_into_the_padding(self):
+        # the one-term row at k = 200 reads 201 terms from k = 200 on, 199
+        # past the last true table entry (k = 201)
+        tables = _series_tables(1, 6.3, np.arange(202))
+        assert tables.shape == (2, 404)
+        assert np.all(tables[0, 202:] == np.inf) and np.all(tables[1, 202:] == 0.0)
+        got, want = _window_sums_and_reference(1, 6.3, [0, 200], [200, 200], [150.0, 199.5])
+        assert _bits(got) == _bits(want)
+        assert got[1] > 0.0
+
+    def test_zero_noncentrality(self):
+        # delta = 0 is the central CDF: the one k = 0 term, exp(0) * g_0
+        got, want = _window_sums_and_reference(4, 6.3, [0, 0, 10], [0, 0, 70], [0.0, 0.0, 30.0])
+        assert _bits(got) == _bits(want)
+        assert got[0] == got[1] == sc.gammainc(4, 6.3)
+
+    def test_one_term_window(self):
+        got, want = _window_sums_and_reference(2, 60.3, [37], [37], [37.0])
+        assert _bits(got) == _bits(want)
+
+    def test_max_terms_window(self):
+        # one row per block at the default max_terms, beside a short row
+        max_terms = SeriesTolerance().max_terms
+        got, want = _window_sums_and_reference(
+            1, 4000.0, [0, 4990], [max_terms - 1, 5010], [5000.0, 5000.0]
+        )
+        assert _bits(got) == _bits(want)
 
 
 class TestExpansionCoeffs:
