@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sc
 
+from . import channel
 from .channel import SystemConfig, db_to_linear, derive_params
 from .codebook import nu_pdf
 from .specfun import _noncentral_chi2_cdf_grid, expansion_coeffs
@@ -85,10 +86,12 @@ class SchemeId(Enum):
 
 @dataclass(frozen=True)
 class SchemeRecord:
-    """What a scheme is, for every evaluation path."""
+    """What a scheme is, for every evaluation path.  Monte Carlo reads fixed,
+    uses_codebook and link; only the analytic paths read law and closed."""
 
     fixed: tuple[str, ...]  # config fields the scheme fixes at 1
     uses_codebook: bool  # needs a codebook cardinality >= 1; the others ignore it
+    link: Callable  # the simulator's link model (see the channel module)
     law: Callable[[SystemConfig], GainDistribution]  # selected-gain law
     closed: Callable[[SystemConfig, int | None, QuadratureSpec], OutageEstimate]
 
@@ -97,22 +100,22 @@ class SchemeRecord:
 # a wrapper installed on one of those names sees every call.
 SCHEMES = {
     SchemeId.MISO_PBF: SchemeRecord(
-        ("n_r", "n_u"), False, lambda c: GainDistribution(1, c.n_t, 1),
+        ("n_r", "n_u"), False, channel.link_miso_pbf, lambda c: GainDistribution(1, c.n_t, 1),
         lambda c, n, quad: outage_pbf_closed(c)),
     SchemeId.MISO_RVQ: SchemeRecord(
-        ("n_r", "n_u"), True, lambda c: GainDistribution(1, c.n_t, 1),
+        ("n_r", "n_u"), True, channel.link_miso_rvq, lambda c: GainDistribution(1, c.n_t, 1),
         lambda c, n, quad: outage_rvq_closed(c, n, quad)),
     SchemeId.MISO_TAS: SchemeRecord(
-        ("n_r", "n_u"), False, lambda c: GainDistribution(c.n_t, 1, 1),
+        ("n_r", "n_u"), False, channel.link_miso_tas, lambda c: GainDistribution(c.n_t, 1, 1),
         lambda c, n, quad: outage_tas_closed(c)),
     SchemeId.MU_TAS: SchemeRecord(
-        (), False, lambda c: GainDistribution(c.n_u * c.n_t, c.n_r, c.n_r),
+        (), False, channel.link_mu_tas, lambda c: GainDistribution(c.n_u * c.n_t, c.n_r, c.n_r),
         lambda c, n, quad: outage_mutas_closed(c)),
     SchemeId.MU_PBF: SchemeRecord(
-        ("n_r",), False, lambda c: GainDistribution(c.n_u, c.n_t, c.n_t),
+        ("n_r",), False, channel.link_mu_pbf, lambda c: GainDistribution(c.n_u, c.n_t, c.n_t),
         lambda c, n, quad: outage_mupbf_closed(c)),
     SchemeId.MU_RVQ: SchemeRecord(
-        ("n_r",), True, lambda c: GainDistribution(c.n_u, c.n_t, c.n_t),
+        ("n_r",), True, channel.link_mu_rvq, lambda c: GainDistribution(c.n_u, c.n_t, c.n_t),
         lambda c, n, quad: outage_murvq_closed(c, n, quad)),
 }
 
@@ -546,8 +549,8 @@ def diversity_order(
 ) -> float:
     """Least-squares slope of -log10(P_out) against log10(SNR) over a high-SNR
     grid, using the quadrature engine."""
-    if len(snr_grid_db) < 2:
-        raise ValueError("need at least two SNR grid points")
+    if len(set(snr_grid_db)) < 2:
+        raise ValueError("need at least two distinct SNR grid points")
     log_eps, log_p = [], []
     for db in snr_grid_db:
         eps = db_to_linear(db)

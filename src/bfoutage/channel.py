@@ -1,6 +1,6 @@
 """The channel model's parameters: persistence (direct or Jakes), the system
-configuration, the thresholds derived from it, and counter-based random
-streams.
+configuration, the thresholds derived from it, counter-based random streams,
+and the link model of every scheme.
 
 The channel model: every entry of the estimated channel h and of the
 innovation e is i.i.d. standard complex Gaussian CN(0,1), and the channel in
@@ -9,16 +9,28 @@ use at transmission time is
     h_aged = rho * h + sqrt(1 - rho^2) * e,
 
 where rho in [0, 1] measures how well the fed-back estimate has persisted.
+
+A scheme's link model, link(gen, config, n, cb, fixed) -> (S, scale, gain),
+draws n trials' stale channels, and any fresh codebooks, from gen and runs
+the scheme's selection on them.  S is the selected stale part as unscaled
+(re, im) normal pairs, sqrt(2) times a CN(0, 1) entry; scale is 1.0 or one
+factor per trial; and gain(aged) is the effective gain of each trial, where
+aged = rho * scale * S + sqrt(1 - rho^2) * e with e drawn like S.  The links
+read no gain law: the Monte Carlo arbiter simulates, it never evaluates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .specfun import bessel_j0
+
+if TYPE_CHECKING:
+    from .codebook import Codebook
 
 __all__ = [
     "BeyondFirstZeroError",
@@ -171,3 +183,106 @@ class RngStream:
 def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     z = gen.standard_normal(shape + (2,))
     return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+
+
+# ---------------------------------------------------------------------------
+# link models, one per scheme (see the module docstring)
+# ---------------------------------------------------------------------------
+
+#: Trials per block when drawing fresh codebooks and projecting onto a codebook.
+_BLOCK = 2048
+
+
+def _power(z: np.ndarray, keep: int = 1) -> np.ndarray:
+    """Sum of squares over every axis of z after the first `keep`; with
+    keep = 1, the total power of each trial."""
+    flat = z.reshape(z.shape[:keep] + (-1,))
+    return np.einsum("...j,...j->...", flat, flat)
+
+
+def _quadrature(z: np.ndarray) -> np.ndarray:
+    """(..., n, 2) (re, im) pairs to (..., 2n, 2), z and i*z flattened: for a
+    flattened alike, a @ _quadrature(z) holds (Re, Im) of sum(a * conj(z))."""
+    iz = np.stack([-z[..., 1], z[..., 0]], axis=-1)
+    return np.stack([z, iz], axis=-1).reshape(z.shape[:-2] + (-1, 2))
+
+
+def _inner_power(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|sum(a * conj(z))|^2 per row of two (n, n_t, 2) arrays."""
+    re = np.einsum("ij,ij->i", a.reshape(len(a), -1), z.reshape(len(z), -1))
+    im = np.einsum("ij,ij->i", a[..., 1], z[..., 0]) - np.einsum("ij,ij->i", a[..., 0], z[..., 1])
+    return re * re + im * im
+
+
+def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool):
+    """Per row of w (n, n_t, 2): the unit codebook vector v maximizing
+    |<w, v>|^2, and that maximum.
+
+    Unless fixed, every row gets a fresh codebook of cb's cardinality, drawn
+    block by block in row order, so the stream matches one (n, N, n_t, 2) draw.
+    """
+    n, n_t, _ = w.shape
+    size = cb.cardinality
+    best, top = np.empty_like(w), np.empty(n)
+    if fixed:
+        vecs = np.stack([cb.vectors.real, cb.vectors.imag], axis=-1)
+        basis = _quadrature(vecs).transpose(1, 0, 2).reshape(2 * n_t, 2 * size)
+    else:
+        buf = np.empty((min(n, _BLOCK), size, n_t, 2))
+    for lo in range(0, n, _BLOCK):
+        rows = w[lo:lo + _BLOCK]
+        m = len(rows)
+        if fixed:
+            part = (rows.reshape(m, -1) @ basis).reshape(m, size, 2)
+        else:
+            vecs = gen.standard_normal(out=buf[:m])
+            vecs /= np.sqrt(_power(vecs, 2))[..., None, None]
+            part = vecs.reshape(m, size, -1) @ _quadrature(rows)
+        proj = part[..., 0] ** 2 + part[..., 1] ** 2
+        k = np.argmax(proj, axis=1)
+        i = np.arange(m)
+        top[lo:lo + m] = proj[i, k]
+        best[lo:lo + m] = vecs[k] if fixed else vecs[i, k]
+    return best, top
+
+
+def _strongest(gen, n: int, rows: int, width: int) -> np.ndarray:
+    """Per trial, the most powerful of `rows` drawn rows of `width` entries."""
+    h = gen.standard_normal((n, rows, width, 2))
+    return h[np.arange(n), np.argmax(_power(h, 2), axis=1)]
+
+
+def link_miso_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+    h = gen.standard_normal((n, config.n_t, 2))
+    return h, 1.0, lambda aged: _inner_power(aged, h) / _power(h)
+
+
+def link_miso_rvq(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+    h = gen.standard_normal((n, config.n_t, 2))
+    best, _ = _select_rvq(gen, h, cb, fixed)
+    return h, 1.0, lambda aged: _inner_power(aged, best)
+
+
+def link_miso_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+    # Every antenna ages and the gain reads the selected one: elementwise the
+    # same as aging the selection, and e is drawn for all n_t antennas.
+    h = gen.standard_normal((n, config.n_t, 2))
+    sel = np.argmax(h[..., 0] ** 2 + h[..., 1] ** 2, axis=1)
+    return h, 1.0, lambda aged: _power(aged[np.arange(n), sel])
+
+
+def link_mu_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+    # one row of n_r receive entries per (user, antenna) pair
+    return _strongest(gen, n, config.n_u * config.n_t, config.n_r), 1.0, _power
+
+
+def link_mu_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+    return _strongest(gen, n, config.n_u, config.n_t), 1.0, _power
+
+
+def link_mu_rvq(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+    # the stale part is the winner scaled by sqrt(nu), nu = top / |win|^2 its
+    # captured fraction
+    win = _strongest(gen, n, config.n_u, config.n_t)
+    _, top = _select_rvq(gen, win, cb, fixed)
+    return win, np.sqrt(top / _power(win))[:, None, None], _power

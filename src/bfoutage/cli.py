@@ -297,8 +297,10 @@ def _cmd_diversity(args) -> int:
     opts = _merge_config(args)
     scheme = _scheme(args.scheme)
     rho_values, grid = _floats(args.rho_values), tuple(_floats(args.grid_db))
-    if len(grid) < 2:
-        raise UsageError("--grid-db needs at least two points")
+    if not rho_values:
+        raise UsageError("--rho-values must list at least one point")
+    if len(set(grid)) < 2:
+        raise UsageError("--grid-db needs at least two distinct points")
     rows = []
     for rho in rho_values:
         config = _config_at_rho(opts, rho)

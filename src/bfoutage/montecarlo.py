@@ -2,10 +2,14 @@
 
 Each trial draws a fresh stale estimate, runs the scheme's selection on it,
 ages the winner by one feedback step, and tests the aged effective gain
-against the outage threshold.  Trials are split into fixed-size chunks; chunk
-j consumes the counter-based stream (seed, offset + j), so the outage count
-depends only on (trials, seed, chunk) and never on how many workers execute
-the chunks, nor on which other points share their batch.
+against the outage threshold.  The scheme's link model (its record's `link`,
+defined in the channel module) makes the draws and the selection; this module
+ages what the link selects and counts outages, the same way for every scheme.
+
+Trials are split into fixed-size chunks; chunk j consumes the counter-based
+stream (seed, offset + j), so the outage count depends only on (trials, seed,
+chunk) and never on how many workers execute the chunks, nor on which other
+points share their batch.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import SchemeId, scheme_uses_codebook, validate_scheme
+from .analytic import SCHEMES, SchemeId, scheme_uses_codebook, validate_scheme
 from .channel import PersistenceSpec, RngStream, SystemConfig, db_to_linear, derive_params
 from .codebook import Codebook, rvq_generate
 
@@ -74,68 +78,6 @@ class McResult:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-#: Trials per block when drawing fresh codebooks and projecting onto a codebook.
-_BLOCK = 2048
-
-
-def _power(z: np.ndarray, keep: int) -> np.ndarray:
-    """Sum of squares over every axis of z after the first `keep`."""
-    flat = z.reshape(z.shape[:keep] + (-1,))
-    return np.einsum("...j,...j->...", flat, flat)
-
-
-def _quadrature(z: np.ndarray) -> np.ndarray:
-    """(..., n, 2) (re, im) pairs to (..., 2n, 2), z and i*z flattened: for a
-    flattened alike, a @ _quadrature(z) holds (Re, Im) of sum(a * conj(z))."""
-    iz = np.stack([-z[..., 1], z[..., 0]], axis=-1)
-    return np.stack([z, iz], axis=-1).reshape(z.shape[:-2] + (-1, 2))
-
-
-def _inner_power(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|sum(a * conj(z))|^2 per row of two (n, n_t, 2) arrays."""
-    re = np.einsum("ij,ij->i", a.reshape(len(a), -1), z.reshape(len(z), -1))
-    im = np.einsum("ij,ij->i", a[..., 1], z[..., 0]) - np.einsum("ij,ij->i", a[..., 0], z[..., 1])
-    return re * re + im * im
-
-
-def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool):
-    """Per row of w (n, n_t, 2): the unit codebook vector v maximizing
-    |<w, v>|^2, and that maximum.
-
-    Unless fixed, every row gets a fresh codebook of cb's cardinality, drawn
-    block by block in row order, so the stream matches one (n, N, n_t, 2) draw.
-    """
-    n, n_t, _ = w.shape
-    size = cb.cardinality
-    best, top = np.empty_like(w), np.empty(n)
-    if fixed:
-        vecs = np.stack([cb.vectors.real, cb.vectors.imag], axis=-1)
-        basis = _quadrature(vecs).transpose(1, 0, 2).reshape(2 * n_t, 2 * size)
-    else:
-        buf = np.empty((min(n, _BLOCK), size, n_t, 2))
-    for lo in range(0, n, _BLOCK):
-        rows = w[lo:lo + _BLOCK]
-        m = len(rows)
-        if fixed:
-            part = (rows.reshape(m, -1) @ basis).reshape(m, size, 2)
-        else:
-            vecs = gen.standard_normal(out=buf[:m])
-            vecs /= np.sqrt(_power(vecs, 2))[..., None, None]
-            part = vecs.reshape(m, size, -1) @ _quadrature(rows)
-        proj = part[..., 0] ** 2 + part[..., 1] ** 2
-        k = np.argmax(proj, axis=1)
-        i = np.arange(m)
-        top[lo:lo + m] = proj[i, k]
-        best[lo:lo + m] = vecs[k] if fixed else vecs[i, k]
-    return best, top
-
-
-def _innovation(gen, shape: tuple[int, ...], decay: float) -> np.ndarray:
-    """The innovation e of every trial; zeros, with nothing drawn, when its
-    weight decay is 0."""
-    return gen.standard_normal(shape) if decay else np.zeros(shape)
-
-
 def _count_chunk(
     scheme: SchemeId,
     config: SystemConfig,
@@ -155,39 +97,12 @@ def _count_chunk(
     entry, so every gain is twice the physical one and meets 2 * gamma0.
     """
     gen = rng.generator()
+    stale, scale, gain = SCHEMES[scheme].link(gen, config, n, cb, fixed_codebook)
+    aged = rho * scale * stale
     decay = math.sqrt(1.0 - rho * rho)
-    n_t = config.n_t
-    idx = np.arange(n)
-
-    if scheme is SchemeId.MISO_PBF:
-        h = gen.standard_normal((n, n_t, 2))
-        aged = rho * h + decay * _innovation(gen, (n, n_t, 2), decay)
-        gain = _inner_power(aged, h) / _power(h, 1)
-    elif scheme is SchemeId.MISO_RVQ:
-        h = gen.standard_normal((n, n_t, 2))
-        best, _ = _select_rvq(gen, h, cb, fixed_codebook)
-        aged = rho * h + decay * _innovation(gen, (n, n_t, 2), decay)
-        gain = _inner_power(aged, best)
-    elif scheme is SchemeId.MISO_TAS:
-        h = gen.standard_normal((n, n_t, 2))
-        e = _innovation(gen, (n, n_t, 2), decay)
-        sel = np.argmax(h[..., 0] ** 2 + h[..., 1] ** 2, axis=1)
-        gain = _power(rho * h[idx, sel] + decay * e[idx, sel], 1)
-    elif scheme is SchemeId.MU_TAS:
-        h = gen.standard_normal((n, config.n_u * n_t, config.n_r, 2))  # (user, antenna) rows
-        rows = h[idx, np.argmax(_power(h, 2), axis=1)]
-        gain = _power(rho * rows + decay * _innovation(gen, (n, config.n_r, 2), decay), 1)
-    elif scheme in (SchemeId.MU_PBF, SchemeId.MU_RVQ):
-        h = gen.standard_normal((n, config.n_u, n_t, 2))
-        win = h[idx, np.argmax(_power(h, 2), axis=1)]
-        scale = rho
-        if scheme is SchemeId.MU_RVQ:
-            _, top = _select_rvq(gen, win, cb, fixed_codebook)
-            scale = rho * np.sqrt(top / _power(win, 1))[:, None, None]
-        gain = _power(scale * win + decay * _innovation(gen, (n, n_t, 2), decay), 1)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return int(np.count_nonzero(gain < 2.0 * gamma0))
+    if decay:
+        aged = aged + decay * gen.standard_normal(stale.shape)
+    return int(np.count_nonzero(gain(aged) < 2.0 * gamma0))
 
 
 class McPoint(NamedTuple):

@@ -143,12 +143,6 @@ class ArbitrationReport:
         zs = [r[5] for r in self.rows if r[0] == family and r[1] == variant]
         return max(zs) if zs else math.nan
 
-    def consistent_everywhere(self, family: str, variant: str) -> bool:
-        return all(r[5] <= 3.0 for r in self.rows if r[0] == family and r[1] == variant)
-
-    def inconsistent_somewhere(self, family: str, variant: str) -> bool:
-        return any(r[5] > 3.0 for r in self.rows if r[0] == family and r[1] == variant)
-
 
 def arbitration_report(
     trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
@@ -180,33 +174,29 @@ def arbitration_report(
     return report
 
 
+#: (family, variant, claim): the claim holds when the variant's max |z| <= 3
+#: exactly for the corrected variant.
+_ARBITRATION_CLAIMS = (
+    ("matched-filter-coefficient", "corrected", "corrected variant consistent at all points"),
+    ("matched-filter-coefficient", "verbatim", "verbatim variant inconsistent somewhere"),
+    ("antenna-selection-exponent", "corrected", "corrected variant consistent at all points"),
+    ("antenna-selection-exponent", "verbatim", "verbatim variant inconsistent somewhere"),
+    ("matched-filter-coefficient", "factorial", "factorial variant rejected"),
+)
+
+
 def arbitration_checks(
     trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
 ) -> tuple[list[CheckResult], ArbitrationReport]:
     rep = arbitration_report(trials, seed, workers)
     checks = []
-    for family in ("matched-filter-coefficient", "antenna-selection-exponent"):
-        checks.append(
-            CheckResult(
-                name=f"arbitration {family}: corrected variant consistent at all points",
-                passed=rep.consistent_everywhere(family, "corrected"),
-                detail=f"max |z| = {rep.max_abs_z(family, 'corrected'):.2f}",
-            )
-        )
-        checks.append(
-            CheckResult(
-                name=f"arbitration {family}: verbatim variant inconsistent somewhere",
-                passed=rep.inconsistent_somewhere(family, "verbatim"),
-                detail=f"max |z| = {rep.max_abs_z(family, 'verbatim'):.2f}",
-            )
-        )
-    checks.append(
-        CheckResult(
-            name="arbitration matched-filter-coefficient: factorial variant rejected",
-            passed=rep.inconsistent_somewhere("matched-filter-coefficient", "factorial"),
-            detail=f"max |z| = {rep.max_abs_z('matched-filter-coefficient', 'factorial'):.2f}",
-        )
-    )
+    for family, variant, claim in _ARBITRATION_CLAIMS:
+        z = rep.max_abs_z(family, variant)
+        checks.append(CheckResult(
+            name=f"arbitration {family}: {claim}",
+            passed=(z <= 3.0) == (variant == "corrected"),
+            detail=f"max |z| = {z:.2f}",
+        ))
     return checks, rep
 
 
@@ -290,62 +280,30 @@ def reduction_identity_checks() -> list[CheckResult]:
     out = []
     for snr_db in GRID_SNR_DB:
         for rho in GRID_RHO:
-            persistence = PersistenceSpec.from_rho(rho)
-            eps = db_to_linear(snr_db)
-            tag = f"snr={snr_db:g}dB rho={rho:g}"
-
-            single = SystemConfig(n_t=4, rate_bits=RATE, snr_linear=eps, persistence=persistence)
-            mu_tas_1 = SystemConfig(
-                n_t=4, rate_bits=RATE, snr_linear=eps, persistence=persistence, n_r=1, n_u=1
-            )
-            gap = abs(
-                analytic.outage_mutas_closed(mu_tas_1).value
-                - analytic.outage_tas_closed(single).value
-            )
-            out.append(
-                CheckResult(
-                    name=f"reduction mu-tas(n_u=1,n_r=1) = miso-tas {tag}",
-                    passed=gap < REDUCTION_TOL,
-                    detail=f"gap={gap:.2e}",
-                )
-            )
+            single = SystemConfig(n_t=4, rate_bits=RATE, snr_linear=db_to_linear(snr_db),
+                                  persistence=PersistenceSpec.from_rho(rho))
             ideal = replace(single, persistence=PersistenceSpec.from_rho(1.0))
-            gap = abs(
-                analytic.outage_mupbf_closed(mu_tas_1).value
-                - analytic.outage_pbf_closed(ideal).value
-            )
-            out.append(
-                CheckResult(
-                    name=f"reduction mu-pbf(n_u=1) = miso-pbf(rho=1) {tag}",
+            mu_pbf = replace(single, n_t=3, n_u=2)
+            for name, lhs, rhs in (
+                ("reduction mu-tas(n_u=1,n_r=1) = miso-tas",
+                 analytic.outage_mutas_closed(single).value,
+                 analytic.outage_tas_closed(single).value),
+                ("reduction mu-pbf(n_u=1) = miso-pbf(rho=1)",
+                 analytic.outage_mupbf_closed(single).value,
+                 analytic.outage_pbf_closed(ideal).value),
+                ("reduction mu-rvq(n_u=1) = E_nu[P(n_t, gamma0/(1-rho^2(1-nu)))]",
+                 analytic.outage_murvq_closed(single, CODEBOOK_SIZE).value,
+                 _dual_rvq_single_user(single, CODEBOOK_SIZE)),
+                ("duality swap mu-pbf(2,3) = mu-tas(n_t<->n_r)",
+                 analytic.outage_mupbf_closed(mu_pbf).value,
+                 analytic.outage_mutas_closed(_swap_config(mu_pbf)).value),
+            ):
+                gap = abs(lhs - rhs)
+                out.append(CheckResult(
+                    name=f"{name} snr={snr_db:g}dB rho={rho:g}",
                     passed=gap < REDUCTION_TOL,
                     detail=f"gap={gap:.2e}",
-                )
-            )
-            gap = abs(
-                analytic.outage_murvq_closed(mu_tas_1, CODEBOOK_SIZE).value
-                - _dual_rvq_single_user(mu_tas_1, CODEBOOK_SIZE)
-            )
-            out.append(
-                CheckResult(
-                    name=f"reduction mu-rvq(n_u=1) = E_nu[P(n_t, gamma0/(1-rho^2(1-nu)))] {tag}",
-                    passed=gap < REDUCTION_TOL,
-                    detail=f"gap={gap:.2e}",
-                )
-            )
-            mu_pbf = SystemConfig(
-                n_t=3, rate_bits=RATE, snr_linear=eps, persistence=persistence, n_r=1, n_u=2
-            )
-            gap = abs(
-                analytic.outage_mupbf_closed(mu_pbf).value
-                - analytic.outage_mutas_closed(_swap_config(mu_pbf)).value
-            )
-            out.append(
-                CheckResult(
-                    name=f"duality swap mu-pbf(2,3) = mu-tas(n_t<->n_r) {tag}",
-                    passed=gap < REDUCTION_TOL,
-                    detail=f"gap={gap:.2e}",
-                )
-            )
+                ))
     return out
 
 

@@ -355,6 +355,11 @@ class TestDiversityOrder:
         with pytest.raises(ValueError):
             diversity_order(SchemeId.MISO_TAS, cfg(), (40.0,))
 
+    def test_needs_two_distinct_points(self):
+        # a repeated point leaves the slope undefined
+        with pytest.raises(ValueError, match="distinct"):
+            diversity_order(SchemeId.MISO_PBF, cfg(rho=0.9), (40.0, 40.0))
+
     def test_underflow_raises_range_error(self):
         with pytest.raises(RangeError):
             diversity_order(SchemeId.MU_PBF, cfg(nu=2, rho=0.9), (900.0, 1000.0))

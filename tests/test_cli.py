@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from bfoutage import verification
 from bfoutage.channel import RngStream
 from bfoutage.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, db_to_linear, main
@@ -238,6 +240,17 @@ class TestDiversityCommand:
         assert code == EXIT_OK
         row = parse_csv(out)[0]
         assert 0.85 <= float(row["slope"]) <= 1.15
+
+    @pytest.mark.parametrize("args", [
+        ("--rho-values", "0.9", "--grid-db", "40,40"),
+        ("--rho-values", "0.9", "--grid-db", "40"),
+        ("--rho-values", ","),
+    ])
+    def test_degenerate_list_is_usage(self, capsys, args):
+        code, out, err = run_cli(capsys, "diversity", "--scheme", "miso-pbf", *args)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert args[-2] in err
 
 
 class TestExitCodes:

@@ -1,6 +1,9 @@
 """Link-level simulator against analytic oracles, plus determinism contracts."""
 
+import ast
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from scipy import special as sc
 from bfoutage.analytic import SchemeId, outage_rvq_closed, outage_tas_closed
 from bfoutage.channel import RngStream, _complex_normal, derive_params
 from bfoutage.codebook import Codebook, rvq_generate
-from bfoutage import montecarlo
+from bfoutage import analytic, channel, montecarlo
 from bfoutage.montecarlo import (
     McPoint,
     McResult,
@@ -208,6 +211,37 @@ class TestGoldenCounts:
     def test_multi_chunk_counts(self, label, workers):
         count = _golden_count(label, 0.9, GOLDEN_LARGE_TRIALS, workers)
         assert count == self.GOLDEN_LARGE[label]
+
+
+class TestArbiterIndependence:
+    """The simulator reads a scheme record's fixed fields, codebook use and
+    link model, never its gain law or closed form."""
+
+    def test_golden_counts_without_law_or_closed_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Monte Carlo arbiter evaluated an analytic law")
+
+        for scheme, record in list(analytic.SCHEMES.items()):
+            monkeypatch.setitem(analytic.SCHEMES, scheme, replace(record, law=refuse, closed=refuse))
+        k = GOLDEN_RHOS.index(0.9) * len(GOLDEN_SMALL_TRIALS) + GOLDEN_SMALL_TRIALS.index(2049)
+        for label, counts in TestGoldenCounts.GOLDEN_SMALL.items():
+            assert _golden_count(label, 0.9, 2049, 1) == counts[k]
+
+    def test_link_module_imports_no_evaluation_layer(self):
+        assert {r.link.__module__ for r in analytic.SCHEMES.values()} == {channel.__name__}
+        names = []
+        for node in ast.walk(ast.parse(inspect.getsource(channel))):
+            if isinstance(node, ast.ImportFrom):
+                names += [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names += [a.name for a in node.names]
+        imported = {part for name in names for part in name.split(".")}
+        assert not imported & {"analytic", "montecarlo", "verification", "cli"}
+
+    def test_chunk_kernel_names_no_scheme(self):
+        tree = ast.parse(inspect.getsource(montecarlo))
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name) and n.value.id == "SchemeId"]
 
 
 def _oracle_gain(scheme, h, e, book, rho):
