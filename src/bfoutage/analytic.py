@@ -87,36 +87,65 @@ class SchemeId(Enum):
 @dataclass(frozen=True)
 class SchemeRecord:
     """What a scheme is, for every evaluation path.  Monte Carlo reads fixed,
-    uses_codebook and link; only the analytic paths read law and closed."""
+    uses_codebook and link; quadrature reads law; the closed form reads
+    ideal, aged, variants and flag."""
 
     fixed: tuple[str, ...]  # config fields the scheme fixes at 1
     uses_codebook: bool  # needs a codebook cardinality >= 1; the others ignore it
     link: Callable  # the simulator's link model (see the channel module)
     law: Callable[[SystemConfig], GainDistribution]  # selected-gain law
-    closed: Callable[[SystemConfig, int | None, QuadratureSpec], OutageEstimate]
+    ideal: Callable  # (config, gamma0) -> outage at rho = 1
+    aged: Callable  # (config, mu, beta, variant) -> finite sum in the aging ratio mu
+    variants: tuple[str, ...] = ("corrected",)  # formula variants of aged, default first
+    flag: str = ""  # flag of an aged value; "{}" takes the variant
 
 
-# The closed-form entries call the evaluators by their module-level names, so
-# a wrapper installed on one of those names sees every call.
+PBF_VARIANTS = ("corrected", "factorial", "verbatim")
+TAS_VARIANTS = ("corrected", "verbatim")
+
+# The multiuser closed forms model delayed selection feedback: the user (and
+# antenna, for TAS) are picked on the stale estimate, while the effective
+# aged gain keeps the full receive- or transmit-side combining diversity.
+# With one user there is nothing to select, so mu-pbf reduces to ideal
+# matched-filter beamforming (miso-pbf at rho = 1) and mu-rvq to the
+# captured-fraction average of P(n_t, gamma0 / (1 - rho^2 (1 - nu))), which is
+# miso-rvq at rho = 1; neither is the stale matched-filter MISO form when
+# rho < 1.  Their aged values carry a flag saying which model they use.
+_DUAL_FLAG = "selection-delay-dual"
+
+# One closed-form body, outage_closed, reads ideal and aged.  The per-scheme
+# names (outage_pbf_closed, ...) are entry points into it; they stay for
+# their callers and for the benchmark tracer, which wraps them by name.
 SCHEMES = {
     SchemeId.MISO_PBF: SchemeRecord(
         ("n_r", "n_u"), False, channel.link_miso_pbf, lambda c: GainDistribution(1, c.n_t, 1),
-        lambda c, n, quad: outage_pbf_closed(c)),
+        ideal=lambda c, g: _sc.gammainc(c.n_t, g),
+        aged=lambda c, mu, beta, v: _matched_filter_sum(c.n_t, mu, beta, v),
+        variants=PBF_VARIANTS, flag="coefficient-{}"),
     SchemeId.MISO_RVQ: SchemeRecord(
         ("n_r", "n_u"), True, channel.link_miso_rvq, lambda c: GainDistribution(1, c.n_t, 1),
-        lambda c, n, quad: outage_rvq_closed(c, n, quad)),
+        ideal=lambda c, g: _sc.gammainc(c.n_t, g),
+        aged=lambda c, mu, beta, v: _matched_filter_sum(c.n_t, mu, beta, v),
+        flag="coefficient-{}"),
     SchemeId.MISO_TAS: SchemeRecord(
         ("n_r", "n_u"), False, channel.link_miso_tas, lambda c: GainDistribution(c.n_t, 1, 1),
-        lambda c, n, quad: outage_tas_closed(c)),
+        ideal=lambda c, g: (-math.expm1(-g)) ** c.n_t,
+        aged=lambda c, mu, beta, v: _antenna_selection_sum(c.n_t, mu, beta, v),
+        variants=TAS_VARIANTS, flag="exponent-{}"),
     SchemeId.MU_TAS: SchemeRecord(
         (), False, channel.link_mu_tas, lambda c: GainDistribution(c.n_u * c.n_t, c.n_r, c.n_r),
-        lambda c, n, quad: outage_mutas_closed(c)),
+        ideal=lambda c, g: float(_sc.gammainc(c.n_r, g)) ** (c.n_u * c.n_t),
+        aged=lambda c, mu, beta, v: _selection_diversity_sum(c.n_u * c.n_t, c.n_r, mu, beta)),
     SchemeId.MU_PBF: SchemeRecord(
         ("n_r",), False, channel.link_mu_pbf, lambda c: GainDistribution(c.n_u, c.n_t, c.n_t),
-        lambda c, n, quad: outage_mupbf_closed(c)),
+        ideal=lambda c, g: _sc.gammainc(c.n_t, g) ** c.n_u,
+        aged=lambda c, mu, beta, v: _selection_diversity_sum(c.n_u, c.n_t, mu, beta),
+        flag=_DUAL_FLAG),
     SchemeId.MU_RVQ: SchemeRecord(
         ("n_r",), True, channel.link_mu_rvq, lambda c: GainDistribution(c.n_u, c.n_t, c.n_t),
-        lambda c, n, quad: outage_murvq_closed(c, n, quad)),
+        ideal=lambda c, g: _sc.gammainc(c.n_t, g) ** c.n_u,
+        aged=lambda c, mu, beta, v: _selection_diversity_sum(c.n_u, c.n_t, mu, beta),
+        flag=_DUAL_FLAG),
 }
 
 
@@ -211,6 +240,18 @@ def _gl_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
+def _nu_grid(quad: QuadratureSpec, n: int, n_t: int):
+    """Gauss-Legendre nodes nu and weights w on [0, 1] and the
+    captured-fraction density f at the nodes, once the rule recovers the
+    density's unit mass to _MASS_TOL."""
+    nu, w = _gl_nodes(quad.nu_node_count, 0.0, 1.0)
+    f = nu_pdf(nu, n, n_t)
+    mass = float(w @ f)
+    if abs(mass - 1.0) > _MASS_TOL:
+        raise AccuracyError(f"quantization-factor density mass {mass!r} deviates from 1")
+    return nu, w, f
+
+
 # ---------------------------------------------------------------------------
 # quadrature engine
 # ---------------------------------------------------------------------------
@@ -232,13 +273,7 @@ def outage_semianalytic(
     params = derive_params(config)
 
     if mixed:
-        nu, w_nu = _gl_nodes(quad.nu_node_count, 0.0, 1.0)
-        f_nu = nu_pdf(nu, codebook_size, config.n_t)
-        nu_mass = float(w_nu @ f_nu)
-        if abs(nu_mass - 1.0) > _MASS_TOL:
-            raise AccuracyError(
-                f"quantization-factor density mass {nu_mass!r} deviates from 1"
-            )
+        nu, w_nu, f_nu = _nu_grid(quad, codebook_size, config.n_t)
 
     if params.no_delay:
         if not mixed:
@@ -274,9 +309,6 @@ def outage_semianalytic(
 # closed forms
 # ---------------------------------------------------------------------------
 
-PBF_VARIANTS = ("corrected", "factorial", "verbatim")
-TAS_VARIANTS = ("corrected", "verbatim")
-
 
 def _matched_filter_sum(n_t: int, mu, beta: float, variant: str):
     """Finite-sum outage of the stale matched-filter beamformer with a
@@ -286,8 +318,6 @@ def _matched_filter_sum(n_t: int, mu, beta: float, variant: str):
     "factorial" (mu^k / k!) and "verbatim" (mu^k / (k-1), evaluated under
     IEEE semantics) are retained as diagnostic variants.
     """
-    if variant not in PBF_VARIANTS:
-        raise ValueError(f"variant must be one of {PBF_VARIANTS}, got {variant!r}")
     mu = np.asarray(mu, dtype=float)
     arg = beta / (1.0 + mu)
     total = np.zeros_like(mu)
@@ -395,133 +425,18 @@ def _running_sum(terms: np.ndarray, axis: int):
     return np.add.accumulate(padded, axis=axis)[(slice(None),) * axis + (-1,)]
 
 
-def _nu_grid(quad: QuadratureSpec, n: int, n_t: int):
-    nu, w = _gl_nodes(quad.nu_node_count, 0.0, 1.0)
-    return nu, w * nu_pdf(nu, n, n_t)
-
-
-def _clip(value: float) -> float:
-    return min(max(float(value), 0.0), 1.0)
-
-
-def _variant_estimate(value: float, flag: str, variant: str) -> OutageEstimate:
-    """The corrected variant clipped to [0, 1]; diagnostic variants may fall
-    outside it and are reported unclipped."""
-    if variant == "corrected":
-        value = _clip(value)
-    return OutageEstimate(value=value, method="closed_form", flags=(f"{flag}-{variant}",))
-
-
-def outage_pbf_closed(config: SystemConfig, variant: str = "corrected") -> OutageEstimate:
-    """Closed-form outage of unquantized (matched filter) beamforming on the
-    stale channel estimate."""
-    validate_scheme(SchemeId.MISO_PBF, config)
-    params = derive_params(config)
-    if params.no_delay:
-        return OutageEstimate(
-            value=float(_sc.gammainc(config.n_t, params.gamma0)), method="closed_form"
-        )
-    value = float(_matched_filter_sum(config.n_t, params.mu, params.beta, variant))
-    return _variant_estimate(value, "coefficient", variant)
-
-
-def outage_rvq_closed(
-    config: SystemConfig,
-    n: int,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    variant: str = "corrected",
-) -> OutageEstimate:
-    """Closed-form outage of an RVQ codebook of cardinality n: the conditional
-    finite sum averaged over the captured-fraction density by quadrature."""
-    validate_scheme(SchemeId.MISO_RVQ, config, n)
-    if config.n_t == 1:
-        return outage_pbf_closed(config, variant)
-    params = derive_params(config)
-    nu, w_f = _nu_grid(quad, n, config.n_t)
-    if params.no_delay:
-        value = float(w_f @ _sc.gammainc(config.n_t, params.gamma0 / nu))
-        return OutageEstimate(value=_clip(value), method="closed_form")
-    vals = _matched_filter_sum(config.n_t, params.mu * nu, params.beta, variant)
-    return _variant_estimate(float(w_f @ vals), "coefficient", variant)
-
-
-def outage_tas_closed(config: SystemConfig, variant: str = "corrected") -> OutageEstimate:
-    """Closed-form outage of transmit antenna selection.
+def _antenna_selection_sum(n_t: int, mu: float, beta: float, variant: str) -> float:
+    """Finite-sum outage of transmit antenna selection with aging ratio mu.
 
     The "corrected" exponent uses the scaled threshold beta; "verbatim" keeps
     the doubled exponent 2*beta of the known-defective transcription.
     """
-    if variant not in TAS_VARIANTS:
-        raise ValueError(f"variant must be one of {TAS_VARIANTS}, got {variant!r}")
-    validate_scheme(SchemeId.MISO_TAS, config)
-    params = derive_params(config)
-    n_t = config.n_t
-    if params.no_delay:
-        return OutageEstimate(value=(-math.expm1(-params.gamma0)) ** n_t, method="closed_form")
-    x = params.beta if variant == "corrected" else 2.0 * params.beta
+    x = beta if variant == "corrected" else 2.0 * beta
     total = math.fsum(
-        math.comb(n_t - 1, k)
-        * (-1.0) ** k
-        / (k + 1)
-        * (-math.expm1(-(k + 1) * x / (k + 1 + params.mu)))
+        math.comb(n_t - 1, k) * (-1.0) ** k / (k + 1) * (-math.expm1(-(k + 1) * x / (k + 1 + mu)))
         for k in range(n_t)
     )
-    return _variant_estimate(n_t * total, "exponent", variant)
-
-
-# The multiuser evaluators model delayed selection feedback: the user (and
-# antenna, for TAS) are picked on the stale estimate, while the effective
-# aged gain keeps the full receive- or transmit-side combining diversity.
-# With one user there is nothing to select, so mu-pbf reduces to ideal
-# matched-filter beamforming (miso-pbf at rho = 1) and mu-rvq to the
-# captured-fraction average of P(n_t, gamma0 / (1 - rho^2 (1 - nu))), which is
-# miso-rvq at rho = 1; neither is the stale matched-filter MISO form when
-# rho < 1.  Results carry a flag saying which model they use.
-_DUAL_FLAG = "selection-delay-dual"
-
-
-def outage_mutas_closed(config: SystemConfig) -> OutageEstimate:
-    """Closed-form outage of multiuser transmit antenna selection with
-    maximal ratio combining over n_r receive antennas."""
-    validate_scheme(SchemeId.MU_TAS, config)
-    params = derive_params(config)
-    pool = config.n_u * config.n_t
-    if params.no_delay:
-        value = float(_sc.gammainc(config.n_r, params.gamma0)) ** pool
-        return OutageEstimate(value=value, method="closed_form")
-    value = float(_selection_diversity_sum(pool, config.n_r, params.mu, params.beta))
-    return OutageEstimate(value=_clip(value), method="closed_form")
-
-
-def outage_mupbf_closed(config: SystemConfig) -> OutageEstimate:
-    """Closed-form outage of multiuser max-norm user selection with full
-    transmit-side combining diversity (the selection/combining dual of the
-    multiuser TAS form with n_r and n_t exchanged and a pool of n_u)."""
-    validate_scheme(SchemeId.MU_PBF, config)
-    params = derive_params(config)
-    if params.no_delay:
-        value = float(_sc.gammainc(config.n_t, params.gamma0)) ** config.n_u
-        return OutageEstimate(value=value, method="closed_form")
-    value = float(_selection_diversity_sum(config.n_u, config.n_t, params.mu, params.beta))
-    return OutageEstimate(value=_clip(value), method="closed_form", flags=(_DUAL_FLAG,))
-
-
-def outage_murvq_closed(
-    config: SystemConfig, n: int, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> OutageEstimate:
-    """Closed-form outage of multiuser RVQ: the dual multiuser sum with the
-    aging ratio scaled by the captured fraction, averaged over its density."""
-    validate_scheme(SchemeId.MU_RVQ, config, n)
-    if config.n_t == 1:
-        return outage_mupbf_closed(config)
-    params = derive_params(config)
-    nu, w_f = _nu_grid(quad, n, config.n_t)
-    if params.no_delay:
-        value = float(w_f @ _sc.gammainc(config.n_t, params.gamma0 / nu) ** config.n_u)
-        return OutageEstimate(value=_clip(value), method="closed_form")
-    vals = _selection_diversity_sum(config.n_u, config.n_t, params.mu * nu, params.beta)
-    value = float(w_f @ vals)
-    return OutageEstimate(value=_clip(value), method="closed_form", flags=(_DUAL_FLAG,))
+    return n_t * total
 
 
 def outage_closed(
@@ -529,10 +444,72 @@ def outage_closed(
     config: SystemConfig,
     codebook_size: int | None = None,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
+    variant: str = "corrected",
 ) -> OutageEstimate:
-    """Closed form of any scheme; codebook_size is ignored by the schemes
-    without a codebook."""
-    return validate_scheme(scheme, config, codebook_size).closed(config, codebook_size, quad)
+    """Closed form of any scheme: its ideal-CSI formula at rho = 1, otherwise
+    its finite sum in the aging ratio mu.  An RVQ scheme averages either one
+    over the captured fraction nu, at gamma0 / nu or mu nu (nu is identically
+    1 with one transmit antenna).  codebook_size is ignored by the schemes
+    without a codebook.  The corrected variant is clipped to [0, 1];
+    diagnostic variants may fall outside it and are reported unclipped."""
+    record = validate_scheme(scheme, config, codebook_size)
+    if variant not in record.variants:
+        raise ValueError(f"variant must be one of {record.variants}, got {variant!r}")
+    params = derive_params(config)
+    mixed = record.uses_codebook and config.n_t > 1
+    nu = 1.0  # dividing or scaling by it is exact
+    if mixed:
+        nu, w, f = _nu_grid(quad, codebook_size, config.n_t)
+    if params.no_delay:
+        flags, value = (), record.ideal(config, params.gamma0 / nu)
+    else:
+        flags = (record.flag.format(variant),) if record.flag else ()
+        value = record.aged(config, params.mu * nu, params.beta, variant)
+    if mixed:
+        value = (w * f) @ value
+    value = float(value)
+    if variant == "corrected":
+        value = min(max(value, 0.0), 1.0)
+    return OutageEstimate(value=value, method="closed_form", flags=flags)
+
+
+def outage_pbf_closed(config: SystemConfig, variant: str = "corrected") -> OutageEstimate:
+    """Closed-form outage of unquantized (matched filter) beamforming on the
+    stale channel estimate."""
+    return outage_closed(SchemeId.MISO_PBF, config, variant=variant)
+
+
+def outage_rvq_closed(
+    config: SystemConfig, n: int, quad: QuadratureSpec = DEFAULT_QUADRATURE
+) -> OutageEstimate:
+    """Closed-form outage of an RVQ codebook of cardinality n."""
+    return outage_closed(SchemeId.MISO_RVQ, config, n, quad)
+
+
+def outage_tas_closed(config: SystemConfig, variant: str = "corrected") -> OutageEstimate:
+    """Closed-form outage of transmit antenna selection."""
+    return outage_closed(SchemeId.MISO_TAS, config, variant=variant)
+
+
+def outage_mutas_closed(config: SystemConfig) -> OutageEstimate:
+    """Closed-form outage of multiuser transmit antenna selection with
+    maximal ratio combining over n_r receive antennas."""
+    return outage_closed(SchemeId.MU_TAS, config)
+
+
+def outage_mupbf_closed(config: SystemConfig) -> OutageEstimate:
+    """Closed-form outage of multiuser max-norm user selection with full
+    transmit-side combining diversity (the selection/combining dual of the
+    multiuser TAS form with n_r and n_t exchanged and a pool of n_u)."""
+    return outage_closed(SchemeId.MU_PBF, config)
+
+
+def outage_murvq_closed(
+    config: SystemConfig, n: int, quad: QuadratureSpec = DEFAULT_QUADRATURE
+) -> OutageEstimate:
+    """Closed-form outage of multiuser RVQ: the dual multiuser sum with the
+    aging ratio scaled by the captured fraction, averaged over its density."""
+    return outage_closed(SchemeId.MU_RVQ, config, n, quad)
 
 
 # ---------------------------------------------------------------------------

@@ -151,18 +151,17 @@ def arbitration_report(
     and antenna-selection expressions against Monte Carlo on the delayed part
     of the standard grid (rho < 1; at rho = 1 no variant differs)."""
     rows, points = [], []
-    for family, scheme, variants, evaluator in (
-        ("matched-filter-coefficient", SchemeId.MISO_PBF, analytic.PBF_VARIANTS,
-         lambda cfg, v: analytic.outage_pbf_closed(cfg, variant=v).value),
-        ("antenna-selection-exponent", SchemeId.MISO_TAS, analytic.TAS_VARIANTS,
-         lambda cfg, v: analytic.outage_tas_closed(cfg, variant=v).value),
-    ):
+    for family, scheme in (("matched-filter-coefficient", SchemeId.MISO_PBF),
+                           ("antenna-selection-exponent", SchemeId.MISO_TAS)):
         for snr_db in GRID_SNR_DB:
             for rho in (r for r in GRID_RHO if r < 1.0):
                 config = _cfg(scheme, snr_db, rho)
                 plan = TrialPlan(trials=trials, seed=seed + len(points), workers=workers)
                 points.append(McPoint(scheme, config, None, plan))
-                rows.append([(family, v, snr_db, rho, evaluator(config, v)) for v in variants])
+                rows.append([
+                    (family, v, snr_db, rho, analytic.outage_closed(scheme, config, variant=v).value)
+                    for v in analytic.SCHEMES[scheme].variants
+                ])
     report = ArbitrationReport()
     for row, mc in zip(rows, montecarlo.simulate_outages(points, workers)):
         for family, variant, snr_db, rho, value in row:

@@ -306,6 +306,17 @@ class TestClosedFormLimits:
         assert all(g > 0 for g in gaps)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
+    def test_rvq_average_guards_density_mass(self):
+        # at n_t = 2 the 128 captured-fraction nodes recover 0.881 of the
+        # density's mass for 16384 vectors: unguarded, the closed form read
+        # 0.1626, 12% below the 0.1845 that 1024 nodes give; the quadrature
+        # raises at the same point
+        config = cfg(nt=2, rho=0.9)
+        with pytest.raises(AccuracyError, match="density mass 0.88"):
+            outage_rvq_closed(config, 16384)
+        with pytest.raises(AccuracyError, match="density mass 0.88"):
+            outage_semianalytic(SchemeId.MISO_RVQ, config, codebook_size=16384)
+
     def test_verbatim_variants_flagged_and_broken(self):
         config = cfg(rho=0.9)
         verbatim = outage_pbf_closed(config, variant="verbatim")

@@ -294,6 +294,16 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "underflowed" in err
 
+    def test_rvq_density_mass_is_numeric(self, capsys):
+        # 128 captured-fraction nodes miss 12% of the density's mass here
+        code, _, err = run_cli(
+            capsys, "analytic", "--scheme", "miso-rvq", "--nt", "2",
+            "--codebook-size", "16384", "--rho", "0.9", "--eval", "closed",
+        )
+        assert code == EXIT_NUMERIC
+        assert "numeric error" in err
+        assert "density mass" in err
+
     def test_capability_limit_is_numeric(self, capsys):
         # 32 users need expansion degree 66, beyond the supported 64
         code, _, err = run_cli(

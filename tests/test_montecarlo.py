@@ -222,7 +222,8 @@ class TestArbiterIndependence:
             raise AssertionError("the Monte Carlo arbiter evaluated an analytic law")
 
         for scheme, record in list(analytic.SCHEMES.items()):
-            monkeypatch.setitem(analytic.SCHEMES, scheme, replace(record, law=refuse, closed=refuse))
+            monkeypatch.setitem(
+                analytic.SCHEMES, scheme, replace(record, law=refuse, ideal=refuse, aged=refuse))
         k = GOLDEN_RHOS.index(0.9) * len(GOLDEN_SMALL_TRIALS) + GOLDEN_SMALL_TRIALS.index(2049)
         for label, counts in TestGoldenCounts.GOLDEN_SMALL.items():
             assert _golden_count(label, 0.9, 2049, 1) == counts[k]

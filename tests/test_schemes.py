@@ -5,7 +5,16 @@ from dataclasses import replace
 
 import pytest
 
-from bfoutage.analytic import SchemeId, outage_closed, outage_semianalytic
+from bfoutage import analytic
+from bfoutage.analytic import (
+    PBF_VARIANTS,
+    TAS_VARIANTS,
+    SchemeId,
+    outage_closed,
+    outage_pbf_closed,
+    outage_semianalytic,
+    outage_tas_closed,
+)
 from bfoutage.channel import RngStream
 from bfoutage.codebook import rvq_generate
 from bfoutage.montecarlo import TrialPlan, simulate_outage
@@ -133,3 +142,91 @@ def test_pinned_values(case):
     scheme, config = SchemeId(name), cfg(nt=n_t, nr=n_r, nu=n_u, snr_db=snr_db, rho=rho)
     assert outage_closed(scheme, config, size).value == closed
     assert outage_semianalytic(scheme, config, codebook_size=size).value == quad
+
+
+#: (scheme, (n_t, n_r, n_u), snr_db, rho, codebook size, variant, closed form
+#: as float.hex, flags) at rate 2, recorded on commit 2a44973, before the
+#: closed forms became one body over the scheme table: the RVQ schemes at
+#: n_t = 1 and rho = 1, which the matched-filter evaluators answered, and the
+#: diagnostic variants, which are reported unclipped.
+PINNED_ROUTES = (
+    ('miso-rvq', (1, 1, 1), 10.0, 1.0, 8, 'corrected', '0x1.0966f2c7907f5p-2', ()),
+    ('mu-rvq', (1, 1, 2), 10.0, 1.0, 8, 'corrected', '0x1.13264c07866cap-4', ()),
+    ('miso-pbf', (4, 1, 1), 10.0, 0.9, None, 'factorial', '0x1.ead0ce5296c3fp-5',
+     ('coefficient-factorial',)),
+    ('miso-pbf', (4, 1, 1), 10.0, 0.9, None, 'verbatim', 'inf', ('coefficient-verbatim',)),
+    ('miso-pbf', (1, 1, 1), 10.0, 0.9, None, 'verbatim', '-0x1.0966f2c7907f6p-2',
+     ('coefficient-verbatim',)),
+    ('miso-tas', (4, 1, 1), 10.0, 0.9, None, 'verbatim', '0x1.72a4d9019f9b2p-1',
+     ('exponent-verbatim',)),
+)
+#: the entry point of each scheme that has diagnostic variants
+VARIANT_ENTRY = {'miso-pbf': outage_pbf_closed, 'miso-tas': outage_tas_closed}
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_ROUTES, ids=lambda c: f"{c[0]}-nt{c[1][0]}-rho{c[3]:g}-{c[5]}",
+)
+def test_pinned_routes(case):
+    name, (n_t, n_r, n_u), snr_db, rho, size, variant, value, flags = case
+    scheme, config = SchemeId(name), cfg(nt=n_t, nr=n_r, nu=n_u, snr_db=snr_db, rho=rho)
+    if variant == "corrected":
+        est = outage_closed(scheme, config, size)
+    else:
+        est = VARIANT_ENTRY[name](config, variant=variant)
+    assert (est.value.hex(), est.flags) == (value, flags)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an evaluation path read another path's field")
+
+
+class TestPathIndependence:
+    """Beyond validation, the closed form reads a record's ideal, aged,
+    variants and flag, and the quadrature its law: each returns its pinned
+    values with the other's fields refused."""
+
+    def _refuse_fields(self, monkeypatch, *fields):
+        for scheme, record in list(analytic.SCHEMES.items()):
+            monkeypatch.setitem(
+                analytic.SCHEMES, scheme, replace(record, **dict.fromkeys(fields, _refuse)))
+
+    def test_closed_form_reads_no_law(self, monkeypatch):
+        self._refuse_fields(monkeypatch, "law")
+        for name, (n_t, n_r, n_u), snr_db, rho, size, closed, _ in (
+            PINNED + PINNED_WINDOWS + PINNED_SUMS
+        ):
+            config = cfg(nt=n_t, nr=n_r, nu=n_u, snr_db=snr_db, rho=rho)
+            assert outage_closed(SchemeId(name), config, size).value == closed
+
+    def test_quadrature_reads_no_closed_form(self, monkeypatch):
+        self._refuse_fields(monkeypatch, "ideal", "aged")
+        for name, (n_t, n_r, n_u), snr_db, rho, size, _, quad in PINNED:
+            config = cfg(nt=n_t, nr=n_r, nu=n_u, snr_db=snr_db, rho=rho)
+            assert outage_semianalytic(SchemeId(name), config, codebook_size=size).value == quad
+
+
+class TestVariants:
+    """A scheme accepts the formula variants its record lists, through
+    outage_closed and through its entry point alike."""
+
+    def test_scheme_without_variants_refuses_one(self):
+        with pytest.raises(ValueError, match="variant must be one of"):
+            outage_closed(SchemeId.MU_TAS, cfg(nr=2, nu=2), variant="verbatim")
+
+    @pytest.mark.parametrize("rho", [0.9, 1.0])
+    def test_unknown_variant_refused(self, rho):
+        with pytest.raises(ValueError, match=r"variant must be one of \('corrected', "):
+            outage_pbf_closed(cfg(rho=rho), variant="typo")
+
+    @pytest.mark.parametrize("scheme, entry, variants", [
+        (SchemeId.MISO_PBF, outage_pbf_closed, PBF_VARIANTS),
+        (SchemeId.MISO_TAS, outage_tas_closed, TAS_VARIANTS),
+    ], ids=["miso-pbf", "miso-tas"])
+    @pytest.mark.parametrize("n_t", [1, 4])
+    def test_entry_point_is_outage_closed(self, scheme, entry, variants, n_t):
+        config = cfg(nt=n_t)
+        for variant in variants:
+            est = outage_closed(scheme, config, variant=variant)
+            ref = entry(config, variant=variant)
+            assert (est.value.hex(), est.flags) == (ref.value.hex(), ref.flags)
