@@ -9,6 +9,14 @@ is bitwise identical.  The grid covers every scheme at n_t = 1 and at
 rho = 0, 0.9, 0.99 and 1, multiuser shapes up to the largest degree of the
 selection sum and past its limit, and the RVQ points whose kernel windows
 are widest.  It takes no options and runs in a few seconds.
+
+tests/value_fingerprint.csv holds the recorded output, and the test suite
+requires the script's output to equal it byte for byte.  A change that moves
+a value on purpose re-records it:
+
+    PYTHONPATH=src python3 scripts/value_fingerprint.py > tests/value_fingerprint.csv
+
+and lists the rows that changed, with the reason, in CHANGES.md.
 """
 
 import csv

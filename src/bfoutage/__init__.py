@@ -6,7 +6,6 @@ from .analytic import (
     CodebookSizeResult,
     GainDistribution,
     OutageEstimate,
-    QuadratureSpec,
     SchemeId,
     diversity_order,
     min_codebook_size,
@@ -30,7 +29,6 @@ from .channel import (
 from .codebook import Codebook, nu_pdf, rvq_generate
 from .montecarlo import McPoint, McResult, TrialPlan, simulate_outage, simulate_outages, sweep
 from .specfun import (
-    SeriesTolerance,
     bessel_j0,
     expansion_coeffs,
     lemma1_identity,

@@ -29,14 +29,13 @@ from scipy import special as _sc
 from . import channel
 from .channel import SystemConfig, db_to_linear, derive_params
 from .codebook import nu_pdf
-from .specfun import _noncentral_chi2_cdf_grid, expansion_coeffs
+from .specfun import CapabilityError, _noncentral_chi2_cdf_grid, expansion_coeffs
 
 __all__ = [
     "AccuracyError",
     "CodebookSizeResult",
     "GainDistribution",
     "OutageEstimate",
-    "QuadratureSpec",
     "RangeError",
     "SCHEMES",
     "SchemeId",
@@ -60,6 +59,13 @@ __all__ = [
 _TAIL_TARGET = 1e-12  # gain-axis truncation leaves less mass than this
 _TAIL_LIMIT = 1e-10  # hard accuracy bound on the truncated tail
 _MASS_TOL = 1e-8  # quadrature must recover the density mass this well
+# Gauss-Legendre nodes on the gain axis and on the captured-fraction axis.
+# Each is read when an evaluation runs, so tests may monkeypatch it.
+_GAIN_NODES = 256
+_NU_NODES = 128
+# Largest pool of the selection sum: C(pool - 1, k) overflows a float for
+# some k from pool 1031 on.
+_MAX_SELECTION_POOL = 1030
 
 
 class AccuracyError(ArithmeticError):
@@ -168,26 +174,6 @@ def validate_scheme(
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts and optional gain-axis truncation for the engine."""
-
-    node_count: int = 256
-    upper_cut: float | None = None
-    nu_node_count: int = 128
-
-    def __post_init__(self) -> None:
-        if self.node_count < 16:
-            raise ValueError("node_count must be >= 16")
-        if self.nu_node_count < 16:
-            raise ValueError("nu_node_count must be >= 16")
-        if self.upper_cut is not None and not self.upper_cut > 0:
-            raise ValueError("upper_cut must be positive when given")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-@dataclass(frozen=True)
 class OutageEstimate:
     value: float
     method: str  # "closed_form" | "quadrature" | "monte_carlo"
@@ -214,9 +200,16 @@ class GainDistribution:
     def cdf(self, x):
         return _sc.gammainc(self.shape, np.asarray(x, dtype=float)) ** self.pool_size
 
-    def upper_cut(self, tail: float = _TAIL_TARGET) -> float:
-        target = (1.0 - tail) ** (1.0 / self.pool_size)
-        return float(_sc.gammaincinv(self.shape, target))
+    def upper_cut(self) -> float:
+        """The gain below which all but _TAIL_TARGET of the mass lies.  For
+        a large pool the per-candidate level rounds to 1 and the cut would
+        be infinite, which raises CapabilityError."""
+        target = (1.0 - _TAIL_TARGET) ** (1.0 / self.pool_size)
+        cut = float(_sc.gammaincinv(self.shape, target))
+        if not math.isfinite(cut):
+            raise CapabilityError(
+                f"gain pool {self.pool_size} is too large for the quadrature's gain axis")
+        return cut
 
 
 def gain_distribution(
@@ -240,11 +233,11 @@ def _gl_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
-def _nu_grid(quad: QuadratureSpec, n: int, n_t: int):
+def _nu_grid(n: int, n_t: int):
     """Gauss-Legendre nodes nu and weights w on [0, 1] and the
     captured-fraction density f at the nodes, once the rule recovers the
     density's unit mass to _MASS_TOL."""
-    nu, w = _gl_nodes(quad.nu_node_count, 0.0, 1.0)
+    nu, w = _gl_nodes(_NU_NODES, 0.0, 1.0)
     f = nu_pdf(nu, n, n_t)
     mass = float(w @ f)
     if abs(mass - 1.0) > _MASS_TOL:
@@ -258,10 +251,7 @@ def _nu_grid(quad: QuadratureSpec, n: int, n_t: int):
 
 
 def outage_semianalytic(
-    scheme: SchemeId,
-    config: SystemConfig,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    codebook_size: int | None = None,
+    scheme: SchemeId, config: SystemConfig, codebook_size: int | None = None
 ) -> OutageEstimate:
     """Outage by numeric integration of the conditional outage against the
     selected-gain density (with an outer quantization-factor integral for the
@@ -273,7 +263,7 @@ def outage_semianalytic(
     params = derive_params(config)
 
     if mixed:
-        nu, w_nu, f_nu = _nu_grid(quad, codebook_size, config.n_t)
+        nu, w_nu, f_nu = _nu_grid(codebook_size, config.n_t)
 
     if params.no_delay:
         if not mixed:
@@ -282,11 +272,11 @@ def outage_semianalytic(
             value = float(w_nu @ (f_nu * dist.cdf(params.gamma0 / nu)))
         return OutageEstimate(value=min(max(value, 0.0), 1.0), method="quadrature")
 
-    cut = quad.upper_cut if quad.upper_cut is not None else dist.upper_cut()
+    cut = dist.upper_cut()
     tail = 1.0 - float(dist.cdf(cut))
     if tail > _TAIL_LIMIT:
         raise AccuracyError(f"truncated gain tail mass {tail:g} exceeds {_TAIL_LIMIT:g}")
-    x, w = _gl_nodes(quad.node_count, 0.0, cut)
+    x, w = _gl_nodes(_GAIN_NODES, 0.0, cut)
     pdf = dist.pdf(x)
     mass = float(w @ pdf)
     if abs(mass - (1.0 - tail)) > _MASS_TOL:
@@ -347,10 +337,14 @@ def _selection_tables(d: int, pool: int):
     - binom[m, n]: C(d + m - 1, d + n - 1) (0 above n = m);
     - signed[k]: C(pool - 1, k) (-1)^k.
 
-    expansion_coeffs raises CapabilityError at the first k past its degree
-    limit, before any table is filled.  The arrays are read-only, since
-    every call shares them.
+    A pool past _MAX_SELECTION_POOL raises CapabilityError before any
+    table is built, and expansion_coeffs raises it at the first k past its
+    degree limit, before any table is filled.  The arrays are read-only,
+    since every call shares them.
     """
+    if pool > _MAX_SELECTION_POOL:
+        raise CapabilityError(
+            f"selection pool {pool} exceeds the supported maximum {_MAX_SELECTION_POOL}")
     coeffs = [expansion_coeffs(d, k) for k in range(pool)]
     size = len(coeffs[-1])
     first = tuple(-(-m // max(d - 1, 1)) for m in range(size))
@@ -443,7 +437,6 @@ def outage_closed(
     scheme: SchemeId,
     config: SystemConfig,
     codebook_size: int | None = None,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
     variant: str = "corrected",
 ) -> OutageEstimate:
     """Closed form of any scheme: its ideal-CSI formula at rho = 1, otherwise
@@ -459,7 +452,7 @@ def outage_closed(
     mixed = record.uses_codebook and config.n_t > 1
     nu = 1.0  # dividing or scaling by it is exact
     if mixed:
-        nu, w, f = _nu_grid(quad, codebook_size, config.n_t)
+        nu, w, f = _nu_grid(codebook_size, config.n_t)
     if params.no_delay:
         flags, value = (), record.ideal(config, params.gamma0 / nu)
     else:
@@ -473,22 +466,20 @@ def outage_closed(
     return OutageEstimate(value=value, method="closed_form", flags=flags)
 
 
-def outage_pbf_closed(config: SystemConfig, variant: str = "corrected") -> OutageEstimate:
+def outage_pbf_closed(config: SystemConfig) -> OutageEstimate:
     """Closed-form outage of unquantized (matched filter) beamforming on the
     stale channel estimate."""
-    return outage_closed(SchemeId.MISO_PBF, config, variant=variant)
+    return outage_closed(SchemeId.MISO_PBF, config)
 
 
-def outage_rvq_closed(
-    config: SystemConfig, n: int, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> OutageEstimate:
+def outage_rvq_closed(config: SystemConfig, n: int) -> OutageEstimate:
     """Closed-form outage of an RVQ codebook of cardinality n."""
-    return outage_closed(SchemeId.MISO_RVQ, config, n, quad)
+    return outage_closed(SchemeId.MISO_RVQ, config, n)
 
 
-def outage_tas_closed(config: SystemConfig, variant: str = "corrected") -> OutageEstimate:
+def outage_tas_closed(config: SystemConfig) -> OutageEstimate:
     """Closed-form outage of transmit antenna selection."""
-    return outage_closed(SchemeId.MISO_TAS, config, variant=variant)
+    return outage_closed(SchemeId.MISO_TAS, config)
 
 
 def outage_mutas_closed(config: SystemConfig) -> OutageEstimate:
@@ -504,12 +495,10 @@ def outage_mupbf_closed(config: SystemConfig) -> OutageEstimate:
     return outage_closed(SchemeId.MU_PBF, config)
 
 
-def outage_murvq_closed(
-    config: SystemConfig, n: int, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> OutageEstimate:
+def outage_murvq_closed(config: SystemConfig, n: int) -> OutageEstimate:
     """Closed-form outage of multiuser RVQ: the dual multiuser sum with the
     aging ratio scaled by the captured fraction, averaged over its density."""
-    return outage_closed(SchemeId.MU_RVQ, config, n, quad)
+    return outage_closed(SchemeId.MU_RVQ, config, n)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +511,6 @@ def diversity_order(
     config: SystemConfig,
     snr_grid_db: tuple[float, ...] = (40.0, 50.0),
     codebook_size: int | None = None,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Least-squares slope of -log10(P_out) against log10(SNR) over a high-SNR
     grid, using the quadrature engine."""
@@ -531,7 +519,7 @@ def diversity_order(
     log_eps, log_p = [], []
     for db in snr_grid_db:
         eps = db_to_linear(db)
-        est = outage_semianalytic(scheme, replace(config, snr_linear=eps), quad, codebook_size)
+        est = outage_semianalytic(scheme, replace(config, snr_linear=eps), codebook_size)
         if est.value <= 0.0:
             raise RangeError(f"outage underflowed to zero at {db} dB; shrink the grid")
         log_eps.append(math.log10(eps))
@@ -549,16 +537,17 @@ class CodebookSizeResult:
 
 
 def min_codebook_size(
-    target: float,
-    config: SystemConfig,
-    n_max: int = 4096,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
+    target: float, config: SystemConfig, n_max: int = 4096
 ) -> CodebookSizeResult:
     """Smallest RVQ cardinality whose closed-form outage meets the target.
 
     The matched-filter value is the infimum over cardinalities, so a target
     below it is unattainable.  Search is doubling followed by bisection; the
-    outage is monotone nonincreasing in the cardinality.
+    outage is monotone nonincreasing in the cardinality.  A doubling probe
+    whose outage raises AccuracyError (the captured-fraction nodes no longer
+    resolve its density) ends the doubling unverified: the bisection below
+    it decides, and the error is raised again only if the answer would be
+    that probe itself.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target!r}")
@@ -569,21 +558,26 @@ def min_codebook_size(
         return CodebookSizeResult(size=None, attainable=False, pbf_floor=floor, target=target)
 
     def outage(n: int) -> float:
-        return outage_rvq_closed(config, n, quad).value
+        return outage_rvq_closed(config, n).value
 
     if outage(1) <= target:
         return CodebookSizeResult(size=1, attainable=True, pbf_floor=floor, target=target)
-    hi, met = 1, False
+    hi, met, unverified = 1, False, None
     while hi < n_max and not met:
         hi = min(2 * hi, n_max)
-        met = outage(hi) <= target
+        try:
+            met = outage(hi) <= target
+        except AccuracyError as exc:
+            met, unverified = True, exc
     if not met:
         return CodebookSizeResult(size=None, attainable=False, pbf_floor=floor, target=target)
-    lo = hi // 2  # fails the target; hi meets it
+    lo = hi // 2  # fails the target; hi meets it, or is unverified
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if outage(mid) <= target:
-            hi = mid
+            hi, unverified = mid, None
         else:
             lo = mid
+    if unverified is not None:
+        raise unverified
     return CodebookSizeResult(size=hi, attainable=True, pbf_floor=floor, target=target)

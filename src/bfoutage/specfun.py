@@ -7,7 +7,6 @@ number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,8 +16,6 @@ from scipy import special as _sc
 __all__ = [
     "CapabilityError",
     "ConvergenceError",
-    "DEFAULT_TOLERANCE",
-    "SeriesTolerance",
     "bessel_j0",
     "expansion_coeffs",
     "lemma1_identity",
@@ -42,23 +39,6 @@ class CapabilityError(ValueError):
     """The request is valid mathematics but outside the supported range."""
 
 
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Truncation control for the Poisson-mixture series."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_TOLERANCE = SeriesTolerance()
-
-
 def bessel_j0(x: float) -> float:
     """J0(x), the zero-order Bessel function of the first kind."""
     x = float(x)
@@ -67,12 +47,7 @@ def bessel_j0(x: float) -> float:
     return float(_sc.j0(x))
 
 
-def noncentral_chi2_cdf(
-    half_dof: int,
-    half_noncentrality: float,
-    half_argument: float,
-    tol: SeriesTolerance = DEFAULT_TOLERANCE,
-) -> float:
+def noncentral_chi2_cdf(half_dof: int, half_noncentrality: float, half_argument: float) -> float:
     """CDF of a noncentral chi-square with 2*half_dof degrees of freedom and
     noncentrality 2*half_noncentrality, evaluated at 2*half_argument.
 
@@ -80,15 +55,21 @@ def noncentral_chi2_cdf(
     series and its truncation.
     """
     return float(
-        _noncentral_chi2_cdf_grid(half_dof, float(half_noncentrality), float(half_argument), tol)
+        _noncentral_chi2_cdf_grid(half_dof, float(half_noncentrality), float(half_argument))
     )
 
 
+#: Truncation of the Poisson-mixture series: each window widens until its
+#: unsummed wings are at most _REL_TOL times its sum, and holds at most
+#: _MAX_TERMS terms.  The kernel reads both when it runs, so tests may
+#: monkeypatch them to reach the window cap and ConvergenceError.
+_REL_TOL = 1e-12
+_MAX_TERMS = 10_000
 #: Entries of one (elements x k) block of series terms: bounds the kernel's
 #: scratch memory (a few hundred kB) whatever the grid size.
 _BLOCK_ENTRIES = 1 << 14
 #: Elements are summed in bands of this width in delta, so the g_k table of a
-#: band spans at most _DELTA_BAND + 3 * max_terms values of k.
+#: band spans at most _DELTA_BAND + 3 * _MAX_TERMS values of k.
 _DELTA_BAND = 1 << 16
 #: First window around the peak of each element's terms: this many times
 #: sqrt(peak) on either side, plus _WINDOW_PAD terms for small peaks.
@@ -97,10 +78,7 @@ _WINDOW_PAD = 16
 
 
 def _noncentral_chi2_cdf_grid(
-    half_dof: int,
-    half_noncentralities: np.ndarray | float,
-    half_argument: float,
-    tol: SeriesTolerance = DEFAULT_TOLERANCE,
+    half_dof: int, half_noncentralities: np.ndarray | float, half_argument: float
 ) -> np.ndarray:
     """:func:`noncentral_chi2_cdf` over an array of half noncentralities delta
     at a shared half argument beta: the Poisson mixture
@@ -134,10 +112,10 @@ def _noncentral_chi2_cdf_grid(
     could not change whether the window stops.
 
     A window widens, its lower edge straight toward k = 0, until the bounds
-    are at most tol.rel_tol times its sum.  With no absolute stopping rule,
+    are at most _REL_TOL times its sum.  With no absolute stopping rule,
     deep-tail values keep their relative accuracy, and an element's value
     depends on its own arguments only.  Raises ConvergenceError, carrying
-    the partial sums, when a window would need more than tol.max_terms
+    the partial sums, when a window would need more than _MAX_TERMS
     terms.
     """
     if int(half_dof) != half_dof or half_dof < 1:
@@ -155,19 +133,19 @@ def _noncentral_chi2_cdf_grid(
     band = np.floor(delta / _DELTA_BAND)
     for b in np.unique(band):
         rows = band == b
-        sums[rows], converged = _poisson_mixture(d, delta[rows], beta, tol)
+        sums[rows], converged = _poisson_mixture(d, delta[rows], beta)
         if not converged:
             raise ConvergenceError(
-                f"noncentral chi-square series did not converge within {tol.max_terms} "
+                f"noncentral chi-square series did not converge within {_MAX_TERMS} "
                 f"terms (d={d}, max delta={float(delta[rows].max()):g}, beta={beta:g})",
                 np.clip(sums, 0.0, 1.0).reshape(deltas.shape),
             )
     return np.clip(sums, 0.0, 1.0).reshape(deltas.shape)
 
 
-def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesTolerance):
+def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
     """Partial sums of the mixture series for each element, and whether
-    every element met its bound within tol.max_terms terms."""
+    every element met its bound within _MAX_TERMS terms."""
     log_delta = np.log(delta, out=np.zeros_like(delta), where=delta > 0)
     g0 = float(_sc.gammainc(d, beta))
     # The wing bounds hold wherever a window sits; capping the peak keeps
@@ -175,7 +153,7 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
     peak = np.minimum(delta, np.sqrt(delta) * math.sqrt(beta))
     centre = np.floor(np.minimum(peak, 2.0**52)).astype(np.int64)
     half = np.ceil(_WINDOW_SIGMAS * np.sqrt(peak)) + _WINDOW_PAD
-    half = np.minimum(half, (tol.max_terms - 1) // 2).astype(np.int64)
+    half = np.minimum(half, (_MAX_TERMS - 1) // 2).astype(np.int64)
     lo = np.maximum(centre - half, 0)
     # delta = 0 is the central CDF: the k = 0 term alone, exp(0) * g_0.
     hi = np.where(delta > 0, centre + half, 0)
@@ -186,15 +164,15 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float, tol: SeriesToleranc
         tables = _series_tables(d, beta, k)
         partial[todo] = _window_sums(lo[todo], hi[todo], delta[todo], log_delta[todo], k[0], tables)
         lower = np.where(lo > 0, _sc.pdtr(lo - 1, delta) * g0, 0.0)
-        budget = tol.rel_tol * partial
+        budget = _REL_TOL * partial
         upper = _upper_wing_bound(d, delta, beta, hi, tables[1][hi + 1 - k[0]], lower, budget)
         todo = upper + lower > budget
         if not todo.any():
             return partial, True
         grow_lo = todo & (lower > 0.5 * budget)
-        new_lo = np.where(grow_lo, np.maximum(hi - tol.max_terms + 1, 0), lo)
+        new_lo = np.where(grow_lo, np.maximum(hi - _MAX_TERMS + 1, 0), lo)
         new_hi = np.where(todo & (upper > 0.5 * budget), 2 * hi - lo + 1, hi)
-        new_hi = np.minimum(new_hi, new_lo + tol.max_terms - 1)
+        new_hi = np.minimum(new_hi, new_lo + _MAX_TERMS - 1)
         if np.any(todo & (new_lo == lo) & (new_hi == hi)):
             return partial, False
         lo, hi = new_lo, new_hi

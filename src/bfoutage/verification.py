@@ -9,7 +9,7 @@ pass/fail result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as _sc
@@ -53,7 +53,7 @@ SCHEME_MATRIX = {
 CLOSED_VS_QUAD_TOL = 1e-6
 REDUCTION_TOL = 1e-9
 #: Gauss-Legendre nodes of the single-user dual RVQ reference; deliberately
-#: not the closed form's nu_node_count, so the two discretizations differ.
+#: not the closed form's analytic._NU_NODES, so the two discretizations differ.
 _DUAL_RVQ_NODES = 64
 #: Rows per block of the empirical noncentral chi-square draws.
 _SAMPLE_BLOCK = 1 << 14
@@ -132,47 +132,6 @@ def three_way_agreement_checks(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ArbitrationReport:
-    """Per-variant deviations from Monte Carlo on the single-user grid."""
-
-    rows: list[tuple[str, str, float, float, float, float]] = field(default_factory=list)
-    # (family, variant, snr_db, rho, value, |z| vs MC; inf when not finite)
-
-    def max_abs_z(self, family: str, variant: str) -> float:
-        zs = [r[5] for r in self.rows if r[0] == family and r[1] == variant]
-        return max(zs) if zs else math.nan
-
-
-def arbitration_report(
-    trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
-) -> ArbitrationReport:
-    """Evaluate every closed-form variant of the single-user matched-filter
-    and antenna-selection expressions against Monte Carlo on the delayed part
-    of the standard grid (rho < 1; at rho = 1 no variant differs)."""
-    rows, points = [], []
-    for family, scheme in (("matched-filter-coefficient", SchemeId.MISO_PBF),
-                           ("antenna-selection-exponent", SchemeId.MISO_TAS)):
-        for snr_db in GRID_SNR_DB:
-            for rho in (r for r in GRID_RHO if r < 1.0):
-                config = _cfg(scheme, snr_db, rho)
-                plan = TrialPlan(trials=trials, seed=seed + len(points), workers=workers)
-                points.append(McPoint(scheme, config, None, plan))
-                rows.append([
-                    (family, v, snr_db, rho, analytic.outage_closed(scheme, config, variant=v).value)
-                    for v in analytic.SCHEMES[scheme].variants
-                ])
-    report = ArbitrationReport()
-    for row, mc in zip(rows, montecarlo.simulate_outages(points, workers)):
-        for family, variant, snr_db, rho, value in row:
-            if math.isfinite(value) and 0.0 <= value <= 1.0:
-                z = abs(value - mc.p_hat) / mc.std_err
-            else:
-                z = math.inf
-            report.rows.append((family, variant, snr_db, rho, value, z))
-    return report
-
-
 #: (family, variant, claim): the claim holds when the variant's max |z| <= 3
 #: exactly for the corrected variant.
 _ARBITRATION_CLAIMS = (
@@ -186,17 +145,40 @@ _ARBITRATION_CLAIMS = (
 
 def arbitration_checks(
     trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
-) -> tuple[list[CheckResult], ArbitrationReport]:
-    rep = arbitration_report(trials, seed, workers)
-    checks = []
-    for family, variant, claim in _ARBITRATION_CLAIMS:
-        z = rep.max_abs_z(family, variant)
-        checks.append(CheckResult(
+) -> list[CheckResult]:
+    """Evaluate every closed-form variant of the single-user matched-filter
+    and antenna-selection expressions against Monte Carlo on the delayed part
+    of the standard grid (rho < 1; at rho = 1 no variant differs), and check
+    each claim on a variant's largest |z| (inf where a value is not a
+    probability)."""
+    rows, points = [], []
+    for family, scheme in (("matched-filter-coefficient", SchemeId.MISO_PBF),
+                           ("antenna-selection-exponent", SchemeId.MISO_TAS)):
+        for snr_db in GRID_SNR_DB:
+            for rho in (r for r in GRID_RHO if r < 1.0):
+                config = _cfg(scheme, snr_db, rho)
+                plan = TrialPlan(trials=trials, seed=seed + len(points), workers=workers)
+                points.append(McPoint(scheme, config, None, plan))
+                rows.append([
+                    (family, v, analytic.outage_closed(scheme, config, variant=v).value)
+                    for v in analytic.SCHEMES[scheme].variants
+                ])
+    max_z: dict[tuple[str, str], float] = {}
+    for row, mc in zip(rows, montecarlo.simulate_outages(points, workers)):
+        for family, variant, value in row:
+            if math.isfinite(value) and 0.0 <= value <= 1.0:
+                z = abs(value - mc.p_hat) / mc.std_err
+            else:
+                z = math.inf
+            max_z[family, variant] = max(max_z.get((family, variant), z), z)
+    return [
+        CheckResult(
             name=f"arbitration {family}: {claim}",
-            passed=(z <= 3.0) == (variant == "corrected"),
-            detail=f"max |z| = {z:.2f}",
-        ))
-    return checks, rep
+            passed=(max_z[family, variant] <= 3.0) == (variant == "corrected"),
+            detail=f"max |z| = {max_z[family, variant]:.2f}",
+        )
+        for family, variant, claim in _ARBITRATION_CLAIMS
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +473,7 @@ def run_all(
 ) -> list[CheckResult]:
     checks: list[CheckResult] = []
     checks += three_way_agreement_checks(trials, seed, workers)
-    arb, _ = arbitration_checks(trials, seed, workers)
-    checks += arb
+    checks += arbitration_checks(trials, seed, workers)
     checks += diversity_checks()
     checks += reduction_identity_checks()
     checks += figure_shape_checks()

@@ -11,7 +11,6 @@ from scipy import special as sc
 from bfoutage import analytic
 from bfoutage.analytic import (
     AccuracyError,
-    QuadratureSpec,
     RangeError,
     SchemeId,
     _selection_diversity_sum,
@@ -128,9 +127,11 @@ class TestQuadratureEngine:
         gamma0 = derive_params(config).gamma0
         assert est.value == float(sc.gammainc(4, gamma0))
 
-    def test_explicit_short_cut_rejected(self):
-        with pytest.raises(AccuracyError):
-            outage_semianalytic(SchemeId.MISO_PBF, cfg(), QuadratureSpec(upper_cut=3.0))
+    def test_explicit_short_cut_rejected(self, monkeypatch):
+        # a cut at tail mass 1e-3 leaves far more than the 1e-10 limit
+        monkeypatch.setattr(analytic, "_TAIL_TARGET", 1e-3)
+        with pytest.raises(AccuracyError, match="truncated gain tail mass"):
+            outage_semianalytic(SchemeId.MISO_PBF, cfg())
 
     def test_underflow_to_zero_raises(self):
         # every gain node's conditional outage underflows here, while the
@@ -146,10 +147,6 @@ class TestQuadratureEngine:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
         assert analytic._gl_base(16)[0] is x
-
-    def test_quadspec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(node_count=8)
 
     def test_rvq_nt1_collapses_to_pbf(self):
         config = cfg(nt=1)
@@ -208,13 +205,14 @@ class TestClosedVsQuadrature:
             abs=CLOSED_TOL,
         )
 
-    def test_miso_pbf_high_snr_rho_near_one(self):
+    def test_miso_pbf_high_snr_rho_near_one(self, monkeypatch):
         # Noncentralities up to 1.8e4 at beta = 6, deep in the lower tail. The
-        # default 256 nodes leave a 6e-6 relative gap; 1024 resolve the density.
+        # 256 gain nodes leave a 6e-6 relative gap; 1024 resolve the density.
         config = cfg(rho=0.999, snr_db=30.0)
         closed = outage_pbf_closed(config).value
         assert outage_semianalytic(SchemeId.MISO_PBF, config).value > 0.0
-        quadr = outage_semianalytic(SchemeId.MISO_PBF, config, QuadratureSpec(node_count=1024))
+        monkeypatch.setattr(analytic, "_GAIN_NODES", 1024)
+        quadr = outage_semianalytic(SchemeId.MISO_PBF, config)
         assert quadr.value == pytest.approx(closed, rel=1e-9)
 
     def test_miso_rvq_rho_near_one(self):
@@ -224,6 +222,32 @@ class TestClosedVsQuadrature:
             outage_semianalytic(SchemeId.MISO_RVQ, config, codebook_size=8).value,
             abs=CLOSED_TOL,
         )
+
+
+class TestLargePools:
+    """Pools past what the closed form's binomials or the quadrature's gain
+    axis can hold raise CapabilityError, not an overflow or a NaN."""
+
+    def test_selection_pool_limit_is_the_float_range(self):
+        pool = analytic._MAX_SELECTION_POOL
+        assert math.isfinite(float(math.comb(pool - 1, (pool - 1) // 2)))
+        with pytest.raises(OverflowError):
+            float(math.comb(pool, pool // 2))
+
+    @pytest.mark.parametrize("scheme, kw", [
+        (SchemeId.MU_TAS, {"nt": 4, "nu": 258}),
+        (SchemeId.MU_PBF, {"nt": 1, "nu": 1031}),
+        (SchemeId.MU_RVQ, {"nt": 1, "nu": 25000}),
+    ], ids=["mu-tas", "mu-pbf", "mu-rvq"])
+    def test_closed_form_refuses_a_large_pool(self, scheme, kw):
+        with pytest.raises(CapabilityError, match="selection pool"):
+            outage_closed(scheme, cfg(**kw), 8)
+
+    def test_quadrature_refuses_an_infinite_cut(self):
+        # (1 - 1e-12)^(1 / 18016) rounds to 1, so the cut would be infinite
+        with pytest.raises(CapabilityError, match="gain pool 18016"):
+            outage_semianalytic(SchemeId.MU_TAS, cfg(nt=4, nu=4504))
+        assert outage_semianalytic(SchemeId.MU_TAS, cfg(nt=4, nu=4504, rho=1.0)).value >= 0.0
 
 
 class TestClosedFormLimits:
@@ -319,10 +343,10 @@ class TestClosedFormLimits:
 
     def test_verbatim_variants_flagged_and_broken(self):
         config = cfg(rho=0.9)
-        verbatim = outage_pbf_closed(config, variant="verbatim")
+        verbatim = outage_closed(SchemeId.MISO_PBF, config, variant="verbatim")
         assert "coefficient-verbatim" in verbatim.flags
         assert not (0.0 <= verbatim.value <= 1.0) or not math.isfinite(verbatim.value)
-        tas = outage_tas_closed(config, variant="verbatim")
+        tas = outage_closed(SchemeId.MISO_TAS, config, variant="verbatim")
         assert "exponent-verbatim" in tas.flags
         assert abs(tas.value - outage_tas_closed(config).value) > 0.1
 
@@ -408,6 +432,22 @@ class TestMinCodebookSize:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             min_codebook_size(0.0, cfg())
+
+    def test_bisects_below_an_unresolvable_probe(self):
+        # at n_t = 2 the closed form raises from 3119 vectors on, so the
+        # doubling probe 4096 is unverified; 3072 and 2414 meet the target
+        config = cfg(nt=2, snr_db=20.0, rho=1.0)
+        assert outage_rvq_closed(config, 2414).value <= 0.001731
+        assert outage_rvq_closed(config, 2413).value > 0.001731
+        with pytest.raises(AccuracyError):
+            outage_rvq_closed(config, 4096)
+        res = min_codebook_size(0.001731, config)
+        assert (res.size, res.attainable) == (2414, True)
+
+    def test_answer_past_the_resolvable_range_raises(self):
+        # 3072 misses this target and 3584 raises, so no size is verified
+        with pytest.raises(AccuracyError, match="density mass"):
+            min_codebook_size(0.00173065, cfg(nt=2, snr_db=20.0, rho=1.0))
 
     @pytest.mark.parametrize("target, snr_db, rho, n_max, size", [
         (0.01, 15.0, 0.995, 4096, 9), (0.05, 15.0, 0.995, 4096, 4),

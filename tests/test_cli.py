@@ -231,6 +231,15 @@ class TestCodebookSizeCommand:
         assert rows[0]["attainable"] == "true"
         assert int(rows[0]["min_size"]) <= int(rows[1]["min_size"])
 
+    def test_answer_below_an_unresolvable_probe(self, capsys):
+        # the doubling probe 4096 raises at n_t = 2; the answer lies below it
+        code, out, _ = run_cli(
+            capsys, "codebook-size", "--nt", "2", "--snr-db", "20", "--rho-values", "1",
+            "--targets", "0.001731",
+        )
+        assert code == EXIT_OK
+        assert parse_csv(out)[0]["min_size"] == "2414"
+
 
 class TestDiversityCommand:
     def test_slope_report(self, capsys):
@@ -312,6 +321,17 @@ class TestExitCodes:
         )
         assert code == EXIT_NUMERIC
         assert "degree 66" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (("mu-tas", "--nt", "4", "--nu", "258", "--eval", "closed"), "selection pool 1032"),
+        (("mu-pbf", "--nt", "1", "--nu", "1031", "--eval", "closed"), "selection pool 1031"),
+        (("mu-tas", "--nt", "4", "--nu", "4504", "--eval", "quadrature"), "gain pool 18016"),
+    ], ids=["mu-tas-closed", "mu-pbf-closed", "mu-tas-quadrature"])
+    def test_large_pool_is_numeric(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "analytic", "--scheme", *args, "--rho", "0.9")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric error") and message in err
 
 
 class TestConfigFile:

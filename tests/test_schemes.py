@@ -7,8 +7,6 @@ import pytest
 
 from bfoutage import analytic
 from bfoutage.analytic import (
-    PBF_VARIANTS,
-    TAS_VARIANTS,
     SchemeId,
     outage_closed,
     outage_pbf_closed,
@@ -160,8 +158,6 @@ PINNED_ROUTES = (
     ('miso-tas', (4, 1, 1), 10.0, 0.9, None, 'verbatim', '0x1.72a4d9019f9b2p-1',
      ('exponent-verbatim',)),
 )
-#: the entry point of each scheme that has diagnostic variants
-VARIANT_ENTRY = {'miso-pbf': outage_pbf_closed, 'miso-tas': outage_tas_closed}
 
 
 @pytest.mark.parametrize(
@@ -170,10 +166,7 @@ VARIANT_ENTRY = {'miso-pbf': outage_pbf_closed, 'miso-tas': outage_tas_closed}
 def test_pinned_routes(case):
     name, (n_t, n_r, n_u), snr_db, rho, size, variant, value, flags = case
     scheme, config = SchemeId(name), cfg(nt=n_t, nr=n_r, nu=n_u, snr_db=snr_db, rho=rho)
-    if variant == "corrected":
-        est = outage_closed(scheme, config, size)
-    else:
-        est = VARIANT_ENTRY[name](config, variant=variant)
+    est = outage_closed(scheme, config, size, variant=variant)
     assert (est.value.hex(), est.flags) == (value, flags)
 
 
@@ -208,7 +201,7 @@ class TestPathIndependence:
 
 class TestVariants:
     """A scheme accepts the formula variants its record lists, through
-    outage_closed and through its entry point alike."""
+    outage_closed only; its entry point gives the corrected value."""
 
     def test_scheme_without_variants_refuses_one(self):
         with pytest.raises(ValueError, match="variant must be one of"):
@@ -217,16 +210,14 @@ class TestVariants:
     @pytest.mark.parametrize("rho", [0.9, 1.0])
     def test_unknown_variant_refused(self, rho):
         with pytest.raises(ValueError, match=r"variant must be one of \('corrected', "):
-            outage_pbf_closed(cfg(rho=rho), variant="typo")
+            outage_closed(SchemeId.MISO_PBF, cfg(rho=rho), variant="typo")
 
-    @pytest.mark.parametrize("scheme, entry, variants", [
-        (SchemeId.MISO_PBF, outage_pbf_closed, PBF_VARIANTS),
-        (SchemeId.MISO_TAS, outage_tas_closed, TAS_VARIANTS),
+    @pytest.mark.parametrize("scheme, entry", [
+        (SchemeId.MISO_PBF, outage_pbf_closed),
+        (SchemeId.MISO_TAS, outage_tas_closed),
     ], ids=["miso-pbf", "miso-tas"])
     @pytest.mark.parametrize("n_t", [1, 4])
-    def test_entry_point_is_outage_closed(self, scheme, entry, variants, n_t):
+    def test_entry_point_is_outage_closed(self, scheme, entry, n_t):
         config = cfg(nt=n_t)
-        for variant in variants:
-            est = outage_closed(scheme, config, variant=variant)
-            ref = entry(config, variant=variant)
-            assert (est.value.hex(), est.flags) == (ref.value.hex(), ref.flags)
+        est, ref = outage_closed(scheme, config), entry(config)
+        assert (est.value.hex(), est.flags) == (ref.value.hex(), ref.flags)

@@ -1,5 +1,11 @@
 """Each experiment script runs at its defaults, with a short Monte Carlo
-overlay where it has one, and writes a CSV table."""
+overlay where it has one, and writes a CSV table.
+
+The value fingerprint must also equal tests/value_fingerprint.csv byte for
+byte, so every closed-form and quadrature value on its grid stays bitwise
+identical.  A change that moves a value on purpose re-records the file (run
+the script with its stdout redirected there) and lists the rows that
+changed, with the reason, in CHANGES.md."""
 
 import csv
 import io
@@ -11,6 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+#: script -> recorded output its stdout must equal byte for byte
+RECORDED = {"value_fingerprint.py": ROOT / "tests" / "value_fingerprint.csv"}
 
 #: script -> (arguments, CSV header)
 SCRIPTS = {
@@ -36,3 +44,5 @@ def test_runs_at_defaults(script):
     rows = list(csv.reader(io.StringIO(proc.stdout)))
     assert ",".join(rows[0]) == header
     assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+    if script in RECORDED:
+        assert proc.stdout.encode() == RECORDED[script].read_bytes()

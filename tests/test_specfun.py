@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy import special as sc
 from scipy.integrate import quad
 
+from bfoutage import specfun
 from bfoutage.specfun import (
     _BLOCK_ENTRIES,
     CapabilityError,
     ConvergenceError,
-    SeriesTolerance,
     _noncentral_chi2_cdf_grid,
     _series_tables,
     _upper_wing_bound,
@@ -146,9 +146,10 @@ class TestNoncentralChi2Cdf:
         val = noncentral_chi2_cdf(1, 800.0, 820.0)
         assert 0.0 < val < 1.0
 
-    def test_convergence_error_carries_partial_sum(self):
+    def test_convergence_error_carries_partial_sum(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError) as exc:
-            noncentral_chi2_cdf(1, 50.0, 30.0, SeriesTolerance(rel_tol=1e-12, max_terms=3))
+            noncentral_chi2_cdf(1, 50.0, 30.0)
         assert 0.0 <= exc.value.partial_sum <= 1.0
 
     def test_domain_errors(self):
@@ -250,19 +251,22 @@ class TestNoncentralChi2Kernel:
             for idx, dv in np.ndenumerate(deltas):
                 assert grid[idx] == noncentral_chi2_cdf(d, float(dv), beta)
 
-    def test_window_capped_by_max_terms(self):
-        # max_terms = 36 cuts delta = 5's first window to [0, 22], short of its
-        # upper wing; max_terms = 21 leaves the window no room to grow
+    def test_window_capped_by_max_terms(self, monkeypatch):
+        # _MAX_TERMS = 36 cuts delta = 5's first window to [0, 22], short of
+        # its upper wing; _MAX_TERMS = 21 leaves the window no room to grow
         exact = ncx2_decimal_oracle(1, 5.0, 30.0)
-        got = noncentral_chi2_cdf(1, 5.0, 30.0, SeriesTolerance(max_terms=36))
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 36)
+        got = noncentral_chi2_cdf(1, 5.0, 30.0)
         assert got == pytest.approx(exact, rel=1e-12, abs=0)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 21)
         with pytest.raises(ConvergenceError):
-            noncentral_chi2_cdf(1, 5.0, 30.0, SeriesTolerance(max_terms=21))
+            noncentral_chi2_cdf(1, 5.0, 30.0)
 
-    def test_grid_convergence_error_carries_partial_sums(self):
+    def test_grid_convergence_error_carries_partial_sums(self, monkeypatch):
         deltas = np.array([0.5, 50.0])
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 30)
         with pytest.raises(ConvergenceError) as exc:
-            _noncentral_chi2_cdf_grid(1, deltas, 30.0, SeriesTolerance(max_terms=30))
+            _noncentral_chi2_cdf_grid(1, deltas, 30.0)
         partial = exc.value.partial_sum
         assert partial.shape == deltas.shape
         assert np.all((partial >= 0.0) & (partial <= 1.0))
@@ -339,12 +343,13 @@ class TestUpperWingBound:
         assert np.array_equal(got, want)
         assert (got + lower > budget).tolist() == (both + lower > budget).tolist()
 
-    def test_first_window_settled_by_the_poisson_tail(self):
+    def test_first_window_settled_by_the_poisson_tail(self, monkeypatch):
         # The first window is [110, 490], where r = 1.24: only P(K > hi) * g_{hi+1}
-        # bounds its upper wing.  max_terms = 381 is that window's length, so
+        # bounds its upper wing.  _MAX_TERMS = 381 is that window's length, so
         # the window cannot widen and the value must come from it alone.
         exact = ncx2_decimal_oracle(1, 300.0, 1000.0)
-        got = noncentral_chi2_cdf(1, 300.0, 1000.0, SeriesTolerance(max_terms=381))
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 381)
+        got = noncentral_chi2_cdf(1, 300.0, 1000.0)
         assert got == pytest.approx(exact, rel=1e-12, abs=0)
 
 
@@ -401,10 +406,9 @@ class TestWindowSums:
         assert _bits(got) == _bits(want)
 
     def test_max_terms_window(self):
-        # one row per block at the default max_terms, beside a short row
-        max_terms = SeriesTolerance().max_terms
+        # one row per block at _MAX_TERMS, beside a short row
         got, want = _window_sums_and_reference(
-            1, 4000.0, [0, 4990], [max_terms - 1, 5010], [5000.0, 5000.0]
+            1, 4000.0, [0, 4990], [specfun._MAX_TERMS - 1, 5010], [5000.0, 5000.0]
         )
         assert _bits(got) == _bits(want)
 
@@ -471,9 +475,3 @@ class TestLemma1Identity:
         with pytest.raises(ValueError):
             lemma1_identity(2, 3, 1)
 
-
-def test_series_tolerance_validation():
-    with pytest.raises(ValueError):
-        SeriesTolerance(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesTolerance(max_terms=0)

@@ -97,7 +97,7 @@ PINNED_CHI2_LINE = 'PASS  noncentral chi-square CDF vs empirical CDF at 9 parame
 @pytest.mark.parametrize("workers", [1, 3])
 def test_monte_carlo_checks_match_recorded_lines(workers):
     checks = verification.three_way_agreement_checks(TRIALS, SEED, workers)
-    checks += verification.arbitration_checks(TRIALS, SEED, workers)[0]
+    checks += verification.arbitration_checks(TRIALS, SEED, workers)
     assert tuple(c.line() for c in checks) == PINNED_MC_LINES
 
 
