@@ -189,7 +189,7 @@ def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 # link models, one per scheme (see the module docstring)
 # ---------------------------------------------------------------------------
 
-#: Trials per block when drawing fresh codebooks and projecting onto a codebook.
+#: Trials per block when drawing candidates and fresh codebooks and projecting.
 _BLOCK = 2048
 
 
@@ -247,9 +247,13 @@ def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool):
 
 
 def _strongest(gen, n: int, rows: int, width: int) -> np.ndarray:
-    """Per trial, the most powerful of `rows` drawn rows of `width` entries."""
-    h = gen.standard_normal((n, rows, width, 2))
-    return h[np.arange(n), np.argmax(_power(h, 2), axis=1)]
+    """Per trial, the most powerful of `rows` drawn rows of `width` entries,
+    drawn block by block so the stream matches one (n, rows, width, 2) draw."""
+    best, buf = np.empty((n, width, 2)), np.empty((min(n, _BLOCK), rows, width, 2))
+    for lo in range(0, n, _BLOCK):
+        h = gen.standard_normal(out=buf[:n - lo])
+        best[lo:lo + len(h)] = h[np.arange(len(h)), np.argmax(_power(h, 2), axis=1)]
+    return best
 
 
 def link_miso_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):

@@ -83,26 +83,30 @@ def _count_chunk(
     config: SystemConfig,
     n: int,
     rng: RngStream,
-    gamma0: float,
-    rho: float,
+    targets: list[tuple[float, float]],
     cb: Codebook | None,
     fixed_codebook: bool,
-) -> int:
-    """Outages in n trials drawn from one stream, in the order: the stale
-    channel of every trial, then every fresh codebook vector, then the
-    innovation e of every trial.  At rho = 1 the innovation is not drawn:
-    its weight sqrt(1 - rho^2) is 0, and no draw comes after it.
+) -> list[int]:
+    """Outages in n trials drawn from one stream, one count per (rho, gamma0)
+    target, in the order: the stale channel of every trial, then every fresh
+    codebook vector, then the innovation e of every trial.  When all targets
+    have rho = 1, e is not drawn: its weight sqrt(1 - rho^2) is 0.
 
     Draws stay as unscaled (re, im) normal pairs, sqrt(2) times a CN(0, 1)
     entry, so every gain is twice the physical one and meets 2 * gamma0.
     """
     gen = rng.generator()
     stale, scale, gain = SCHEMES[scheme].link(gen, config, n, cb, fixed_codebook)
-    aged = rho * scale * stale
-    decay = math.sqrt(1.0 - rho * rho)
-    if decay:
-        aged = aged + decay * gen.standard_normal(stale.shape)
-    return int(np.count_nonzero(gain(aged) < 2.0 * gamma0))
+    rhos = list(dict.fromkeys(rho for rho, _ in targets))
+    e = gen.standard_normal(stale.shape) if min(rhos) < 1.0 else None
+    gains = {}
+    for rho in rhos:
+        aged, decay, last = rho * scale * stale, math.sqrt(1.0 - rho * rho), rho == rhos[-1]
+        if decay:  # the last rho scales e in place and frees it before its gain
+            aged += np.multiply(e, decay, out=e if last else None)
+            e = None if last else e
+        gains[rho] = gain(aged)
+    return [int(np.count_nonzero(gains[rho] < 2.0 * gamma0)) for rho, gamma0 in targets]
 
 
 class McPoint(NamedTuple):
@@ -128,21 +132,25 @@ def simulate_outages(points: list[McPoint], workers: int) -> list[McResult]:
     """
     if int(workers) != workers or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    jobs = []
-    for i, (scheme, config, codebook, plan, _, _) in enumerate(points):
+    # points with the same streams and link inputs share one draw per chunk
+    groups: dict[tuple, list[int]] = {}
+    for i, (scheme, config, codebook, plan, fixed_codebook, stream_offset) in enumerate(points):
         size = None if codebook is None else codebook.cardinality
         if validate_scheme(scheme, config, size).uses_codebook and codebook.n_t != config.n_t:
             raise ValueError("codebook dimension does not match n_t")
-        gamma0 = derive_params(config).gamma0
-        jobs += [(i, j, min(plan.chunk, plan.trials - lo), gamma0)
-                 for j, lo in enumerate(range(0, plan.trials, plan.chunk))]
+        key = (plan.trials, plan.chunk, plan.seed, stream_offset, scheme, config.n_t, config.n_r,
+               config.n_u, id(codebook) if fixed_codebook else size, fixed_codebook)
+        groups.setdefault(key, []).append(i)
+    targets = [(p.config.rho, derive_params(p.config).gamma0) for p in points]
+    jobs = [(members, j, min(chunk, trials - lo)) for (trials, chunk, *_), members in groups.items()
+            for j, lo in enumerate(range(0, trials, chunk))]
 
     def job(item):
-        i, j, size, gamma0 = item
-        scheme, config, codebook, plan, fixed_codebook, stream_offset = points[i]
+        members, j, size = item
+        scheme, config, codebook, plan, fixed_codebook, stream_offset = points[members[0]]
         return _count_chunk(
             scheme, config, size, RngStream(plan.seed, stream_offset + j),
-            gamma0, config.rho, codebook, fixed_codebook,
+            [targets[i] for i in members], codebook, fixed_codebook,
         )
 
     if workers == 1:
@@ -151,8 +159,9 @@ def simulate_outages(points: list[McPoint], workers: int) -> list[McResult]:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(job, jobs))
     totals = [0] * len(points)
-    for (i, *_), count in zip(jobs, counts):
-        totals[i] += count
+    for (members, *_), chunk_counts in zip(jobs, counts):
+        for i, count in zip(members, chunk_counts):
+            totals[i] += count
     return [McResult(outage_count=total, trials=p.plan.trials) for total, p in zip(totals, points)]
 
 

@@ -92,11 +92,12 @@ def three_way_agreement_checks(
     trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
 ) -> list[CheckResult]:
     """Closed form and quadrature at every grid point, then one Monte Carlo
-    batch over all points."""
+    batch over all points; a scheme's points share one stream block, so
+    each chunk is drawn once for all its SNRs and rhos."""
     plan = TrialPlan(trials=trials, seed=seed, workers=workers)
     rows, points = [], []
     n = CODEBOOK_SIZE
-    for scheme in SCHEME_MATRIX:
+    for k, scheme in enumerate(SCHEME_MATRIX):
         for snr_db in GRID_SNR_DB:
             for rho in GRID_RHO:
                 config = _cfg(scheme, snr_db, rho)
@@ -105,7 +106,7 @@ def three_way_agreement_checks(
                 cb = None
                 if analytic.scheme_uses_codebook(scheme):
                     cb = rvq_generate(RngStream(seed, 0), n, config.n_t)
-                points.append(McPoint(scheme, config, cb, plan, stream_offset=len(points) << 32))
+                points.append(McPoint(scheme, config, cb, plan, stream_offset=k << 32))
                 rows.append((f"agreement {scheme.value} snr={snr_db:g}dB rho={rho:g}", closed, quad))
     out = []
     for (name, closed, quad), mc in zip(rows, montecarlo.simulate_outages(points, workers)):
@@ -150,15 +151,17 @@ def arbitration_checks(
     and antenna-selection expressions against Monte Carlo on the delayed part
     of the standard grid (rho < 1; at rho = 1 no variant differs), and check
     each claim on a variant's largest |z| (inf where a value is not a
-    probability)."""
+    probability).  A family's points share one stream block, clear of the
+    agreement checks' blocks."""
+    plan = TrialPlan(trials=trials, seed=seed, workers=workers)
     rows, points = [], []
-    for family, scheme in (("matched-filter-coefficient", SchemeId.MISO_PBF),
-                           ("antenna-selection-exponent", SchemeId.MISO_TAS)):
+    for k, (family, scheme) in enumerate((("matched-filter-coefficient", SchemeId.MISO_PBF),
+                                          ("antenna-selection-exponent", SchemeId.MISO_TAS))):
+        block = (len(SCHEME_MATRIX) + k) << 32
         for snr_db in GRID_SNR_DB:
             for rho in (r for r in GRID_RHO if r < 1.0):
                 config = _cfg(scheme, snr_db, rho)
-                plan = TrialPlan(trials=trials, seed=seed + len(points), workers=workers)
-                points.append(McPoint(scheme, config, None, plan))
+                points.append(McPoint(scheme, config, None, plan, stream_offset=block))
                 rows.append([
                     (family, v, analytic.outage_closed(scheme, config, variant=v).value)
                     for v in analytic.SCHEMES[scheme].variants
@@ -425,16 +428,20 @@ def combinatorial_checks(samples: int = 1_000_000, seed: int = 20260810) -> list
         (2, 1.0, 2.0), (2, 4.0, 3.0), (3, 0.3, 2.5),
         (4, 2.0, 5.0), (4, 8.0, 9.0), (6, 3.0, 7.0),
     ]
+    # one draw serves every triple: d reads columns 0 .. 2d - 1, noncentral on 0
+    width = 2 * max(d for d, _, _ in triples)
     gen = np.random.Generator(np.random.Philox(key=seed))
+    hits = np.zeros(len(triples), dtype=np.int64)
+    # sequential draws in row blocks concatenate to one full draw exactly
+    for lo in range(0, samples, _SAMPLE_BLOCK):
+        z = gen.standard_normal((min(_SAMPLE_BLOCK, samples - lo), width))
+        tail = np.cumsum(z[:, 1:] ** 2, axis=1)
+        for t, (d, delta, beta) in enumerate(triples):
+            stat = (z[:, 0] + math.sqrt(2.0 * delta)) ** 2 + tail[:, 2 * d - 2]
+            hits[t] += np.count_nonzero(stat < 2.0 * beta)
     worst_z = 0.0
-    for d, delta, beta in triples:
-        hits = 0
-        # sequential draws in row blocks concatenate to one full draw exactly
-        for lo in range(0, samples, _SAMPLE_BLOCK):
-            z = gen.standard_normal((min(_SAMPLE_BLOCK, samples - lo), 2 * d))
-            z[:, 0] += math.sqrt(2.0 * delta)  # the whole noncentrality on one component
-            hits += np.count_nonzero(np.sum(z ** 2, axis=1) < 2.0 * beta)
-        p_emp = hits / samples
+    for (d, delta, beta), count in zip(triples, hits):
+        p_emp = count / samples
         se = math.sqrt(max(p_emp * (1 - p_emp), 1e-12) / samples)
         p_val = specfun.noncentral_chi2_cdf(d, delta, beta)
         worst_z = max(worst_z, abs(p_val - p_emp) / se)

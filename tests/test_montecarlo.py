@@ -12,7 +12,7 @@ from scipy import special as sc
 from bfoutage.analytic import SchemeId, outage_rvq_closed, outage_tas_closed
 from bfoutage.channel import RngStream, _complex_normal, derive_params
 from bfoutage.codebook import Codebook, rvq_generate
-from bfoutage import analytic, channel, montecarlo
+from bfoutage import analytic, channel, montecarlo, verification
 from bfoutage.montecarlo import (
     McPoint,
     McResult,
@@ -268,7 +268,7 @@ class TestPerTrialOracle:
     then every fresh codebook, then every innovation e.  Redrawing that
     stream and running the oracle's selection functions trial by trial must
     reproduce the simulator's outage counts at thresholds between the
-    oracle's sorted gains."""
+    oracle's sorted gains, all counted from one chunk call."""
 
     TRIALS = 300
 
@@ -298,11 +298,8 @@ class TestPerTrialOracle:
         gains = np.sort([_oracle_gain(scheme, h[i], e[i], books[i], rho) for i in range(n)])
 
         below = list(range(30, n, 30))
-        counts = [
-            _count_chunk(scheme, config, n, stream, 0.5 * (gains[k - 1] + gains[k]), rho, cb, fixed)
-            for k in below
-        ]
-        assert counts == below
+        targets = [(rho, 0.5 * (gains[k - 1] + gains[k])) for k in below]
+        assert _count_chunk(scheme, config, n, stream, targets, cb, fixed) == below
 
 
 def _batch_points() -> list[McPoint]:
@@ -317,9 +314,59 @@ def _batch_points() -> list[McPoint]:
     return points
 
 
+def _streams_opened(monkeypatch, run) -> int:
+    """Random streams opened (RngStream.generator calls) while run() runs."""
+    opened = []
+    generator = RngStream.generator
+    with monkeypatch.context() as patch:
+        patch.setattr(RngStream, "generator", lambda self: opened.append(self) or generator(self))
+        run()
+    return len(opened)
+
+
+#: SNRs (dB) and rhos of the shared-stream grid; rho 1 draws no innovation.
+SHARED_SNR_DB = (0.0, 5.0, 10.0, 20.0)
+SHARED_RHOS = (0.0, 0.5, 0.9, 1.0)
+
+
+def _shared_grid_points() -> list[McPoint]:
+    """Per GOLDEN_VARIANTS label, the SHARED_SNR_DB x SHARED_RHOS grid on one
+    seed, stream offset and codebook object; chunks of 2048 leave a short
+    last chunk of 1201 trials."""
+    plan = TrialPlan(trials=5297, seed=GOLDEN_SEED, chunk=2048)
+    points = []
+    for label, (scheme, kwargs, size, fixed) in GOLDEN_VARIANTS.items():
+        n_t = cfg(**kwargs).n_t
+        cb = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, n_t) if size else None
+        points += [McPoint(scheme, cfg(snr_db=snr_db, rho=rho, **kwargs), cb, plan, fixed, 7)
+                   for snr_db in SHARED_SNR_DB for rho in SHARED_RHOS]
+    return points
+
+
+_PLAN = TrialPlan(trials=3000, seed=GOLDEN_SEED, chunk=2048)
+_BOOK = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), 8, 4)
+_PBF = McPoint(SchemeId.MISO_PBF, cfg(), None, _PLAN)
+#: field -> two points that differ in that field alone
+UNMERGED_PAIRS = {
+    "seed": (_PBF, _PBF._replace(plan=replace(_PLAN, seed=GOLDEN_SEED + 1))),
+    "stream_offset": (_PBF, _PBF._replace(stream_offset=1)),
+    "trials": (_PBF, _PBF._replace(plan=replace(_PLAN, trials=3001))),
+    "chunk": (_PBF, _PBF._replace(plan=replace(_PLAN, chunk=1024))),
+    "n_u": (McPoint(SchemeId.MU_PBF, cfg(nu=2), None, _PLAN),
+            McPoint(SchemeId.MU_PBF, cfg(nu=3), None, _PLAN)),
+    "cardinality": (McPoint(SchemeId.MISO_RVQ, cfg(), _BOOK, _PLAN),
+                    McPoint(SchemeId.MISO_RVQ, cfg(),
+                            rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), 16, 4), _PLAN)),
+    "codebook_object": (McPoint(SchemeId.MISO_RVQ, cfg(), _BOOK, _PLAN, True),
+                        McPoint(SchemeId.MISO_RVQ, cfg(),
+                                Codebook(_BOOK.scheme, _BOOK.n_t, _BOOK.vectors.copy()), _PLAN, True)),
+}
+
+
 class TestBatch:
     """simulate_outages runs every chunk of every point on one pool; each
-    point's count must equal its own simulate_outage call."""
+    point's count must equal its own simulate_outage call, also when points
+    on the same streams share their draws."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_counts_equal_separate_calls(self, workers):
@@ -328,6 +375,31 @@ class TestBatch:
         batch = simulate_outages(points, workers)
         assert [r.outage_count for r in batch] == separate
         assert [r.trials for r in batch] == [p.plan.trials for p in points]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_points_on_one_stream_share_draws(self, monkeypatch, workers):
+        points = _shared_grid_points()
+        separate = [simulate_outage(*p).outage_count for p in points]
+        batch = []
+        opened = _streams_opened(monkeypatch, lambda: batch.extend(simulate_outages(points, workers)))
+        assert [r.outage_count for r in batch] == separate
+        assert opened == len(GOLDEN_VARIANTS) * 3  # one draw per label and chunk
+
+    @pytest.mark.parametrize("field", list(UNMERGED_PAIRS))
+    def test_points_differing_in_stream_or_link_inputs_never_merge(self, monkeypatch, field):
+        base, other = UNMERGED_PAIRS[field]
+        separate = [simulate_outage(*p).outage_count for p in (base, other)]
+        alone = sum(_streams_opened(monkeypatch, lambda p=p: simulate_outage(*p)) for p in (base, other))
+        batch = []
+        opened = _streams_opened(monkeypatch, lambda: batch.extend(simulate_outages([base, other], 2)))
+        assert [r.outage_count for r in batch] == separate
+        assert opened == alone
+
+    def test_agreement_checks_draw_one_stream_per_scheme(self, monkeypatch):
+        opened = _streams_opened(
+            monkeypatch, lambda: verification.three_way_agreement_checks(30_000, GOLDEN_SEED, 2))
+        codebooks = 2 * len(verification.GRID_SNR_DB) * len(verification.GRID_RHO)
+        assert opened == len(verification.SCHEME_MATRIX) * 1 + codebooks
 
     def test_empty_batch(self):
         assert simulate_outages([], 2) == []
@@ -341,7 +413,8 @@ class TestBatch:
     ])
     def test_invalid_point_raises_before_any_chunk(self, monkeypatch, bad, position):
         calls = []
-        monkeypatch.setattr(montecarlo, "_count_chunk", lambda *a: calls.append(a) or 0)
+        monkeypatch.setattr(montecarlo, "_count_chunk",
+                            lambda *a: calls.append(a) or [0] * len(a[4]))
         points = _batch_points()
         points.insert(position, bad)
         with pytest.raises(ValueError):
