@@ -24,12 +24,11 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sc
 
 from . import channel
 from .channel import SystemConfig, db_to_linear, derive_params
 from .codebook import nu_pdf
-from .specfun import CapabilityError, _noncentral_chi2_cdf_grid, expansion_coeffs
+from .specfun import CapabilityError, _noncentral_chi2_cdf_grid, _sc, expansion_coeffs
 
 __all__ = [
     "AccuracyError",

@@ -2,6 +2,13 @@
 
 Everything here is a pure function of its arguments and safe to call from any
 number of threads.
+
+This is the one module that touches ``scipy.special``: the closed forms,
+quadrature and verification read it through ``_sc`` here.  The handle imports
+``scipy.special`` on its first attribute access, not at import time, because
+that import costs about 0.3 s (its array-API layer pulls in ``numpy.f2py``),
+more than the rest of the package together.  A process that never evaluates a
+special function, such as a Monte Carlo run given rho directly, never pays it.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sc
 
 __all__ = [
     "CapabilityError",
@@ -21,6 +27,23 @@ __all__ = [
     "lemma1_identity",
     "noncentral_chi2_cdf",
 ]
+
+
+class _LazySpecial:
+    """``scipy.special``, imported on the first attribute access.  Each name is
+    then cached on the handle, so later lookups never reach __getattr__.  Safe
+    from any thread: the import lock serializes the first import, and two
+    threads caching the same function is harmless."""
+
+    def __getattr__(self, name: str):
+        from scipy import special
+
+        value = getattr(special, name)
+        setattr(self, name, value)
+        return value
+
+
+_sc = _LazySpecial()
 
 
 class ConvergenceError(ArithmeticError):
@@ -130,9 +153,12 @@ def _noncentral_chi2_cdf_grid(
 
     delta = deltas.reshape(-1)
     sums = np.zeros_like(delta)
-    band = np.floor(delta / _DELTA_BAND)
-    for b in np.unique(band):
-        rows = band == b
+    if delta.max(initial=0.0) < _DELTA_BAND:  # every delta in band 0
+        bands = [slice(None)] if delta.size else []
+    else:
+        band = np.floor(delta / _DELTA_BAND)
+        bands = [band == b for b in np.unique(band)]
+    for rows in bands:
         sums[rows], converged = _poisson_mixture(d, delta[rows], beta)
         if not converged:
             raise ConvergenceError(

@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special as _sc
 
 from . import analytic, montecarlo, specfun
 from .analytic import SchemeId
 from .channel import PersistenceSpec, RngStream, SystemConfig, db_to_linear, derive_params
 from .codebook import nu_pdf, rvq_generate
 from .montecarlo import McPoint, TrialPlan
+from .specfun import _sc
 
 __all__ = [
     "CheckResult",
@@ -98,14 +98,16 @@ def three_way_agreement_checks(
     rows, points = [], []
     n = CODEBOOK_SIZE
     for k, scheme in enumerate(SCHEME_MATRIX):
+        cb = None
+        if analytic.scheme_uses_codebook(scheme):
+            # the simulator reads only the cardinality of a fresh codebook
+            stream = RngStream(seed, montecarlo._CODEBOOK_STREAM)
+            cb = rvq_generate(stream, n, SCHEME_MATRIX[scheme][0])
         for snr_db in GRID_SNR_DB:
             for rho in GRID_RHO:
                 config = _cfg(scheme, snr_db, rho)
                 closed = analytic.outage_closed(scheme, config, n).value
                 quad = analytic.outage_semianalytic(scheme, config, codebook_size=n).value
-                cb = None
-                if analytic.scheme_uses_codebook(scheme):
-                    cb = rvq_generate(RngStream(seed, 0), n, config.n_t)
                 points.append(McPoint(scheme, config, cb, plan, stream_offset=k << 32))
                 rows.append((f"agreement {scheme.value} snr={snr_db:g}dB rho={rho:g}", closed, quad))
     out = []

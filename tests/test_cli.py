@@ -3,6 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,63 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+#: Runs CLI commands in order in one fresh interpreter and prints, per step,
+#: its exit code, stdout and whether scipy.special was loaded after it.
+COLD_START_CHILD = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import bfoutage, bfoutage.cli
+    steps = {"import": {"scipy": "scipy.special" in sys.modules}}
+    for name, argv in json.loads(sys.argv[1]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = bfoutage.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        steps[name] = {"code": code, "out": out.getvalue(), "scipy": "scipy.special" in sys.modules}
+    print(json.dumps(steps))
+""")
+COLD_START_STEPS = [
+    ("help", ["--help"]),
+    ("simulate", ["simulate", "--scheme", "miso-pbf", "--rho", "0.9", "--trials", "2000",
+                  "--seed", "5"]),
+    ("analytic", ["analytic", "--scheme", "miso-tas", "--rho", "0.9",
+                  "--eval", "closed,quadrature"]),
+    ("jakes", ["simulate", "--scheme", "miso-pbf", "--doppler-hz", "10", "--delay-s", "0.005",
+               "--trials", "2000", "--seed", "5"]),
+]
+
+
+class TestColdStart:
+    """Only the commands that evaluate a special function load scipy.special;
+    the others start without it, and no output changes either way."""
+
+    def test_scipy_special_loads_on_first_special_function(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_CHILD, json.dumps(COLD_START_STEPS)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout)
+        assert [(name, step["scipy"]) for name, step in steps.items()] == [
+            ("import", False), ("help", False), ("simulate", False),
+            ("analytic", True), ("jakes", True),
+        ]
+        assert steps["help"]["code"] == EXIT_OK and steps["help"]["out"].startswith("usage: bfoutage")
+        assert (steps["simulate"]["code"], steps["simulate"]["out"]) == (EXIT_OK, (
+            OUTAGE_HEADER + "\n"
+            "snr_db,10.0,miso-pbf,monte_carlo,0.109,0.006968464680257768,\n"))
+        assert (steps["analytic"]["code"], steps["analytic"]["out"]) == (EXIT_OK, (
+            OUTAGE_HEADER + "\n"
+            "snr_db,10.0,miso-tas,closed_form,0.3461928506806874,0.0,exponent-corrected\n"
+            "snr_db,10.0,miso-tas,quadrature,0.34619285068068406,0.0,\n"))
+        assert (steps["jakes"]["code"], steps["jakes"]["out"]) == (EXIT_OK, (
+            OUTAGE_HEADER + "\n"
+            "snr_db,10.0,miso-pbf,monte_carlo,0.0515,0.004942051699446294,\n"))
 
 
 class TestDbConversion:

@@ -1,6 +1,9 @@
 """Special-function kernels against independent oracles."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -283,10 +286,38 @@ class TestNoncentralChi2Kernel:
         with pytest.raises(ConvergenceError):  # here the upper wing bound stays 1
             noncentral_chi2_cdf(1, 1e300, 1e300)
 
+    def test_empty_grid(self):
+        assert _noncentral_chi2_cdf_grid(1, np.empty((0, 3)), 1.0).shape == (0, 3)
+
     def test_grid_domain_errors(self):
         for bad in (np.array([1.0, -1.0]), np.array([1.0, np.nan]), np.array([np.inf])):
             with pytest.raises(ValueError):
                 _noncentral_chi2_cdf_grid(1, bad, 1.0)
+
+
+class TestScipyHandle:
+    def test_first_lookups_from_many_threads(self):
+        # a fresh handle, looked up at once by more threads than cores: each
+        # thread gets scipy's own functions, and each name ends up cached
+        handle = specfun._LazySpecial()
+        names = ("gammainc", "gammaln", "pdtr", "pdtrc", "j0")
+        threads = 8
+        barrier = threading.Barrier(threads)
+
+        def look_up():
+            barrier.wait(timeout=10)
+            return [getattr(handle, name) for name in names]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(look_up) for _ in range(threads)]
+                results = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[getattr(sc, name) for name in names]] * threads
+        assert set(vars(handle)) == set(names)
 
 
 #: (d, delta, beta) with delta << beta, delta = beta and delta >> beta at
