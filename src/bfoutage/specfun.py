@@ -94,10 +94,18 @@ _BLOCK_ENTRIES = 1 << 14
 #: Elements are summed in bands of this width in delta, so the g_k table of a
 #: band spans at most _DELTA_BAND + 3 * _MAX_TERMS values of k.
 _DELTA_BAND = 1 << 16
-#: First window around the peak of each element's terms: this many times
-#: sqrt(peak) on either side, plus _WINDOW_PAD terms for small peaks.
+#: First window around the peak of each element's terms.  Below the peak g_k
+#: is flat, so the terms fall only as fast as the Poisson weights: the lower
+#: half spans _WINDOW_SIGMAS times sqrt(peak), plus _WINDOW_PAD terms for
+#: small peaks.  Above it g_k falls too, so the terms fall at least that fast
+#: and, when delta > beta, up to sqrt(2) faster: the upper half spans
+#: _UPPER_SIGMAS times their own spread, plus _UPPER_PAD terms.  A 7.5-sigma
+#: one-sided Gaussian tail is about 3e-14, below _REL_TOL.  The wing bounds
+#: still decide where a window stops; a first window that falls short widens.
 _WINDOW_SIGMAS = 10.0
 _WINDOW_PAD = 16
+_UPPER_SIGMAS = 7.5
+_UPPER_PAD = 6
 
 
 def _noncentral_chi2_cdf_grid(
@@ -114,8 +122,16 @@ def _noncentral_chi2_cdf_grid(
     the peak of its terms, not on the Poisson mode: while delta <= beta,
     g_k stays near 1 up to k ~ delta and the peak is near delta; when
     delta >> beta, g_k falls like beta^k / (d + k)! and the peak is near
-    sqrt(delta * beta).  The first window spans 10 sqrt(peak) + 16 terms
-    on either side of min(delta, sqrt(delta * beta)).
+    sqrt(delta * beta).  The first window, from :func:`_first_window`, is
+    asymmetric about peak = min(delta, sqrt(delta * beta)).  Below the peak
+    g_k is flat, so the terms fall only as fast as the Poisson weights, and
+    the window spans 10 sqrt(peak) + 16 terms.  Above it both factors fall:
+    log t_k has curvature -(1/k + 1/(d + k)) once g_k falls like
+    beta^k / (d + k)!, so the terms spread over
+    sigma^2 = peak (d + peak) / (d + 2 peak) when delta > beta, and over the
+    Poisson sigma^2 = peak otherwise; the window spans 7.5 sigma + 6 terms.
+    Both halves are heuristics that only set where summing starts: the wing
+    bounds below decide whether a window is done.
 
     The unsummed terms are bounded rigorously.  Below the window, as g_k
     decreases in k, they are at most P(K < lo) * g_0.  Above it they are at
@@ -169,39 +185,53 @@ def _noncentral_chi2_cdf_grid(
     return np.clip(sums, 0.0, 1.0).reshape(deltas.shape)
 
 
+def _first_window(d: int, delta: np.ndarray, beta: float):
+    """(lo, hi), the first window of each element's terms, each half capped at
+    (_MAX_TERMS - 1) // 2 terms (sized in :func:`_noncentral_chi2_cdf_grid`)."""
+    # The wing bounds hold wherever a window sits; capping the peak keeps
+    # every k exact as a float.  sqrt(delta) * sqrt(beta) cannot overflow.
+    peak = np.minimum(delta, np.sqrt(delta) * math.sqrt(beta))
+    centre = np.floor(np.minimum(peak, 2.0**52)).astype(np.int64)
+    # peak (d + peak) / (d + 2 peak), in a form that cannot overflow
+    spread = np.where(delta > beta, peak / (1.0 + peak / (d + peak)), peak)
+    cap = (_MAX_TERMS - 1) // 2
+    below = np.minimum(np.ceil(_WINDOW_SIGMAS * np.sqrt(peak)) + _WINDOW_PAD, cap)
+    above = np.minimum(np.ceil(_UPPER_SIGMAS * np.sqrt(spread)) + _UPPER_PAD, cap)
+    lo = np.maximum(centre - below.astype(np.int64), 0)
+    # delta = 0 is the central CDF: the k = 0 term alone, exp(0) * g_0.
+    hi = np.where(delta > 0, centre + above.astype(np.int64), 0)
+    return lo, hi
+
+
 def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
     """Partial sums of the mixture series for each element, and whether
     every element met its bound within _MAX_TERMS terms."""
     log_delta = np.log(delta, out=np.zeros_like(delta), where=delta > 0)
     g0 = float(_sc.gammainc(d, beta))
-    # The wing bounds hold wherever a window sits; capping the peak keeps
-    # every k exact as a float.  sqrt(delta) * sqrt(beta) cannot overflow.
-    peak = np.minimum(delta, np.sqrt(delta) * math.sqrt(beta))
-    centre = np.floor(np.minimum(peak, 2.0**52)).astype(np.int64)
-    half = np.ceil(_WINDOW_SIGMAS * np.sqrt(peak)) + _WINDOW_PAD
-    half = np.minimum(half, (_MAX_TERMS - 1) // 2).astype(np.int64)
-    lo = np.maximum(centre - half, 0)
-    # delta = 0 is the central CDF: the k = 0 term alone, exp(0) * g_0.
-    hi = np.where(delta > 0, centre + half, 0)
+    lo, hi = _first_window(d, delta, beta)
     partial = np.zeros_like(delta)
-    todo = np.ones(delta.shape, dtype=bool)
+    # Each round sums, bounds and widens only the windows still open: rows
+    # indexes them, and delta, log_delta, lo and hi shrink to them.
+    rows = np.arange(delta.size)
     while True:
         k = np.arange(lo.min(), hi.max() + 2)
         tables = _series_tables(d, beta, k)
-        partial[todo] = _window_sums(lo[todo], hi[todo], delta[todo], log_delta[todo], k[0], tables)
+        sums = _window_sums(lo, hi, delta, log_delta, k[0], tables)
+        partial[rows] = sums
         lower = np.where(lo > 0, _sc.pdtr(lo - 1, delta) * g0, 0.0)
-        budget = _REL_TOL * partial
-        upper = _upper_wing_bound(d, delta, beta, hi, tables[1][hi + 1 - k[0]], lower, budget)
+        budget = _REL_TOL * sums
+        upper = _upper_wing_bound(d, delta, log_delta, beta, hi, tables[1][hi + 1 - k[0]],
+                                  lower, budget)
         todo = upper + lower > budget
         if not todo.any():
             return partial, True
-        grow_lo = todo & (lower > 0.5 * budget)
-        new_lo = np.where(grow_lo, np.maximum(hi - _MAX_TERMS + 1, 0), lo)
-        new_hi = np.where(todo & (upper > 0.5 * budget), 2 * hi - lo + 1, hi)
+        new_lo = np.where(lower > 0.5 * budget, np.maximum(hi - _MAX_TERMS + 1, 0), lo)
+        new_hi = np.where(upper > 0.5 * budget, 2 * hi - lo + 1, hi)
         new_hi = np.minimum(new_hi, new_lo + _MAX_TERMS - 1)
         if np.any(todo & (new_lo == lo) & (new_hi == hi)):
             return partial, False
-        lo, hi = new_lo, new_hi
+        rows, delta, log_delta = rows[todo], delta[todo], log_delta[todo]
+        lo, hi = new_lo[todo], new_hi[todo]
 
 
 def _series_tables(d: int, beta: float, k: np.ndarray) -> np.ndarray:
@@ -218,16 +248,18 @@ def _series_tables(d: int, beta: float, k: np.ndarray) -> np.ndarray:
     return tables
 
 
-def _upper_wing_bound(d: int, delta: np.ndarray, beta: float, hi: np.ndarray, g_next,
-                      lower: np.ndarray, budget: np.ndarray) -> np.ndarray:
+def _upper_wing_bound(d: int, delta: np.ndarray, log_delta: np.ndarray, beta: float,
+                      hi: np.ndarray, g_next, lower: np.ndarray, budget: np.ndarray) -> np.ndarray:
     """Bound on sum_{k > hi} t_k for each element, given g_next = g_{hi+1}:
     the smaller of P(K > hi) * g_{hi+1} and, where r < 1, t_{hi+1} / (1 - r)
     (derived in :func:`_noncentral_chi2_cdf_grid`).  Where the geometric
     bound plus the lower-wing bound already meets the budget, P(K > hi) is
     not evaluated and the geometric bound is returned: the stop test
     `upper + lower > budget` comes out the same for either bound.
+
+    log_delta is the mixture's own, 0 where delta = 0.  There hi = 0 and
+    P(K > 0) = 0, so any bound that does not meet the budget falls to 0.
     """
-    log_delta = np.log(delta, out=np.full_like(delta, -np.inf), where=delta > 0)
     log_beta = math.log(beta) if beta > 0 else -math.inf
     # r is formed in logs: delta * beta overflows for delta near 1e300
     log_r = log_delta + log_beta - np.log(hi + 2.0) - np.log(d + hi + 2.0)

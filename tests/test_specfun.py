@@ -8,16 +8,18 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 from scipy.integrate import quad
 
 from bfoutage import specfun
+from bfoutage.analytic import SchemeId, outage_semianalytic
 from bfoutage.specfun import (
     _BLOCK_ENTRIES,
     CapabilityError,
     ConvergenceError,
+    _first_window,
     _noncentral_chi2_cdf_grid,
     _series_tables,
     _upper_wing_bound,
@@ -29,6 +31,27 @@ from bfoutage.specfun import (
 )
 
 from _oracle import window_sums as reference_window_sums
+from _util import cfg
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Records the (lo, hi) of every call of the kernel's window sums, as
+    lists, in call order."""
+    seen = []
+
+    def recording(lo, hi, *args):
+        seen.append((lo.tolist(), hi.tolist()))
+        return _window_sums(lo, hi, *args)
+
+    monkeypatch.setattr(specfun, "_window_sums", recording)
+    return seen
+
+
+def first_window(d, delta, beta):
+    """The kernel's first window (lo, hi) for one element, as ints."""
+    lo, hi = _first_window(d, np.array([float(delta)]), beta)
+    return int(lo[0]), int(hi[0])
 
 
 def j0_power_series(x: float) -> float:
@@ -229,6 +252,28 @@ class TestNoncentralChi2Kernel:
         assert exact > 0.0
         assert noncentral_chi2_cdf(d, delta, beta) == pytest.approx(exact, rel=1e-10, abs=0)
 
+    @given(
+        d=st.integers(min_value=1, max_value=8),
+        log_beta=st.floats(min_value=-4.0, max_value=math.log10(200.0)),
+        log_ratio=st.floats(min_value=-3.0, max_value=3.0),
+        others=st.lists(st.floats(min_value=0.0, max_value=2000.0), max_size=24),
+        position=st.integers(min_value=0, max_value=24),
+    )
+    @settings(max_examples=60)
+    def test_decimal_oracle_over_the_domain(self, d, log_beta, log_ratio, others, position):
+        # delta / beta log-uniform over 1e-3 .. 1e3; delta <= 2000 keeps the
+        # 50-digit oracle fast.  Values below about 1e-290 are sums of
+        # subnormal terms, which carry no relative accuracy: abs covers them.
+        # The element keeps its bits inside any grid.
+        beta = 10.0**log_beta
+        delta = beta * 10.0**log_ratio
+        assume(delta <= 2000.0)
+        got = noncentral_chi2_cdf(d, delta, beta)
+        assert got == pytest.approx(ncx2_decimal_oracle(d, delta, beta), rel=1e-10, abs=1e-300)
+        position = min(position, len(others))
+        grid = _noncentral_chi2_cdf_grid(d, np.insert(others, position, delta), beta)
+        assert _bits(grid[position]) == _bits(got)
+
     def test_oracle_sums_the_central_case(self):
         for d, beta in [(1, 0.7), (3, 2.5), (5, 40.0)]:
             assert ncx2_decimal_oracle(d, 0.0, beta) == pytest.approx(
@@ -254,16 +299,22 @@ class TestNoncentralChi2Kernel:
             for idx, dv in np.ndenumerate(deltas):
                 assert grid[idx] == noncentral_chi2_cdf(d, float(dv), beta)
 
-    def test_window_capped_by_max_terms(self, monkeypatch):
-        # _MAX_TERMS = 36 cuts delta = 5's first window to [0, 22], short of
-        # its upper wing; _MAX_TERMS = 21 leaves the window no room to grow
+    def test_window_capped_by_max_terms(self, monkeypatch, windows):
+        # delta = 5's first window is [0, 28]; _MAX_TERMS = 36 caps each half
+        # at 17 terms and cuts it to [0, 22], short of its upper wing, so it
+        # widens once to [0, 35].  _MAX_TERMS = 21 cuts it to [0, 15], lets it
+        # widen to [0, 20] and no further.
+        assert first_window(1, 5.0, 30.0) == (0, 28)
         exact = ncx2_decimal_oracle(1, 5.0, 30.0)
         monkeypatch.setattr(specfun, "_MAX_TERMS", 36)
         got = noncentral_chi2_cdf(1, 5.0, 30.0)
         assert got == pytest.approx(exact, rel=1e-12, abs=0)
+        assert windows == [([0], [22]), ([0], [35])]
+        windows.clear()
         monkeypatch.setattr(specfun, "_MAX_TERMS", 21)
         with pytest.raises(ConvergenceError):
             noncentral_chi2_cdf(1, 5.0, 30.0)
+        assert windows == [([0], [15]), ([0], [20])]
 
     def test_grid_convergence_error_carries_partial_sums(self, monkeypatch):
         deltas = np.array([0.5, 50.0])
@@ -274,11 +325,12 @@ class TestNoncentralChi2Kernel:
         assert partial.shape == deltas.shape
         assert np.all((partial >= 0.0) & (partial <= 1.0))
 
-    def test_underflowing_deep_tail_is_zero(self):
+    def test_underflowing_deep_tail_is_zero(self, windows):
         # F <= P(K < 10^4) + P(10^4 + 1, 60) < 1e-308.  The terms peak near
         # sqrt(delta * beta) ~ 1770, and at the window there every term and
         # both wing bounds underflow, so the first window settles the value.
         assert noncentral_chi2_cdf(1, 52258.5, 60.0) == 0.0
+        assert windows == [([1333], [2000])]
 
     def test_huge_noncentrality(self):
         # every term and both wing bounds underflow, so the value is exactly 0
@@ -293,6 +345,70 @@ class TestNoncentralChi2Kernel:
         for bad in (np.array([1.0, -1.0]), np.array([1.0, np.nan]), np.array([np.inf])):
             with pytest.raises(ValueError):
                 _noncentral_chi2_cdf_grid(1, bad, 1.0)
+
+
+def symmetric_first_window(d, delta, beta):
+    """The first window as the kernel sized it before its upper half followed
+    the terms' own spread: ceil(10 sqrt(peak)) + 16 terms on both sides of
+    the peak, each half capped at (_MAX_TERMS - 1) // 2.  The term-count
+    guard compares against it."""
+    peak = np.minimum(delta, np.sqrt(delta) * math.sqrt(beta))
+    centre = np.floor(np.minimum(peak, 2.0**52)).astype(np.int64)
+    half = np.minimum(np.ceil(10.0 * np.sqrt(peak)) + 16, (specfun._MAX_TERMS - 1) // 2)
+    half = half.astype(np.int64)
+    return np.maximum(centre - half, 0), np.where(delta > 0, centre + half, 0)
+
+
+def summed_terms(windows) -> int:
+    return sum(h - l + 1 for lo, hi in windows for l, h in zip(lo, hi))
+
+
+def sweep_grids():
+    """(d, beta, deltas): 200 seeded grids of 256 elements over the kernel's
+    domain, beta log-uniform over 1e-4 .. 1e4 and delta over 1e-3 .. 1e5."""
+    rng = np.random.default_rng(2718)
+    for _ in range(200):
+        d = int(rng.integers(1, 9))
+        beta = float(10.0 ** rng.uniform(-4.0, 4.0))
+        yield d, beta, 10.0 ** rng.uniform(-3.0, 5.0, 256)
+
+
+class TestTermBudget:
+    """Series terms the kernel sums: at most as many as recorded when the
+    first window's upper half was sized from the spread of the terms above
+    the peak, and never more than the symmetric window sums."""
+
+    #: Recorded counts; the symmetric window sums 1 990 291 and 6 996 387.
+    RVQ_GRID_TERMS = 1_214_342
+    SWEEP_TERMS = 5_134_633
+
+    def _both_rules(self, monkeypatch, windows, evaluate):
+        counts = []
+        for rule in (_first_window, symmetric_first_window):
+            monkeypatch.setattr(specfun, "_first_window", rule)
+            windows.clear()
+            evaluate()
+            counts.append(summed_terms(windows))
+        return counts
+
+    def test_rvq_quadrature_grid(self, monkeypatch, windows):
+        # miso-rvq at 10 dB, rho 0.9: one kernel call over 128 x 256 elements
+        config = cfg(nt=4, snr_db=10.0, rho=0.9)
+        terms, symmetric = self._both_rules(
+            monkeypatch, windows,
+            lambda: outage_semianalytic(SchemeId.MISO_RVQ, config, codebook_size=8))
+        assert len(windows) == 1 and len(windows[0][0]) == 32_768
+        assert terms <= self.RVQ_GRID_TERMS
+        assert terms < symmetric
+
+    def test_domain_sweep(self, monkeypatch, windows):
+        counts = np.array([
+            self._both_rules(monkeypatch, windows,
+                             lambda: _noncentral_chi2_cdf_grid(d, deltas, beta))
+            for d, beta, deltas in sweep_grids()
+        ])
+        assert counts[:, 0].sum() <= self.SWEEP_TERMS
+        assert np.all(counts[:, 0] <= counts[:, 1])
 
 
 class TestScipyHandle:
@@ -342,15 +458,15 @@ class TestUpperWingBound:
             product = Decimal(delta) * Decimal(beta)
             # twelve hi from the first with r < 1 to the top of the first window
             first = next(h for h in range(len(terms)) if (h + 2) * (d + h + 2) > product)
-            peak = min(delta, math.sqrt(delta * beta))
-            top = math.floor(peak) + math.ceil(10.0 * math.sqrt(peak)) + 16
+            top = first_window(d, delta, beta)[1]
+            assert first < top
             his = np.unique(np.linspace(first, top, 12).astype(np.int64))
             geometric = [terms[h + 1] / (1 - product / ((h + 2) * (d + h + 2))) for h in his]
             assert all(tails[h + 1] <= g for h, g in zip(his, geometric))
         # with no budget to spare, every element takes the smaller of both bounds
-        zero = np.zeros(his.shape)
+        zero, deltas = np.zeros(his.shape), np.full(his.shape, delta)
         bound = _upper_wing_bound(
-            d, np.full(his.shape, delta), beta, his, sc.gammainc(d + his + 1, beta), zero, zero
+            d, deltas, np.log(deltas), beta, his, sc.gammainc(d + his + 1, beta), zero, zero
         )
         assert np.all(bound >= [float(tails[h + 1]) for h in his])
         # the kernel takes it wherever it beats P(K > hi) * g_{hi+1}; 1e-8
@@ -362,26 +478,31 @@ class TestUpperWingBound:
         # hi from r >= 1 (no geometric bound) to r well below 1
         his = np.arange(10, 400, 13)
         deltas, g_next = np.full(his.shape, delta), sc.gammainc(d + his + 1, beta)
+        args = (d, deltas, np.log(deltas), beta, his, g_next)
         zero = np.zeros(his.shape)
-        both = _upper_wing_bound(d, deltas, beta, his, g_next, zero, zero)
+        both = _upper_wing_bound(*args, zero, zero)
         no_limit = np.full(his.shape, np.inf)
-        geometric = _upper_wing_bound(d, deltas, beta, his, g_next, zero, no_limit)
+        geometric = _upper_wing_bound(*args, zero, no_limit)
         assert np.isinf(geometric[0]) and np.isfinite(both).all()
         budget = np.geomspace(1e-300, 1.0, his.size)
         lower = 0.25 * budget
-        got = _upper_wing_bound(d, deltas, beta, his, g_next, lower, budget)
+        got = _upper_wing_bound(*args, lower, budget)
         want = np.where(geometric + lower > budget, both, geometric)
         assert np.array_equal(got, want)
         assert (got + lower > budget).tolist() == (both + lower > budget).tolist()
 
-    def test_first_window_settled_by_the_poisson_tail(self, monkeypatch):
-        # The first window is [110, 490], where r = 1.24: only P(K > hi) * g_{hi+1}
-        # bounds its upper wing.  _MAX_TERMS = 381 is that window's length, so
-        # the window cannot widen and the value must come from it alone.
-        exact = ncx2_decimal_oracle(1, 300.0, 1000.0)
-        monkeypatch.setattr(specfun, "_MAX_TERMS", 381)
-        got = noncentral_chi2_cdf(1, 300.0, 1000.0)
+    def test_first_window_settled_by_the_poisson_tail(self, windows):
+        # The first window is [110, 436], where r = 1.56: only P(K > hi) * g_{hi+1}
+        # bounds its upper wing.  The kernel sums that window alone, so the
+        # Poisson tail settled it.
+        d, delta, beta = 1, 300.0, 1000.0
+        lo, hi = first_window(d, delta, beta)
+        assert (lo, hi) == (110, 436)
+        assert delta * beta / ((hi + 2) * (d + hi + 2)) > 1.5
+        exact = ncx2_decimal_oracle(d, delta, beta)
+        got = noncentral_chi2_cdf(d, delta, beta)
         assert got == pytest.approx(exact, rel=1e-12, abs=0)
+        assert windows == [([lo], [hi])]
 
 
 def _window_sums_and_reference(d, beta, lo, hi, delta):
