@@ -88,8 +88,10 @@ def noncentral_chi2_cdf(half_dof: int, half_noncentrality: float, half_argument:
 #: monkeypatch them to reach the window cap and ConvergenceError.
 _REL_TOL = 1e-12
 _MAX_TERMS = 10_000
-#: Entries of one (elements x k) block of series terms: bounds the kernel's
-#: scratch memory (a few hundred kB) whatever the grid size.
+#: Entries of one (k offset x element) block of series terms: bounds the
+#: kernel's scratch memory (a few hundred kB) whatever the grid size.  A window
+#: longer than half a block fills a block alone; :func:`_window_sums` sums
+#: such a lone element with a running sum.
 _BLOCK_ENTRIES = 1 << 14
 #: Elements are summed in bands of this width in delta, so the g_k table of a
 #: band spans at most _DELTA_BAND + 3 * _MAX_TERMS values of k.
@@ -149,6 +151,14 @@ def _noncentral_chi2_cdf_grid(
     budget, which includes every element with r >= 1.  For the others the
     geometric bound alone meets the budget, so taking the smaller bound
     could not change whether the window stops.
+
+    The windows are summed in blocks laid out (k offset, element), one
+    element per column, by :func:`_window_sums`: a reduce down the columns
+    adds each element's terms one at a time in order of k, as a running sum
+    would, while the adds of neighbouring elements run side by side.  A
+    lone column takes a running sum instead, since numpy would sum it
+    pairwise.  So every element's value is the same, bit for bit, whatever
+    grid it sits in, and equal to the scalar call.
 
     A window widens, its lower edge straight toward k = 0, until the bounds
     are at most _REL_TOL times its sum.  With no absolute stopping rule,
@@ -218,9 +228,12 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
         tables = _series_tables(d, beta, k)
         sums = _window_sums(lo, hi, delta, log_delta, k[0], tables)
         partial[rows] = sums
-        lower = np.where(lo > 0, _sc.pdtr(lo - 1, delta) * g0, 0.0)
+        lower = np.zeros_like(delta)
+        inner = lo > 0
+        lower[inner] = _sc.pdtr(lo[inner] - 1, delta[inner]) * g0
         budget = _REL_TOL * sums
-        upper = _upper_wing_bound(d, delta, log_delta, beta, hi, tables[1][hi + 1 - k[0]],
+        log_fact_next, g_next = tables[:, hi + 1 - k[0]]
+        upper = _upper_wing_bound(d, delta, log_delta, beta, hi, log_fact_next, g_next,
                                   lower, budget)
         todo = upper + lower > budget
         if not todo.any():
@@ -249,8 +262,10 @@ def _series_tables(d: int, beta: float, k: np.ndarray) -> np.ndarray:
 
 
 def _upper_wing_bound(d: int, delta: np.ndarray, log_delta: np.ndarray, beta: float,
-                      hi: np.ndarray, g_next, lower: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """Bound on sum_{k > hi} t_k for each element, given g_next = g_{hi+1}:
+                      hi: np.ndarray, log_fact_next, g_next, lower: np.ndarray,
+                      budget: np.ndarray) -> np.ndarray:
+    """Bound on sum_{k > hi} t_k for each element, given log_fact_next =
+    log (hi + 1)! and g_next = g_{hi+1}, read from :func:`_series_tables`:
     the smaller of P(K > hi) * g_{hi+1} and, where r < 1, t_{hi+1} / (1 - r)
     (derived in :func:`_noncentral_chi2_cdf_grid`).  Where the geometric
     bound plus the lower-wing bound already meets the budget, P(K > hi) is
@@ -263,7 +278,7 @@ def _upper_wing_bound(d: int, delta: np.ndarray, log_delta: np.ndarray, beta: fl
     log_beta = math.log(beta) if beta > 0 else -math.inf
     # r is formed in logs: delta * beta overflows for delta near 1e300
     log_r = log_delta + log_beta - np.log(hi + 2.0) - np.log(d + hi + 2.0)
-    t_next = np.exp((hi + 1) * log_delta - delta - _sc.gammaln(hi + 2.0)) * g_next
+    t_next = np.exp((hi + 1) * log_delta - delta - log_fact_next) * g_next
     shrinks = log_r < 0
     upper = np.full_like(delta, np.inf)
     upper[shrinks] = t_next[shrinks] / -np.expm1(log_r[shrinks])
@@ -274,46 +289,58 @@ def _upper_wing_bound(d: int, delta: np.ndarray, log_delta: np.ndarray, beta: fl
 
 def _window_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * g_k for each element i, summed
-    in order of k; tables holds log k! and g_k from k = k0 on, padded as
-    :func:`_series_tables` pads them.
+    one term at a time in order of k; tables holds log k! and g_k from
+    k = k0 on, padded as :func:`_series_tables` pads them.
 
     Elements are taken longest window first, in blocks of at most
-    _BLOCK_ENTRIES terms, so that little of a block lies past its rows' ends.
-    A block is as wide as its first row, n0 terms.  Each row i reads
-    k = lo_i ... lo_i + n0 - 1 of both tables as one contiguous slice, a row
-    of a read-only strided view, rather than gathering term by term; a
-    shorter row reads on past hi_i into later entries or the padding.  With
-    k the float lo_i + j (exact below 2^53), the terms
-    exp((k log delta - delta) - log k!) * g_k and their running sum along k
-    are formed in place in one scratch block, and the sum is read at the
-    row's own last term, so nothing past hi_i is added.
+    _BLOCK_ENTRIES terms, so that little of a block lies past its elements'
+    ends.  A block is laid out (k offset, element): column i holds element
+    i's terms at k = lo_i + j for j = 0 ... n0 - 1, where n0 is the first
+    element's window length.  One gather reads both tables for every column
+    from a read-only strided view, whose entry [:, j, m] is both tables at
+    k = k0 + m + j; a shorter column reads on past hi_i into later entries
+    or the padding.  With k the float lo_i + j (exact below 2^52), the terms
+    exp((k log delta - delta) - log k!) * g_k are formed in place in one
+    scratch block.
+
+    The sum is a masked reduce down the columns, which leaves out each
+    column's terms past hi_i.  With two or more columns, numpy adds the
+    block row after row into the vector of sums, so each element gets
+    0 + t_lo + t_{lo+1} + ..., in order of k.  A lone column (a one-element
+    call, a window longer than _BLOCK_ENTRIES // 2, or a last element left
+    alone in its block) would be summed pairwise by that reduce, so it takes
+    a running sum instead, which adds in the same order.
     """
     lengths = hi - lo + 1
     sums = np.empty(lengths.shape)
-    order = np.argsort(-lengths, kind="stable")
-    width = int(lengths[order[0]])
-    # runs[:, m] is both tables from k = k0 + m on, width entries long; the
-    # constructor checks that the view stays inside the tables
+    width = int(lengths.max())
+    # longest first, ties in input order; a small unsigned key sorts by radix
+    order = np.argsort((width - lengths).astype(np.min_scalar_type(width)), kind="stable")
+    # runs[:, j, m] is both tables at k = k0 + m + j; the constructor checks
+    # that the view stays inside the tables
     step = tables.strides[1]
-    runs = np.ndarray((2, tables.shape[1] - width + 1, width), buffer=tables,
+    runs = np.ndarray((2, width, tables.shape[1] - width + 1), buffer=tables,
                       strides=(tables.strides[0], step, step))
     runs.flags.writeable = False
-    j = np.arange(width, dtype=float)
+    lo_float = lo.astype(float)
+    j = np.arange(width, dtype=float)[:, None]
     scratch = np.empty(min(max(_BLOCK_ENTRIES, width), lengths.size * width))
     start = 0
     while start < order.size:
         n0 = int(lengths[order[start]])
         rows = order[start : start + max(1, _BLOCK_ENTRIES // n0)]
-        log_fact, g = runs[:, lo[rows] - k0, :n0]
-        w = scratch[: rows.size * n0].reshape(rows.size, n0)
-        np.add(lo[rows, None], j[:n0], out=w)
-        w *= log_delta[rows, None]
-        w -= delta[rows, None]
+        log_fact, g = runs[:, :n0, lo[rows] - k0]
+        w = scratch[: n0 * rows.size].reshape(n0, rows.size)
+        np.add(lo_float[rows], j[:n0], out=w)
+        w *= log_delta[rows]
+        w -= delta[rows]
         w -= log_fact
         np.exp(w, out=w)
         w *= g
-        np.cumsum(w, axis=1, out=w)
-        sums[rows] = w[np.arange(rows.size), lengths[rows] - 1]
+        if rows.size == 1:
+            sums[rows] = np.cumsum(w[:, 0])[-1]
+        else:
+            sums[rows] = np.add.reduce(w, axis=0, where=j[:n0] < lengths[rows], initial=0.0)
         start += rows.size
     return sums
 

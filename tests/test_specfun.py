@@ -466,7 +466,8 @@ class TestUpperWingBound:
         # with no budget to spare, every element takes the smaller of both bounds
         zero, deltas = np.zeros(his.shape), np.full(his.shape, delta)
         bound = _upper_wing_bound(
-            d, deltas, np.log(deltas), beta, his, sc.gammainc(d + his + 1, beta), zero, zero
+            d, deltas, np.log(deltas), beta, his, sc.gammaln(his + 2.0),
+            sc.gammainc(d + his + 1, beta), zero, zero,
         )
         assert np.all(bound >= [float(tails[h + 1]) for h in his])
         # the kernel takes it wherever it beats P(K > hi) * g_{hi+1}; 1e-8
@@ -478,7 +479,7 @@ class TestUpperWingBound:
         # hi from r >= 1 (no geometric bound) to r well below 1
         his = np.arange(10, 400, 13)
         deltas, g_next = np.full(his.shape, delta), sc.gammainc(d + his + 1, beta)
-        args = (d, deltas, np.log(deltas), beta, his, g_next)
+        args = (d, deltas, np.log(deltas), beta, his, sc.gammaln(his + 2.0), g_next)
         zero = np.zeros(his.shape)
         both = _upper_wing_bound(*args, zero, zero)
         no_limit = np.full(his.shape, np.inf)
@@ -563,6 +564,77 @@ class TestWindowSums:
             1, 4000.0, [0, 4990], [specfun._MAX_TERMS - 1, 5010], [5000.0, 5000.0]
         )
         assert _bits(got) == _bits(want)
+
+    def test_two_columns_of_very_unequal_length(self):
+        # one block of exactly two columns: 3000 terms beside one
+        lo, hi = [0, 2500], [2999, 2500]
+        assert _BLOCK_ENTRIES // 3000 >= 2
+        got, want = _window_sums_and_reference(2, 3000.0, lo, hi, [1500.0, 2500.0])
+        assert _bits(got) == _bits(want)
+        assert got[1] > 0.0
+
+    def test_every_block_a_lone_column(self, monkeypatch):
+        # with one entry per block every element is its own block: the
+        # running-sum path, on the same 400 rows as the blocked test above
+        monkeypatch.setattr(specfun, "_BLOCK_ENTRIES", 1)
+        rng = np.random.default_rng(5)
+        lo = rng.integers(0, 500, 400)
+        hi = lo + rng.integers(0, 300, 400)
+        delta = rng.uniform(0.0, 800.0, 400)
+        got, want = _window_sums_and_reference(3, 60.3, lo, hi, delta)
+        assert _bits(got) == _bits(want)
+
+    @given(
+        d=st.integers(1, 8),
+        beta=st.floats(min_value=0.0, max_value=2000.0),
+        windows=st.lists(
+            st.tuples(
+                st.integers(0, 3000),
+                st.integers(1, 400) | st.integers(8000, 9000),
+                st.floats(min_value=0.0, max_value=5000.0),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=60)
+    def test_any_windows_match_the_reference(self, d, beta, windows):
+        lo, lengths, delta = (list(column) for column in zip(*windows))
+        hi = [a + n - 1 for a, n in zip(lo, lengths)]
+        got, want = _window_sums_and_reference(d, beta, lo, hi, delta)
+        assert _bits(got) == _bits(want)
+
+
+class TestColumnReduceOrder:
+    """The kernel's sums rest on numpy adding a masked (n, m >= 2) block
+    into its output row after row, and on cumsum adding one term at a time.
+    If a numpy release reorders either, this fails before any pinned value
+    moves."""
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (9, 2), (300, 3), (2, 8192), (8192, 2), (128, 128)])
+    def test_masked_reduce_down_columns_adds_in_row_order(self, n, m):
+        rng = np.random.default_rng(n * m)
+        # magnitudes over 30 decades, so that the order of the adds shows
+        w = np.exp(rng.uniform(-35.0, 35.0, (n, m)))
+        lengths = rng.integers(1, n + 1, m)
+        lengths[0] = n
+        keep = np.arange(n)[:, None] < lengths
+        got = np.add.reduce(w, axis=0, where=keep, initial=0.0)
+        want = np.zeros(m)
+        for i in range(n):
+            want = np.where(keep[i], want + w[i], want)
+        assert _bits(got) == _bits(want)
+        if n >= 300:
+            # a pairwise sum of the same terms differs, so the check has teeth
+            pairwise = [np.add.reduce(w[: lengths[c], c].copy()) for c in range(m)]
+            assert _bits(pairwise) != _bits(want)
+
+    def test_cumsum_of_a_lone_column_adds_one_term_at_a_time(self):
+        column = np.exp(np.random.default_rng(3).uniform(-35.0, 35.0, 5000))
+        total = 0.0
+        for t in column:
+            total = total + t
+        assert _bits([np.cumsum(column)[-1]]) == _bits([total])
 
 
 class TestExpansionCoeffs:
