@@ -14,9 +14,12 @@ A scheme's link model, link(gen, config, n, cb, fixed) -> (S, scale, gain),
 draws n trials' stale channels, and any fresh codebooks, from gen and runs
 the scheme's selection on them.  S is the selected stale part as unscaled
 (re, im) normal pairs, sqrt(2) times a CN(0, 1) entry; scale is 1.0 or one
-factor per trial; and gain(aged) is the effective gain of each trial, where
-aged = rho * scale * S + sqrt(1 - rho^2) * e with e drawn like S.  The links
-read no gain law: the Monte Carlo arbiter simulates, it never evaluates.
+(n, 1, 1) factor per trial; and gain(aged, rows) is the effective gain of the
+trials at the slice rows, where aged = rho * scale[rows] * S[rows] +
+sqrt(1 - rho^2) * e holds just those trials, with e drawn like S.  The
+simulator calls gain one block of _BLOCK trials at a time, so a chunk holds
+S plus one block.  The links read no gain law: the Monte Carlo arbiter
+simulates, it never evaluates.
 """
 
 from __future__ import annotations
@@ -214,16 +217,16 @@ def _inner_power(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool):
-    """Per row of w (n, n_t, 2): the unit codebook vector v maximizing
-    |<w, v>|^2, and that maximum.
+def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool, best: np.ndarray | None = None):
+    """Per row of w (n, n_t, 2): the maximum over unit codebook vectors v of
+    |<w, v>|^2, and, into best (n, n_t, 2) if given, the v attaining it.
 
     Unless fixed, every row gets a fresh codebook of cb's cardinality, drawn
     block by block in row order, so the stream matches one (n, N, n_t, 2) draw.
     """
     n, n_t, _ = w.shape
     size = cb.cardinality
-    best, top = np.empty_like(w), np.empty(n)
+    top = np.empty(n)
     if fixed:
         vecs = np.stack([cb.vectors.real, cb.vectors.imag], axis=-1)
         basis = _quadrature(vecs).transpose(1, 0, 2).reshape(2 * n_t, 2 * size)
@@ -234,16 +237,19 @@ def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool):
         m = len(rows)
         if fixed:
             part = (rows.reshape(m, -1) @ basis).reshape(m, size, 2)
+            np.square(part, out=part)
+            proj = part[..., 0] + part[..., 1]
         else:
             vecs = gen.standard_normal(out=buf[:m])
             vecs /= np.sqrt(_power(vecs, 2))[..., None, None]
             part = vecs.reshape(m, size, -1) @ _quadrature(rows)
-        proj = part[..., 0] ** 2 + part[..., 1] ** 2
+            proj = part[..., 0] ** 2 + part[..., 1] ** 2
         k = np.argmax(proj, axis=1)
         i = np.arange(m)
         top[lo:lo + m] = proj[i, k]
-        best[lo:lo + m] = vecs[k] if fixed else vecs[i, k]
-    return best, top
+        if best is not None:
+            best[lo:lo + m] = vecs[k] if fixed else vecs[i, k]
+    return top
 
 
 def _strongest(gen, n: int, rows: int, width: int) -> np.ndarray:
@@ -256,37 +262,47 @@ def _strongest(gen, n: int, rows: int, width: int) -> np.ndarray:
     return best
 
 
+def _aged_power(aged: np.ndarray, rows: slice) -> np.ndarray:
+    """The gain of a link whose stale part is its effective channel."""
+    return _power(aged)
+
+
 def link_miso_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
     h = gen.standard_normal((n, config.n_t, 2))
-    return h, 1.0, lambda aged: _inner_power(aged, h) / _power(h)
+    power = _power(h)
+    return h, 1.0, lambda aged, rows: _inner_power(aged, h[rows]) / power[rows]
 
 
 def link_miso_rvq(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
     h = gen.standard_normal((n, config.n_t, 2))
-    best, _ = _select_rvq(gen, h, cb, fixed)
-    return h, 1.0, lambda aged: _inner_power(aged, best)
+    best = np.empty_like(h)
+    _select_rvq(gen, h, cb, fixed, best)
+    return h, 1.0, lambda aged, rows: _inner_power(aged, best[rows])
 
 
 def link_miso_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
     # Every antenna ages and the gain reads the selected one: elementwise the
     # same as aging the selection, and e is drawn for all n_t antennas.
     h = gen.standard_normal((n, config.n_t, 2))
-    sel = np.argmax(h[..., 0] ** 2 + h[..., 1] ** 2, axis=1)
-    return h, 1.0, lambda aged: _power(aged[np.arange(n), sel])
+    sel = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _BLOCK):
+        rows = h[lo:lo + _BLOCK]
+        sel[lo:lo + len(rows)] = np.argmax(rows[..., 0] ** 2 + rows[..., 1] ** 2, axis=1)
+    return h, 1.0, lambda aged, rows: _power(aged[np.arange(len(aged)), sel[rows]])
 
 
 def link_mu_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
     # one row of n_r receive entries per (user, antenna) pair
-    return _strongest(gen, n, config.n_u * config.n_t, config.n_r), 1.0, _power
+    return _strongest(gen, n, config.n_u * config.n_t, config.n_r), 1.0, _aged_power
 
 
 def link_mu_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
-    return _strongest(gen, n, config.n_u, config.n_t), 1.0, _power
+    return _strongest(gen, n, config.n_u, config.n_t), 1.0, _aged_power
 
 
 def link_mu_rvq(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
     # the stale part is the winner scaled by sqrt(nu), nu = top / |win|^2 its
     # captured fraction
     win = _strongest(gen, n, config.n_u, config.n_t)
-    _, top = _select_rvq(gen, win, cb, fixed)
-    return win, np.sqrt(top / _power(win))[:, None, None], _power
+    top = _select_rvq(gen, win, cb, fixed)
+    return win, np.sqrt(top / _power(win))[:, None, None], _aged_power

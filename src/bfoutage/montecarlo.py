@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import channel
 from .analytic import SCHEMES, SchemeId, scheme_uses_codebook, validate_scheme
 from .channel import PersistenceSpec, RngStream, SystemConfig, db_to_linear, derive_params
 from .codebook import Codebook, rvq_generate
@@ -92,21 +93,35 @@ def _count_chunk(
     codebook vector, then the innovation e of every trial.  When all targets
     have rho = 1, e is not drawn: its weight sqrt(1 - rho^2) is 0.
 
+    The link's stale part S is held for the whole chunk; e, the aged channel
+    and the gains are formed one block of channel._BLOCK trials at a time, so
+    a chunk holds S plus one block whatever the number of targets.  Block
+    draws of e continue each other, as one draw of every trial's e would.
+
     Draws stay as unscaled (re, im) normal pairs, sqrt(2) times a CN(0, 1)
     entry, so every gain is twice the physical one and meets 2 * gamma0.
     """
     gen = rng.generator()
     stale, scale, gain = SCHEMES[scheme].link(gen, config, n, cb, fixed_codebook)
-    rhos = list(dict.fromkeys(rho for rho, _ in targets))
-    e = gen.standard_normal(stale.shape) if min(rhos) < 1.0 else None
-    gains = {}
-    for rho in rhos:
-        aged, decay, last = rho * scale * stale, math.sqrt(1.0 - rho * rho), rho == rhos[-1]
-        if decay:  # the last rho scales e in place and frees it before its gain
-            aged += np.multiply(e, decay, out=e if last else None)
-            e = None if last else e
-        gains[rho] = gain(aged)
-    return [int(np.count_nonzero(gains[rho] < 2.0 * gamma0)) for rho, gamma0 in targets]
+    levels: dict[float, list[tuple[int, float]]] = {}
+    for i, (rho, gamma0) in enumerate(targets):
+        levels.setdefault(rho, []).append((i, 2.0 * gamma0))
+    block = channel._BLOCK
+    buf = np.empty((min(n, block),) + stale.shape[1:]) if min(levels) < 1.0 else None
+    counts = [0] * len(targets)
+    for lo in range(0, n, block):
+        rows = slice(lo, min(lo + block, n))
+        part = stale[rows]
+        weight = scale[rows] if isinstance(scale, np.ndarray) else scale
+        e = None if buf is None else gen.standard_normal(out=buf[:len(part)])
+        for rho, rho_levels in levels.items():
+            aged, decay = rho * weight * part, math.sqrt(1.0 - rho * rho)
+            if decay:
+                aged += decay * e
+            gains = gain(aged, rows)
+            for i, level in rho_levels:
+                counts[i] += int(np.count_nonzero(gains < level))
+    return counts
 
 
 class McPoint(NamedTuple):

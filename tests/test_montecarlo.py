@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -300,6 +301,68 @@ class TestPerTrialOracle:
         below = list(range(30, n, 30))
         targets = [(rho, 0.5 * (gains[k - 1] + gains[k])) for k in below]
         assert _count_chunk(scheme, config, n, stream, targets, cb, fixed) == below
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    @pytest.mark.parametrize("label", list(GOLDEN_VARIANTS))
+    def test_counts_match_across_short_blocks(self, label, rho, monkeypatch):
+        # 300 trials in blocks of 7 cross 42 block edges and end on a block
+        # of 6, in the selections and in the chunk's draws of e alike
+        monkeypatch.setattr(channel, "_BLOCK", 7)
+        self.test_counts_match_trial_by_trial_selection(label, rho)
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees allocated while run() runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestChunkMemory:
+    """A chunk holds its stale part at chunk size and forms e, the aged
+    channel and the gains one block at a time, so its peak neither reaches
+    the old full-chunk footprint nor grows with the number of targets."""
+
+    TRIALS = 1 << 16
+    #: per label, MB: traced peaks of one chunk were 2.97 (mu-tas) to 10.41
+    #: (miso-rvq), against 6.0 to 16.0 with e, aged and gains at chunk size
+    PEAK_MB = {
+        "miso-pbf": 5.5,
+        "miso-rvq": 11.5,
+        "miso-rvq-fixed": 11.0,
+        "miso-rvq-nt2-n1": 5.5,
+        "miso-tas": 5.5,
+        "mu-tas": 3.5,
+        "mu-pbf": 5.0,
+        "mu-rvq": 7.0,
+        "mu-rvq-fixed": 6.5,
+        "mu-rvq-nt2-n1": 4.0,
+    }
+
+    @pytest.mark.parametrize("label", list(GOLDEN_VARIANTS))
+    def test_chunk_peak(self, label):
+        scheme, kwargs, size, fixed = GOLDEN_VARIANTS[label]
+        config = cfg(rho=0.9, **kwargs)
+        cb = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, config.n_t) if size else None
+        stream = RngStream(GOLDEN_SEED, 9)
+
+        def peak(targets):
+            return _traced_peak(
+                lambda: _count_chunk(scheme, config, self.TRIALS, stream, targets, cb, fixed))
+
+        one = peak([(0.9, 1.0)])
+        twelve = peak([(0.5 + 0.04 * k, 1.0) for k in range(12)])
+        row = analytic.SCHEMES[scheme].link(stream.generator(), config, 1, cb, fixed)[0][0]
+        assert one < self.PEAK_MB[label] * 2**20
+        assert twelve <= one + channel._BLOCK * row.nbytes
 
 
 def _batch_points() -> list[McPoint]:
