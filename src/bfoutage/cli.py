@@ -367,7 +367,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="cross-method agreement suite")
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=20260810)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads of the one pool that runs the agreement and arbitration "
+                        "Monte Carlo and the chi-square draws (no output effect)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

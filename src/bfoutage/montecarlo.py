@@ -15,8 +15,10 @@ points share their batch.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -135,15 +137,20 @@ class McPoint(NamedTuple):
     stream_offset: int = 0
 
 
-def simulate_outages(points: list[McPoint], workers: int) -> list[McResult]:
+def simulate_outages(
+    points: list[McPoint], workers: int, first: Callable[[], object] | None = None
+) -> list[McResult]:
     """One McResult per point, in input order, each equal to what
     simulate_outage returns for that point alone.
 
     Every chunk of every point runs on one pool of `workers` threads (each
     point's plan.workers is ignored), so the short last chunk of one point
-    shares the workers with the chunks of the next.  Every point is validated
-    before any chunk runs, and the call returns only after every chunk has
-    finished.
+    shares the workers with the chunks of the next.  `first`, if given, is
+    one more job for the same pool, run once and submitted before every
+    chunk (a long job started first leaves no worker idle at the end); its
+    return value is discarded.  With one worker every job runs on the
+    calling thread, in that order.  Every point is validated before any job
+    runs, and the call returns only after every job has finished.
     """
     if int(workers) != workers or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -168,11 +175,14 @@ def simulate_outages(points: list[McPoint], workers: int) -> list[McResult]:
             [targets[i] for i in members], codebook, fixed_codebook,
         )
 
+    tasks = [first] if first is not None else []
+    tasks += [partial(job, item) for item in jobs]
     if workers == 1:
-        counts = [job(item) for item in jobs]
+        done = [task() for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(job, jobs))
+            done = list(pool.map(lambda task: task(), tasks))
+    counts = done[len(tasks) - len(jobs):]
     totals = [0] * len(points)
     for (members, *_), chunk_counts in zip(jobs, counts):
         for i, count in zip(members, chunk_counts):

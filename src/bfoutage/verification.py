@@ -9,7 +9,9 @@ pass/fail result.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from . import analytic, montecarlo, specfun
 from .analytic import SchemeId
 from .channel import PersistenceSpec, RngStream, SystemConfig, db_to_linear, derive_params
 from .codebook import nu_pdf, rvq_generate
-from .montecarlo import McPoint, TrialPlan
+from .montecarlo import McPoint, McResult, TrialPlan
 from .specfun import _sc
 
 __all__ = [
@@ -88,12 +90,19 @@ def _cfg(scheme: SchemeId, snr_db: float, rho: float, rate: float = RATE) -> Sys
 # ---------------------------------------------------------------------------
 
 
-def three_way_agreement_checks(
-    trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
-) -> list[CheckResult]:
-    """Closed form and quadrature at every grid point, then one Monte Carlo
-    batch over all points; a scheme's points share one stream block, so
-    each chunk is drawn once for all its SNRs and rhos."""
+class _McFamily(NamedTuple):
+    """A Monte Carlo check family after its analytic phase: the points it
+    simulates, and judge(results) -> its checks, given one McResult per
+    point in order."""
+
+    points: list[McPoint]
+    judge: Callable[[list[McResult]], list[CheckResult]]
+
+
+def _agreement_family(trials: int, seed: int, workers: int) -> _McFamily:
+    """Closed form and quadrature at every grid point; a scheme's points
+    share one stream block, so each chunk is drawn once for all its SNRs and
+    rhos."""
     plan = TrialPlan(trials=trials, seed=seed, workers=workers)
     rows, points = [], []
     n = CODEBOOK_SIZE
@@ -110,24 +119,37 @@ def three_way_agreement_checks(
                 quad = analytic.outage_semianalytic(scheme, config, codebook_size=n).value
                 points.append(McPoint(scheme, config, cb, plan, stream_offset=k << 32))
                 rows.append((f"agreement {scheme.value} snr={snr_db:g}dB rho={rho:g}", closed, quad))
-    out = []
-    for (name, closed, quad), mc in zip(rows, montecarlo.simulate_outages(points, workers)):
-        gap_cq = abs(closed - quad)
-        dev_c = abs(closed - mc.p_hat)
-        dev_q = abs(quad - mc.p_hat)
-        bound = 3.0 * mc.std_err
-        ok = gap_cq < CLOSED_VS_QUAD_TOL and dev_c <= bound and dev_q <= bound
-        out.append(
-            CheckResult(
-                name=name,
-                passed=ok,
-                detail=(
-                    f"closed={closed:.3e} quad={quad:.3e} mc={mc.p_hat:.3e} "
-                    f"|c-q|={gap_cq:.1e} dev={max(dev_c, dev_q):.2e} 3se={bound:.2e}"
-                ),
+
+    def judge(results: list[McResult]) -> list[CheckResult]:
+        out = []
+        for (name, closed, quad), mc in zip(rows, results):
+            gap_cq = abs(closed - quad)
+            dev_c = abs(closed - mc.p_hat)
+            dev_q = abs(quad - mc.p_hat)
+            bound = 3.0 * mc.std_err
+            ok = gap_cq < CLOSED_VS_QUAD_TOL and dev_c <= bound and dev_q <= bound
+            out.append(
+                CheckResult(
+                    name=name,
+                    passed=ok,
+                    detail=(
+                        f"closed={closed:.3e} quad={quad:.3e} mc={mc.p_hat:.3e} "
+                        f"|c-q|={gap_cq:.1e} dev={max(dev_c, dev_q):.2e} 3se={bound:.2e}"
+                    ),
+                )
             )
-        )
-    return out
+        return out
+
+    return _McFamily(points, judge)
+
+
+def three_way_agreement_checks(
+    trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
+) -> list[CheckResult]:
+    """Closed form and quadrature at every grid point, then one Monte Carlo
+    batch over all points, each judged within 3 standard errors of both."""
+    family = _agreement_family(trials, seed, workers)
+    return family.judge(montecarlo.simulate_outages(family.points, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +168,19 @@ _ARBITRATION_CLAIMS = (
 )
 
 
-def arbitration_checks(
-    trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
-) -> list[CheckResult]:
-    """Evaluate every closed-form variant of the single-user matched-filter
-    and antenna-selection expressions against Monte Carlo on the delayed part
-    of the standard grid (rho < 1; at rho = 1 no variant differs), and check
-    each claim on a variant's largest |z| (inf where a value is not a
-    probability).  A family's points share one stream block, clear of the
-    agreement checks' blocks."""
+#: (family, scheme) of each arbitrated closed form, in stream-block order.
+_ARBITRATION_FAMILIES = (
+    ("matched-filter-coefficient", SchemeId.MISO_PBF),
+    ("antenna-selection-exponent", SchemeId.MISO_TAS),
+)
+
+
+def _arbitration_family(trials: int, seed: int, workers: int) -> _McFamily:
+    """Every closed-form variant at the delayed grid points; a family's
+    points share one stream block, clear of the agreement checks' blocks."""
     plan = TrialPlan(trials=trials, seed=seed, workers=workers)
     rows, points = [], []
-    for k, (family, scheme) in enumerate((("matched-filter-coefficient", SchemeId.MISO_PBF),
-                                          ("antenna-selection-exponent", SchemeId.MISO_TAS))):
+    for k, (family, scheme) in enumerate(_ARBITRATION_FAMILIES):
         block = (len(SCHEME_MATRIX) + k) << 32
         for snr_db in GRID_SNR_DB:
             for rho in (r for r in GRID_RHO if r < 1.0):
@@ -168,22 +190,38 @@ def arbitration_checks(
                     (family, v, analytic.outage_closed(scheme, config, variant=v).value)
                     for v in analytic.SCHEMES[scheme].variants
                 ])
-    max_z: dict[tuple[str, str], float] = {}
-    for row, mc in zip(rows, montecarlo.simulate_outages(points, workers)):
-        for family, variant, value in row:
-            if math.isfinite(value) and 0.0 <= value <= 1.0:
-                z = abs(value - mc.p_hat) / mc.std_err
-            else:
-                z = math.inf
-            max_z[family, variant] = max(max_z.get((family, variant), z), z)
-    return [
-        CheckResult(
-            name=f"arbitration {family}: {claim}",
-            passed=(max_z[family, variant] <= 3.0) == (variant == "corrected"),
-            detail=f"max |z| = {max_z[family, variant]:.2f}",
-        )
-        for family, variant, claim in _ARBITRATION_CLAIMS
-    ]
+
+    def judge(results: list[McResult]) -> list[CheckResult]:
+        max_z: dict[tuple[str, str], float] = {}
+        for row, mc in zip(rows, results):
+            for family, variant, value in row:
+                if math.isfinite(value) and 0.0 <= value <= 1.0:
+                    z = abs(value - mc.p_hat) / mc.std_err
+                else:
+                    z = math.inf
+                max_z[family, variant] = max(max_z.get((family, variant), z), z)
+        return [
+            CheckResult(
+                name=f"arbitration {family}: {claim}",
+                passed=(max_z[family, variant] <= 3.0) == (variant == "corrected"),
+                detail=f"max |z| = {max_z[family, variant]:.2f}",
+            )
+            for family, variant, claim in _ARBITRATION_CLAIMS
+        ]
+
+    return _McFamily(points, judge)
+
+
+def arbitration_checks(
+    trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
+) -> list[CheckResult]:
+    """Evaluate every closed-form variant of the single-user matched-filter
+    and antenna-selection expressions against Monte Carlo on the delayed part
+    of the standard grid (rho < 1; at rho = 1 no variant differs), and check
+    each claim on a variant's largest |z| (inf where a value is not a
+    probability)."""
+    family = _arbitration_family(trials, seed, workers)
+    return family.judge(montecarlo.simulate_outages(family.points, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +422,22 @@ def figure_shape_checks() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def combinatorial_checks(samples: int = 1_000_000, seed: int = 20260810) -> list[CheckResult]:
+#: Empirical draws of the noncentral chi-square check.
+_CHI2_SAMPLES = 1_000_000
+#: (d, delta, beta) triples of the noncentral chi-square check, in order of d.
+_CHI2_TRIPLES = (
+    (1, 0.5, 0.7), (1, 2.0, 1.5), (1, 5.0, 4.0),
+    (2, 1.0, 2.0), (2, 4.0, 3.0), (3, 0.3, 2.5),
+    (4, 2.0, 5.0), (4, 8.0, 9.0), (6, 3.0, 7.0),
+)
+#: Stream of the chi-square draws: the first id of the block after the
+#: arbitration families' blocks, so no Monte Carlo point reads its draws.
+_CHI2_STREAM = (len(SCHEME_MATRIX) + len(_ARBITRATION_FAMILIES)) << 32
+
+
+def _exact_checks() -> list[CheckResult]:
+    """The binomial identity and the power-series coefficients, each against
+    exhaustive or brute-force enumeration."""
     out = []
 
     bad = [
@@ -424,16 +477,17 @@ def combinatorial_checks(samples: int = 1_000_000, seed: int = 20260810) -> list
             detail=f"worst deviation {worst:.2e}",
         )
     )
+    return out
 
-    triples = [
-        (1, 0.5, 0.7), (1, 2.0, 1.5), (1, 5.0, 4.0),
-        (2, 1.0, 2.0), (2, 4.0, 3.0), (3, 0.3, 2.5),
-        (4, 2.0, 5.0), (4, 8.0, 9.0), (6, 3.0, 7.0),
-    ]
+
+def _chi2_hits(samples: int, seed: int) -> np.ndarray:
+    """For each _CHI2_TRIPLES (d, delta, beta), how many of `samples` draws of
+    a noncentral chi-square with 2d degrees of freedom and noncentrality
+    2 delta fall below 2 beta, all drawn from stream (seed, _CHI2_STREAM)."""
     # one draw serves every triple: d reads columns 0 .. 2d - 1, noncentral on 0
-    width = 2 * max(d for d, _, _ in triples)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    hits = np.zeros(len(triples), dtype=np.int64)
+    width = 2 * _CHI2_TRIPLES[-1][0]
+    gen = RngStream(seed, _CHI2_STREAM).generator()
+    hits = np.zeros(len(_CHI2_TRIPLES), dtype=np.int64)
     # sequential draws in row blocks concatenate to one full draw exactly
     for lo in range(0, samples, _SAMPLE_BLOCK):
         z = gen.standard_normal((min(_SAMPLE_BLOCK, samples - lo), width))
@@ -441,26 +495,36 @@ def combinatorial_checks(samples: int = 1_000_000, seed: int = 20260810) -> list
         # tail = sq[:, 0] + ... + sq[:, 2d - 2], added column by column in
         # order; the triples come in order of d, so one pass serves them all
         tail, summed = np.zeros(sq.shape[0]), 0
-        for t, (d, delta, beta) in enumerate(triples):
+        for t, (d, delta, beta) in enumerate(_CHI2_TRIPLES):
             for c in range(summed, 2 * d - 1):
                 tail += sq[:, c]
             summed = 2 * d - 1
             stat = (z[:, 0] + math.sqrt(2.0 * delta)) ** 2 + tail
             hits[t] += np.count_nonzero(stat < 2.0 * beta)
+    return hits
+
+
+def _chi2_check(hits: np.ndarray, samples: int) -> CheckResult:
     worst_z = 0.0
-    for (d, delta, beta), count in zip(triples, hits):
+    for (d, delta, beta), count in zip(_CHI2_TRIPLES, hits):
         p_emp = count / samples
         se = math.sqrt(max(p_emp * (1 - p_emp), 1e-12) / samples)
         p_val = specfun.noncentral_chi2_cdf(d, delta, beta)
         worst_z = max(worst_z, abs(p_val - p_emp) / se)
-    out.append(
-        CheckResult(
-            name="noncentral chi-square CDF vs empirical CDF at 9 parameter triples",
-            passed=worst_z <= 3.0,
-            detail=f"worst |z| = {worst_z:.2f}",
-        )
+    return CheckResult(
+        name="noncentral chi-square CDF vs empirical CDF at 9 parameter triples",
+        passed=worst_z <= 3.0,
+        detail=f"worst |z| = {worst_z:.2f}",
     )
-    return out
+
+
+def combinatorial_checks(samples: int = _CHI2_SAMPLES, seed: int = 20260810) -> list[CheckResult]:
+    """The binomial identity and power-series coefficients by enumeration,
+    then the noncentral chi-square CDF against an empirical CDF of `samples`
+    draws.  The draws come from their own stream, (seed, _CHI2_STREAM),
+    which no Monte Carlo point of verify reads; run_all draws them as the
+    first job of its simulation phase."""
+    return _exact_checks() + [_chi2_check(_chi2_hits(samples, seed), samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +550,28 @@ def determinism_checks(trials: int = 200_000, seed: int = 20260810) -> list[Chec
 def run_all(
     trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
 ) -> list[CheckResult]:
+    """Every check of the seven families, in their order, each line equal to
+    what the family's own function returns.
+
+    Three phases: the closed forms and quadratures of criteria 1 and 2; one
+    simulate_outages batch of all their Monte Carlo points on `workers`
+    threads, with criterion 6's chi-square draws as its first job; then the
+    judging of every check.  No closed form or quadrature runs while the
+    batch does.  Criterion 7 runs its own simulations last.
+    """
+    families = [_agreement_family(trials, seed, workers), _arbitration_family(trials, seed, workers)]
+    sampled: list[np.ndarray] = []
+    results = montecarlo.simulate_outages(
+        [point for family in families for point in family.points], workers,
+        first=lambda: sampled.append(_chi2_hits(_CHI2_SAMPLES, seed)),
+    )
     checks: list[CheckResult] = []
-    checks += three_way_agreement_checks(trials, seed, workers)
-    checks += arbitration_checks(trials, seed, workers)
+    for family in families:
+        checks += family.judge(results[:len(family.points)])
+        results = results[len(family.points):]
     checks += diversity_checks()
     checks += reduction_identity_checks()
     checks += figure_shape_checks()
-    checks += combinatorial_checks(seed=seed)
+    checks += _exact_checks() + [_chi2_check(sampled[0], _CHI2_SAMPLES)]
     checks += determinism_checks(seed=seed)
     return checks

@@ -476,6 +476,20 @@ class TestVerifyCommand:
         for check in ("reduction mu-pbf(n_u=1)", "reduction mu-rvq(n_u=1)"):
             assert any(l.startswith("PASS") and check in l for l in lines)
 
+    def test_stdout_identical_across_worker_counts(self, capsys):
+        outs = []
+        for workers in ("1", "2", "3"):
+            code, out, _ = run_cli(capsys, "verify", "--trials", "20000", "--seed", "5",
+                                   "--workers", workers)
+            assert code in (EXIT_OK, EXIT_VERIFY)
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_negative_seed_runs_every_check(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-3", "--trials", "2000")
+        assert code in (EXIT_OK, EXIT_VERIFY), err
+        assert "noncentral chi-square CDF" in out
+
     def test_failing_check_exits_three(self, capsys, monkeypatch):
         failing = verification.CheckResult(name="stub check", passed=False, detail="gap=1")
         monkeypatch.setattr(verification, "run_all", lambda **kwargs: [failing])

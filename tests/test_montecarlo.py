@@ -464,6 +464,18 @@ class TestBatch:
         codebooks = 2  # one per RVQ scheme
         assert opened == len(verification.SCHEME_MATRIX) * 1 + codebooks
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_job_runs_once_and_moves_no_count(self, monkeypatch, workers):
+        points = _batch_points()
+        alone = simulate_outages(points, workers)
+        order = []
+        count_chunk = montecarlo._count_chunk
+        monkeypatch.setattr(montecarlo, "_count_chunk", lambda *a: order.append("chunk") or count_chunk(*a))
+        assert simulate_outages(points, workers, first=lambda: order.append("first")) == alone
+        assert order.count("first") == 1
+        if workers == 1:
+            assert order[0] == "first"
+
     def test_empty_batch(self):
         assert simulate_outages([], 2) == []
 

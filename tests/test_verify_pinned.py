@@ -144,8 +144,10 @@ PINNED_MC_LINES = (
 )
 
 #: combinatorial_checks' empirical noncentral chi-square line at 200 000
-#: samples, every triple reading one shared draw.
-PINNED_CHI2_LINE = 'PASS  noncentral chi-square CDF vs empirical CDF at 9 parameter triples  [worst |z| = 1.55]'
+#: samples, every triple reading one shared draw.  Re-recorded (1.55 -> 1.22)
+#: when the draws moved from stream (seed, 0), the first chunk of the
+#: agreement checks' miso-pbf block, to a stream of their own.
+PINNED_CHI2_LINE = 'PASS  noncentral chi-square CDF vs empirical CDF at 9 parameter triples  [worst |z| = 1.22]'
 
 
 @pytest.mark.parametrize("workers", [1, 3])
