@@ -65,6 +65,9 @@ _NU_NODES = 128
 # Largest pool of the selection sum: C(pool - 1, k) overflows a float for
 # some k from pool 1031 on.
 _MAX_SELECTION_POOL = 1030
+# Largest shape of the gain density: (shape - 1)! overflows a float from
+# shape 172 on.
+_MAX_PDF_SHAPE = 171
 
 
 class AccuracyError(ArithmeticError):
@@ -189,8 +192,12 @@ class GainDistribution:
     half_dof: int
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+        """Density at x; a shape past _MAX_PDF_SHAPE raises CapabilityError."""
         s, z = self.shape, self.pool_size
+        if s > _MAX_PDF_SHAPE:
+            raise CapabilityError(
+                f"gain shape {s} is past {_MAX_PDF_SHAPE}: (shape - 1)! overflows a float")
+        x = np.asarray(x, dtype=float)
         base = x ** (s - 1) * np.exp(-x) / math.factorial(s - 1)
         if z == 1:
             return base
@@ -271,6 +278,10 @@ def outage_semianalytic(
             value = float(w_nu @ (f_nu * dist.cdf(params.gamma0 / nu)))
         return OutageEstimate(value=min(max(value, 0.0), 1.0), method="quadrature")
 
+    if not math.isfinite(params.beta):
+        raise CapabilityError(
+            f"aged threshold beta = gamma0 / (1 - rho^2) is past the float range "
+            f"(gamma0 {params.gamma0:g}, rho {config.rho!r})")
     cut = dist.upper_cut()
     tail = 1.0 - float(dist.cdf(cut))
     if tail > _TAIL_LIMIT:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .specfun import bessel_j0
+from .specfun import CapabilityError, bessel_j0
 
 if TYPE_CHECKING:
     from .codebook import Codebook
@@ -152,8 +152,17 @@ class DerivedParams:
 
 
 def derive_params(config: SystemConfig) -> DerivedParams:
+    """The config's thresholds; a gamma0 past the float range, which every
+    evaluator needs, raises CapabilityError.  beta may still be infinite."""
     rho = config.rho
-    gamma0 = (2.0 ** config.rate_bits - 1.0) / (config.snr_linear / config.n_t)
+    try:
+        gamma0 = (2.0 ** config.rate_bits - 1.0) / (config.snr_linear / config.n_t)
+    except (OverflowError, ZeroDivisionError):
+        gamma0 = math.inf
+    if not math.isfinite(gamma0):
+        raise CapabilityError(
+            f"outage threshold gamma0 is past the float range at rate {config.rate_bits!r} "
+            f"bits/s/Hz and linear SNR {config.snr_linear!r}")
     if rho == 1.0:
         return DerivedParams(gamma0=gamma0, mu=None, beta=None, no_delay=True)
     one_minus = 1.0 - rho * rho

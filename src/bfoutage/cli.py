@@ -128,7 +128,12 @@ def _merge_config(args) -> dict:
             key = key.replace("-", "_")
             if key not in merged:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            merged[key] = _FLAGS[key][0](value)
+            kind = _FLAGS[key][0]
+            try:
+                merged[key] = kind(value)
+            except ValueError:
+                raise UsageError(
+                    f"{path}:{lineno}: {key} expects {kind.__name__}, got {value!r}") from None
     for key in merged:
         explicit = getattr(args, key, None)
         if explicit is not None:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
-Monte Carlo runs use a fixed seed so the suite is deterministic; the full
-suite runs in about 8 s on a 2-core x86-64 machine.
+Monte Carlo runs use a fixed seed so the suite is deterministic; it runs in
+6-7 s on a 2-core x86-64 Xeon, criterion 1 taking about 6.5 s of that.
 
 Criterion 4 (reduction identities) specializes the multiuser evaluators to a
 single user.  The multiuser PBF/RVQ forms keep the full combining diversity of

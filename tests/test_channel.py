@@ -15,6 +15,7 @@ from bfoutage.channel import (
     derive_params,
     jakes_persistence,
 )
+from bfoutage.specfun import CapabilityError
 
 from _oracle import age_channel, draw_channel, draw_user_channels
 
@@ -109,6 +110,14 @@ class TestDeriveParams:
         )
         assert params.no_delay
         assert params.mu is None and params.beta is None
+
+    # 2 ** rate overflows; gamma0 overflows; snr / n_t underflows to 0
+    @pytest.mark.parametrize("rate, snr", [(1100.0, 10.0), (2.0, 1e-310), (2.0, 5e-324)])
+    def test_gamma0_past_float_range(self, rate, snr):
+        config = SystemConfig(n_t=4, rate_bits=rate, snr_linear=snr,
+                              persistence=PersistenceSpec.from_rho(0.9))
+        with pytest.raises(CapabilityError, match="gamma0"):
+            derive_params(config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

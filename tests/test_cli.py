@@ -395,6 +395,38 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numeric error") and message in err
 
+    @pytest.mark.parametrize("command, rate", [
+        ("analytic", "1100"), ("simulate", "1100"), ("analytic", "1023"),
+    ], ids=["analytic-gamma0", "simulate-gamma0", "analytic-beta"])
+    def test_threshold_past_float_range_is_numeric(self, capsys, command, rate):
+        code, out, err = run_cli(
+            capsys, command, "--scheme", "miso-pbf", "--rho", "0.9", "--rate", rate,
+            "--trials", "1000", "--seed", "1",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric error") and "past the float range" in err
+
+    def test_simulate_at_finite_gamma0_and_infinite_beta(self, capsys):
+        # only the quadrature needs beta; every trial is an outage
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scheme", "miso-pbf", "--rho", "0.9", "--rate", "1023",
+            "--trials", "1000", "--seed", "1",
+        )
+        assert code == EXIT_OK
+        assert parse_csv(out)[0]["p_out"] == "1.0"
+
+    @pytest.mark.parametrize("args", [
+        ("miso-pbf", "--nt", "172"), ("mu-tas", "--nr", "172"),
+    ], ids=["miso-pbf-nt", "mu-tas-nr"])
+    def test_quadrature_shape_past_factorial_range_is_numeric(self, capsys, args):
+        code, out, err = run_cli(
+            capsys, "analytic", "--scheme", *args, "--rho", "0.9", "--eval", "quadrature",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric error") and "gain shape 172" in err
+
 
 class TestConfigFile:
     def test_flags_win_over_file(self, capsys, tmp_path):
@@ -422,6 +454,20 @@ class TestConfigFile:
         )
         assert code == EXIT_USAGE
         assert "wibble" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("chunk = 1e3", "chunk expects int, got '1e3'"),
+        ("rho = high", "rho expects float, got 'high'"),
+    ])
+    def test_bad_value_names_line_and_key(self, capsys, tmp_path, line, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"nt = 2\n{line}\n")
+        code, _, err = run_cli(
+            capsys, "simulate", "--scheme", "miso-pbf", "--config", str(conf),
+            "--rho", "0.9", "--trials", "100", "--seed", "1",
+        )
+        assert code == EXIT_USAGE
+        assert f"error: {conf}:2: {message}" in err
 
 
 class TestByteStability:

@@ -1,5 +1,6 @@
-"""Each experiment script runs at its defaults, with a short Monte Carlo
-overlay where it has one, and writes a CSV table.
+"""scripts/figures.py prints each figure, with a short Monte Carlo overlay
+where it has one, as the CLI's CSV with a leading curve column: every
+curve, and every point of its grid.
 
 The value fingerprint must also equal tests/value_fingerprint.csv byte for
 byte, so every closed-form and quadrature value on its grid stays bitwise
@@ -16,24 +17,25 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-#: script -> recorded output its stdout must equal byte for byte
-RECORDED = {"value_fingerprint.py": ROOT / "tests" / "value_fingerprint.csv"}
+from bfoutage.cli import OUTAGE_FIELDS
 
-#: script -> (arguments, CSV header)
-SCRIPTS = {
-    "persistence_sweep.py": (["--trials", "2000"], "scheme,nt,rho,evaluator,p_out,std_err"),
-    "multiuser_sweep.py": (["--trials", "2000"], "scheme,users,rho,snr_db,evaluator,p_out,std_err"),
-    "codebook_tradeoff.py": ([], "target,rho,min_size,attainable,pbf_floor"),
-    "scheme_comparison.py": ([], "scheme,rho,snr_db,p_out"),
-    "value_fingerprint.py": (
-        [], "scheme,nt,nr,nu,snr_db,rho,codebook_size,path,value,method,flags,error"),
+ROOT = Path(__file__).resolve().parent.parent
+SWEEP_HEADER = ",".join(OUTAGE_FIELDS)
+
+#: figure -> (arguments, CLI header, curves, data rows)
+FIGURES = {
+    "persistence": (["--trials", "2000"], SWEEP_HEADER,
+                    ["miso-rvq-nt2", "miso-rvq-nt4", "miso-tas-nt4"], 78),
+    "multiuser": (["--trials", "2000"], SWEEP_HEADER,
+                  ["mu-tas-nu1", "mu-tas-nu2", "mu-tas-nu4", "mu-pbf-nu2", "mu-rvq-nu2"], 110),
+    "schemes": ([], SWEEP_HEADER,
+                ["miso-pbf", "miso-rvq", "miso-tas", "miso-rvq-n1", "miso-rvq-n4",
+                 "miso-rvq-n16", "miso-rvq-n64", "miso-rvq-n256"], 118),
+    "codebook": ([], "rho,target,min_size,attainable,pbf_floor", ["miso-rvq-nt4"], 24),
 }
 
 
-@pytest.mark.parametrize("script", list(SCRIPTS))
-def test_runs_at_defaults(script):
-    args, header = SCRIPTS[script]
+def _run(script, *args) -> str:
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
@@ -41,8 +43,18 @@ def test_runs_at_defaults(script):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    assert ",".join(rows[0]) == header
-    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
-    if script in RECORDED:
-        assert proc.stdout.encode() == RECORDED[script].read_bytes()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("run", [*FIGURES, "value_fingerprint.py"])
+def test_runs_at_defaults(run):
+    if run not in FIGURES:
+        out = _run(run)
+        assert out.encode() == (ROOT / "tests" / "value_fingerprint.csv").read_bytes()
+        return
+    args, header, curves, count = FIGURES[run]
+    header_row, *rows = csv.reader(io.StringIO(_run("figures.py", run, *args)))
+    assert ",".join(header_row) == "curve," + header
+    assert list(dict.fromkeys(row[0] for row in rows)) == curves
+    assert len(rows) == count
+    assert all(len(row) == len(header_row) for row in rows)
