@@ -68,6 +68,10 @@ _MAX_SELECTION_POOL = 1030
 # Largest shape of the gain density: (shape - 1)! overflows a float from
 # shape 172 on.
 _MAX_PDF_SHAPE = 171
+# Largest shape whose density is formed as x^(s-1) e^-x / (s-1)!: past it,
+# x^(s-1) overflows at the quadrature's upper cut, so the density is formed
+# in logs.
+_POWER_PDF_SHAPE = 131
 
 
 class AccuracyError(ArithmeticError):
@@ -198,7 +202,10 @@ class GainDistribution:
             raise CapabilityError(
                 f"gain shape {s} is past {_MAX_PDF_SHAPE}: (shape - 1)! overflows a float")
         x = np.asarray(x, dtype=float)
-        base = x ** (s - 1) * np.exp(-x) / math.factorial(s - 1)
+        if s <= _POWER_PDF_SHAPE:
+            base = x ** (s - 1) * np.exp(-x) / math.factorial(s - 1)
+        else:
+            base = np.exp((s - 1) * np.log(x) - x - math.lgamma(s))
         if z == 1:
             return base
         return z * base * _sc.gammainc(s, x) ** (z - 1)

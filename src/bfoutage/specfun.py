@@ -91,7 +91,8 @@ _MAX_TERMS = 10_000
 #: Entries of one (k offset x element) block of series terms: bounds the
 #: kernel's scratch memory (a few hundred kB) whatever the grid size.  A window
 #: longer than half a block fills a block alone; :func:`_window_sums` sums
-#: such a lone element with a running sum.
+#: such a lone element with a running sum.  Windows that start at one k get
+#: blocks of their own once they fill one.
 _BLOCK_ENTRIES = 1 << 14
 #: Elements are summed in bands of this width in delta, so the g_k table of a
 #: band spans at most _DELTA_BAND + 3 * _MAX_TERMS values of k.
@@ -155,10 +156,15 @@ def _noncentral_chi2_cdf_grid(
     The windows are summed in blocks laid out (k offset, element), one
     element per column, by :func:`_window_sums`: a reduce down the columns
     adds each element's terms one at a time in order of k, as a running sum
-    would, while the adds of neighbouring elements run side by side.  A
-    lone column takes a running sum instead, since numpy would sum it
-    pairwise.  So every element's value is the same, bit for bit, whatever
-    grid it sits in, and equal to the scalar call.
+    would, while the adds of neighbouring elements run side by side.  Windows
+    that share a start, as the many clipped at k = 0 do, get blocks that
+    read log k! and g_k as one column for all their elements; the rest are
+    gathered column by column.  Each block is reduced unmasked over the rows
+    all its columns have, then under a mask over the ragged rest, starting
+    from those partial sums.  A lone column takes a running sum instead,
+    since numpy would sum it pairwise.  None of this changes the order of
+    any element's adds, so every element's value is the same, bit for bit,
+    whatever grid it sits in, and equal to the scalar call.
 
     A window widens, its lower edge straight toward k = 0, until the bounds
     are at most _REL_TOL times its sum.  With no absolute stopping rule,
@@ -292,30 +298,41 @@ def _window_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     one term at a time in order of k; tables holds log k! and g_k from
     k = k0 on, padded as :func:`_series_tables` pads them.
 
-    Elements are taken longest window first, in blocks of at most
-    _BLOCK_ENTRIES terms, so that little of a block lies past its elements'
-    ends.  A block is laid out (k offset, element): column i holds element
-    i's terms at k = lo_i + j for j = 0 ... n0 - 1, where n0 is the first
-    element's window length.  One gather reads both tables for every column
-    from a read-only strided view, whose entry [:, j, m] is both tables at
-    k = k0 + m + j; a shorter column reads on past hi_i into later entries
-    or the padding.  With k the float lo_i + j (exact below 2^52), the terms
-    exp((k log delta - delta) - log k!) * g_k are formed in place in one
-    scratch block.
+    Elements are summed in blocks of at most _BLOCK_ENTRIES terms, longest
+    window first, so that little of a block lies past its elements' ends.
+    A block is laid out (k offset, element): column i holds element i's
+    terms at k = lo_i + j for j = 0 ... n0 - 1, where n0 is the first
+    element's window length; a shorter column runs on past hi_i into later
+    table entries or the padding.  The tables are read from a read-only
+    strided view, whose entry [:, j, m] is both tables at k = k0 + m + j,
+    and the terms exp((k log delta - delta) - log k!) * g_k are formed in
+    place in one scratch block.
 
-    The sum is a masked reduce down the columns, which leaves out each
-    column's terms past hi_i.  With two or more columns, numpy adds the
-    block row after row into the vector of sums, so each element gets
-    0 + t_lo + t_{lo+1} + ..., in order of k.  A lone column (a one-element
-    call, a window longer than _BLOCK_ENTRIES // 2, or a last element left
-    alone in its block) would be summed pairwise by that reduce, so it takes
-    a running sum instead, which adds in the same order.
+    Windows that start at one k, as those clipped at k = 0 do, share their
+    k, log k! and g_k row by row.  A start whose elements fill a block of
+    its longest window, or that every element shares, gets blocks of its
+    own (:func:`_block_plan`), in which log k! and g_k are one (n0, 1)
+    column sliced from the view and k log delta is the (n0, 1) vector lo + j
+    times each column's log delta.  The other elements share gather blocks,
+    which read both tables for every column with one gather and form k as
+    lo_i + j.  k is an integer below 2^52 either way, exact as a float, so
+    both paths form the same terms.
+
+    Each block is summed by :func:`_column_sums`: a reduce down the columns
+    adds the rows that every column has, and a masked reduce continues from
+    those sums over the ragged rows, leaving out each column's terms past
+    hi_i.  With two or more columns, numpy adds a block row after row into
+    the vector of sums, so each element gets 0 + t_lo + t_{lo+1} + ..., in
+    order of k, whichever path formed its terms and however the block
+    splits.  A lone column (a one-element call, a window longer than
+    _BLOCK_ENTRIES // 2, or a last element left alone in its block) would be
+    summed pairwise by that reduce, so it takes a running sum instead, which
+    adds in the same order.
     """
     lengths = hi - lo + 1
     sums = np.empty(lengths.shape)
     width = int(lengths.max())
-    # longest first, ties in input order; a small unsigned key sorts by radix
-    order = np.argsort((width - lengths).astype(np.min_scalar_type(width)), kind="stable")
+    at = lo - k0  # each window's first entry in the tables
     # runs[:, j, m] is both tables at k = k0 + m + j; the constructor checks
     # that the view stays inside the tables
     step = tables.strides[1]
@@ -325,24 +342,77 @@ def _window_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     lo_float = lo.astype(float)
     j = np.arange(width, dtype=float)[:, None]
     scratch = np.empty(min(max(_BLOCK_ENTRIES, width), lengths.size * width))
-    start = 0
-    while start < order.size:
-        n0 = int(lengths[order[start]])
-        rows = order[start : start + max(1, _BLOCK_ENTRIES // n0)]
-        log_fact, g = runs[:, :n0, lo[rows] - k0]
+    for rows, shared in _block_plan(at, lengths, width, runs.shape[2]):
+        n0 = int(lengths[rows[0]])
         w = scratch[: n0 * rows.size].reshape(n0, rows.size)
-        np.add(lo_float[rows], j[:n0], out=w)
-        w *= log_delta[rows]
+        if shared:
+            first = rows[0]
+            log_fact, g = runs[:, :n0, at[first], None]
+            np.multiply(lo_float[first] + j[:n0], log_delta[rows], out=w)
+        else:
+            log_fact, g = runs[:, :n0, at[rows]]
+            np.add(lo_float[rows], j[:n0], out=w)
+            w *= log_delta[rows]
         w -= delta[rows]
         w -= log_fact
         np.exp(w, out=w)
         w *= g
-        if rows.size == 1:
-            sums[rows] = np.cumsum(w[:, 0])[-1]
-        else:
-            sums[rows] = np.add.reduce(w, axis=0, where=j[:n0] < lengths[rows], initial=0.0)
-        start += rows.size
+        sums[rows] = _column_sums(w, lengths[rows], j)
     return sums
+
+
+def _block_plan(at, lengths, width: int, span: int) -> list:
+    """The blocks of :func:`_window_sums`, as (rows, shared) pairs: rows
+    indexes a block's elements, longest window first, and shared says that
+    their windows all start at one k.  at holds each window's first entry
+    in the tables, every one below span."""
+    # longest first, ties in input order; a small unsigned key sorts by radix
+    by_length = np.argsort((width - lengths).astype(np.min_scalar_type(width)), kind="stable")
+    by_start = by_length[np.argsort(at[by_length].astype(np.min_scalar_type(span)), kind="stable")]
+    starts = at[by_start]
+    if starts[0] == starts[-1]:  # one start, and no gather blocks to fill
+        return [(rows, True) for rows in _blocks(by_length, lengths)]
+    edges = np.concatenate(([0], np.flatnonzero(starts[1:] != starts[:-1]) + 1, [starts.size]))
+    counts = edges[1:] - edges[:-1]
+    # a start gets blocks of its own when its elements fill a block of its
+    # longest window; every other element goes to the gather blocks
+    shared = counts >= _BLOCK_ENTRIES // lengths[by_start[edges[:-1]]]
+    plan = [(rows, True)
+            for a, b in zip(edges[:-1][shared].tolist(), edges[1:][shared].tolist())
+            for rows in _blocks(by_start[a:b], lengths)]
+    if shared.any():
+        in_plan = np.empty(lengths.shape, dtype=bool)
+        in_plan[by_start] = np.repeat(shared, counts)
+        by_length = by_length[~in_plan[by_length]]
+    return plan + [(rows, False) for rows in _blocks(by_length, lengths)]
+
+
+def _blocks(order, lengths):
+    """Consecutive runs of order, longest window first, each holding as many
+    elements as _BLOCK_ENTRIES terms of its first window allow, and at least one."""
+    start = 0
+    while start < order.size:
+        stop = start + max(1, _BLOCK_ENTRIES // int(lengths[order[start]]))
+        yield order[start:stop]
+        start = stop
+
+
+def _column_sums(w, lengths, j) -> np.ndarray:
+    """The sum of the first lengths[c] entries of each column c of w, added
+    0 + w[0, c] + w[1, c] + ... in order of rows.  lengths is descending and
+    w has lengths[0] rows; j is the float row index as a column.
+
+    The rows up to the shortest length m are reduced unmasked, which starts
+    from row 0 itself rather than 0 + row 0: the same floats, as no term is
+    -0.  Those partial sums overwrite row m - 1, and the masked reduce over
+    rows m - 1 on adds the ragged rest to them in order."""
+    n, m = w.shape[0], int(lengths[-1])
+    if w.shape[1] == 1:
+        return np.cumsum(w[:, 0])[-1]
+    if m == n:
+        return np.add.reduce(w, axis=0)
+    w[m - 1] = np.add.reduce(w[:m], axis=0)
+    return np.add.reduce(w[m - 1 :], axis=0, where=j[m - 1 : n] < lengths, initial=0.0)
 
 
 #: Largest supported degree k*(n_r - 1) of the truncated-exponential power.

@@ -1,6 +1,7 @@
 """Closed forms vs the quadrature engine vs sampling oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import special as sc
 from bfoutage import analytic
 from bfoutage.analytic import (
     AccuracyError,
+    GainDistribution,
     RangeError,
     SchemeId,
     _selection_diversity_sum,
@@ -29,6 +31,7 @@ from bfoutage.analytic import (
 )
 from bfoutage.channel import derive_params
 from bfoutage.specfun import CapabilityError, noncentral_chi2_cdf
+from bfoutage.verification import CLOSED_VS_QUAD_TOL
 
 from _oracle import selection_diversity_sum
 from _util import cfg
@@ -248,6 +251,34 @@ class TestLargePools:
         with pytest.raises(CapabilityError, match="gain pool 18016"):
             outage_semianalytic(SchemeId.MU_TAS, cfg(nt=4, nu=4504))
         assert outage_semianalytic(SchemeId.MU_TAS, cfg(nt=4, nu=4504, rho=1.0)).value >= 0.0
+
+    @pytest.mark.parametrize("nt", [132, 171])
+    def test_quadrature_past_the_power_form(self, nt):
+        # x^(nt - 1) overflows a float at the gain cut from shape 132 on, so
+        # the density is formed in logs there
+        config = cfg(nt=nt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quad = outage_semianalytic(SchemeId.MISO_PBF, config).value
+        closed = outage_closed(SchemeId.MISO_PBF, config).value
+        assert quad > 0.0
+        assert abs(quad - closed) < CLOSED_VS_QUAD_TOL * max(closed, quad)
+
+    def test_quadrature_refuses_a_shape_past_the_factorial_range(self):
+        with pytest.raises(CapabilityError, match="gain shape 172 is past 171"):
+            outage_semianalytic(SchemeId.MISO_PBF, cfg(nt=172))
+
+    def test_log_density_matches_the_power_form(self, monkeypatch):
+        # at shape 131 both forms hold; the log form is the power form to
+        # within the rounding of (s - 1) log x ~ 700
+        dist = GainDistribution(pool_size=2, shape=131, half_dof=1)
+        x = np.linspace(1.0, dist.upper_cut(), 400)
+        power = dist.pdf(x)
+        monkeypatch.setattr(analytic, "_POWER_PDF_SHAPE", 130)
+        logs = dist.pdf(x)
+        normal = power > 1e-290
+        assert normal.sum() > 300
+        np.testing.assert_allclose(logs[normal], power[normal], rtol=1e-12, atol=0)
 
 
 class TestClosedFormLimits:

@@ -427,6 +427,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numeric error") and "gain shape 172" in err
 
+    @pytest.mark.parametrize("args", [
+        ("miso-pbf", "--nt", "132"), ("mu-tas", "--nr", "132"),
+    ], ids=["miso-pbf-nt", "mu-tas-nr"])
+    def test_quadrature_past_the_power_form(self, capsys, args):
+        # x^(shape - 1) overflows from shape 132 on; the density is formed in logs
+        code, out, err = run_cli(
+            capsys, "analytic", "--scheme", *args, "--rho", "0.9", "--eval", "quadrature",
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        assert float(parse_csv(out)[0]["p_out"]) > 0.0
+
 
 class TestConfigFile:
     def test_flags_win_over_file(self, capsys, tmp_path):

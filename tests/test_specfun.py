@@ -19,6 +19,7 @@ from bfoutage.specfun import (
     _BLOCK_ENTRIES,
     CapabilityError,
     ConvergenceError,
+    _block_plan,
     _first_window,
     _noncentral_chi2_cdf_grid,
     _series_tables,
@@ -29,6 +30,7 @@ from bfoutage.specfun import (
     lemma1_identity,
     noncentral_chi2_cdf,
 )
+from bfoutage.verification import CODEBOOK_SIZE, SCHEME_MATRIX
 
 from _oracle import window_sums as reference_window_sums
 from _util import cfg
@@ -520,6 +522,35 @@ def _bits(values):
     return np.asarray(values).view(np.int64).tolist()
 
 
+def _plan(lo, hi):
+    """The kernel's blocks for windows [lo, hi] on tables from k = min(lo),
+    as (lengths, shared) pairs."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    lengths = hi - lo + 1
+    width = int(lengths.max())
+    span = 2 * (int(hi.max()) - int(lo.min()) + 2) - width + 1
+    return [(lengths[rows].tolist(), shared)
+            for rows, shared in _block_plan(lo - lo.min(), lengths, width, span)]
+
+
+@st.composite
+def start_groups(draw):
+    """(d, beta, lo, hi, delta, block entries): windows whose starts come
+    from a few shared values or are drawn alone, of ragged lengths, with
+    blocks small enough that a start group can fill several."""
+    common = draw(st.lists(st.integers(0, 2000), min_size=1, max_size=3))
+    count = draw(st.integers(1, 300))
+    alone = draw(st.floats(0.0, 1.0))
+    longest = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = np.where(rng.random(count) < alone, rng.integers(0, 2000, count),
+                  rng.choice(common, count))
+    hi = lo + rng.integers(0, longest, count)
+    delta = rng.uniform(0.0, 3000.0, count)
+    block = draw(st.sampled_from([16, 128, 1024, _BLOCK_ENTRIES]))
+    return draw(st.integers(1, 8)), draw(st.floats(0.0, 2000.0)), lo, hi, delta, block
+
+
 class TestWindowSums:
     """The blocked window sums equal the element-at-a-time loop of
     tests/_oracle.py bit for bit."""
@@ -604,10 +635,108 @@ class TestWindowSums:
         got, want = _window_sums_and_reference(d, beta, lo, hi, delta)
         assert _bits(got) == _bits(want)
 
+    @given(case=start_groups())
+    @settings(max_examples=60)
+    def test_shared_starts_match_the_reference(self, case):
+        d, beta, lo, hi, delta, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "_BLOCK_ENTRIES", block)
+            got, want = _window_sums_and_reference(d, beta, lo, hi, delta)
+        assert _bits(got) == _bits(want)
+
+    def test_start_group_over_several_blocks(self, monkeypatch):
+        # 120 windows from k = 7 fill four 256-entry blocks of their own;
+        # 30 windows at distinct starts share gather blocks
+        monkeypatch.setattr(specfun, "_BLOCK_ENTRIES", 256)
+        rng = np.random.default_rng(11)
+        lo = np.concatenate([np.full(120, 7), rng.permutation(np.arange(40, 640, 20))])
+        hi = lo + rng.integers(0, 30, lo.size)
+        delta = rng.uniform(0.0, 700.0, lo.size)
+        plan = _plan(lo, hi)
+        assert sum(shared for _, shared in plan) >= 4
+        assert sum(len(lengths) for lengths, shared in plan if shared) == 120
+        assert any(not shared and len(lengths) > 1 for lengths, shared in plan)
+        got, want = _window_sums_and_reference(5, 80.0, lo, hi, delta)
+        assert _bits(got) == _bits(want)
+
+    def test_shared_block_whose_shortest_column_is_one_term(self):
+        # one start, windows of 1 to 90 terms: the whole block is the ragged
+        # tail, summed under the mask from its first row
+        lengths = np.arange(90, 0, -1)
+        lo, hi = np.zeros(90, dtype=np.int64), lengths - 1
+        assert _plan(lo, hi) == [(lengths.tolist(), True)]
+        got, want = _window_sums_and_reference(3, 40.0, lo, hi, np.linspace(0.0, 80.0, 90))
+        assert _bits(got) == _bits(want)
+
+    def test_shared_lone_column(self):
+        # a window longer than half a block fills a block alone, beside a
+        # start that two short windows share
+        lo, hi = [0, 900, 900], [_BLOCK_ENTRIES // 2 + 1, 940, 905]
+        plan = _plan(lo, hi)
+        assert plan[0] == ([_BLOCK_ENTRIES // 2 + 2], True)
+        got, want = _window_sums_and_reference(2, 5000.0, lo, hi, [4500.0, 930.0, 910.0])
+        assert _bits(got) == _bits(want)
+
+
+#: Real quadrature grids, and whether any of their blocks is a shared-start
+#: block: at 10 dB, rho 0.97 almost every RVQ element's window starts at
+#: k = 0; at 30 dB, rho 0.999 most elements have a start of their own, and
+#: the elements at k = 0 fill no block.
+GRID_POINTS = [
+    (SchemeId.MISO_RVQ, 10.0, 0.97, True), (SchemeId.MU_RVQ, 10.0, 0.97, True),
+    (SchemeId.MISO_PBF, 30.0, 0.999, False),
+]
+
+
+def _grid_run(monkeypatch, scheme, snr_db, rho, gather_only=False):
+    """(value, sums, terms) of one quadrature: its value, the sums of every
+    window-sum call, and the terms summed in shared-start blocks and in all.
+    gather_only sums every block by the gather path instead."""
+    nt, nr, nu = SCHEME_MATRIX[scheme]
+    config = cfg(nt=nt, nr=nr, nu=nu, snr_db=snr_db, rho=rho)
+    sums, terms = [], [0, 0]
+
+    def recording_plan(at, lengths, *args):
+        plan = [(rows, shared and not gather_only)
+                for rows, shared in _block_plan(at, lengths, *args)]
+        for rows, shared in plan:
+            count = int(lengths[rows].sum())
+            terms[0] += count if shared else 0
+            terms[1] += count
+        return plan
+
+    def recording_sums(*args):
+        sums.append(_window_sums(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(specfun, "_block_plan", recording_plan)
+    monkeypatch.setattr(specfun, "_window_sums", recording_sums)
+    n = CODEBOOK_SIZE if scheme in (SchemeId.MISO_RVQ, SchemeId.MU_RVQ) else None
+    return outage_semianalytic(scheme, config, codebook_size=n).value, sums, terms
+
+
+class TestSharedStartGrids:
+    """Shared-start blocks leave every value of a real grid as the gather
+    path makes it, bit for bit, and carry almost all of an RVQ grid's terms."""
+
+    @pytest.mark.parametrize("scheme, snr_db, rho, shares", GRID_POINTS,
+                             ids=[f"{s.value}-{snr:g}dB-{rho:g}" for s, snr, rho, _ in GRID_POINTS])
+    def test_grid_matches_the_gather_path(self, monkeypatch, scheme, snr_db, rho, shares):
+        value, sums, terms = _grid_run(monkeypatch, scheme, snr_db, rho)
+        gathered, gathered_sums, gathered_terms = _grid_run(
+            monkeypatch, scheme, snr_db, rho, gather_only=True)
+        assert (terms[0] > 0) == shares and gathered_terms == [0, terms[1]]
+        assert _bits([value]) == _bits([gathered])
+        assert [_bits(a) for a in sums] == [_bits(b) for b in gathered_sums]
+
+    def test_rvq_grid_sums_on_shared_columns(self, monkeypatch):
+        _, _, (shared, total) = _grid_run(monkeypatch, SchemeId.MISO_RVQ, 10.0, 0.97)
+        assert shared >= 0.95 * total
+
 
 class TestColumnReduceOrder:
-    """The kernel's sums rest on numpy adding a masked (n, m >= 2) block
-    into its output row after row, and on cumsum adding one term at a time.
+    """The kernel's sums rest on numpy adding an (n, m >= 2) block, masked or
+    not, into its output row after row, and on cumsum adding one term at a time.
     If a numpy release reorders either, this fails before any pinned value
     moves."""
 
@@ -627,6 +756,19 @@ class TestColumnReduceOrder:
         if n >= 300:
             # a pairwise sum of the same terms differs, so the check has teeth
             pairwise = [np.add.reduce(w[: lengths[c], c].copy()) for c in range(m)]
+            assert _bits(pairwise) != _bits(want)
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (9, 2), (300, 3), (2, 8192), (8192, 2), (128, 128)])
+    def test_reduce_down_columns_adds_in_row_order(self, n, m):
+        # the unmasked reduce that sums the rows every column of a block has
+        rng = np.random.default_rng(n + m)
+        w = np.exp(rng.uniform(-35.0, 35.0, (n, m)))
+        want = np.zeros(m)
+        for row in w:
+            want = want + row
+        assert _bits(np.add.reduce(w, axis=0)) == _bits(want)
+        if n >= 300:
+            pairwise = [np.add.reduce(w[:, c].copy()) for c in range(m)]
             assert _bits(pairwise) != _bits(want)
 
     def test_cumsum_of_a_lone_column_adds_one_term_at_a_time(self):
