@@ -18,8 +18,12 @@ the scheme's selection on them.  S is the selected stale part as unscaled
 trials at the slice rows, where aged = rho * scale[rows] * S[rows] +
 sqrt(1 - rho^2) * e holds just those trials, with e drawn like S.  The
 simulator calls gain one block of _BLOCK trials at a time, so a chunk holds
-S plus one block.  The links read no gain law: the Monte Carlo arbiter
-simulates, it never evaluates.
+S plus one block.  S is a link's one chunk-sized array of channels (beside
+at most a number per trial): the matched-gain links (miso-pbf and miso-rvq)
+beamform along S itself, and for miso-rvq S is the projection <h, p> p of
+the stale channel onto the selected beam p, since the aged gain
+|<rho h + sqrt(1 - rho^2) e, p>|^2 reads no other part of h.  The links read
+no gain law: the Monte Carlo arbiter simulates, it never evaluates.
 """
 
 from __future__ import annotations
@@ -203,6 +207,12 @@ def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 
 #: Trials per block when drawing candidates and fresh codebooks and projecting.
 _BLOCK = 2048
+#: Rows per block of a fixed-codebook search, so that a block's Re and Im
+#: projections (1 MB at 64 vectors) stay in L2.  At 64 vectors and n_t = 4,
+#: 512, 1024 and 2048 rows ran alike on one worker; on two, 512 rows took
+#: about a fifth longer, since each block's Python steps hold the interpreter
+#: lock.
+_SEARCH_ROWS = 1024
 
 
 def _power(z: np.ndarray, keep: int = 1) -> np.ndarray:
@@ -226,38 +236,54 @@ def _inner_power(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool, best: np.ndarray | None = None):
-    """Per row of w (n, n_t, 2): the maximum over unit codebook vectors v of
-    |<w, v>|^2, and, into best (n, n_t, 2) if given, the v attaining it.
+def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool, project: bool = False):
+    """Per row h of w (n, n_t, 2): the maximum over codebook vectors v of
+    |<h, v>|^2 / |v|^2, the power h puts on the unit beam p = v / |v|; if
+    project, h is overwritten with <h, p> p for the winning p.
 
     Unless fixed, every row gets a fresh codebook of cb's cardinality, drawn
-    block by block in row order, so the stream matches one (n, N, n_t, 2) draw.
+    block by block in row order, so the stream matches one (n, N, n_t, 2)
+    draw; the raw draws are ranked and only the winner is scaled.  A fixed
+    codebook's vectors are unit already; its search runs _SEARCH_ROWS rows
+    at a time against contiguous Re and Im bases and squares in place.
     """
     n, n_t, _ = w.shape
     size = cb.cardinality
     top = np.empty(n)
     if fixed:
         vecs = np.stack([cb.vectors.real, cb.vectors.imag], axis=-1)
-        basis = _quadrature(vecs).transpose(1, 0, 2).reshape(2 * n_t, 2 * size)
+        quad = _quadrature(vecs)
+        bases = [np.ascontiguousarray(quad[..., c].T) for c in (0, 1)]
+        step = _SEARCH_ROWS
+        parts = np.empty((2, min(n, step), size))
     else:
-        buf = np.empty((min(n, _BLOCK), size, n_t, 2))
-    for lo in range(0, n, _BLOCK):
-        rows = w[lo:lo + _BLOCK]
+        step = _BLOCK
+        buf = np.empty((min(n, step), size, n_t, 2))
+    for lo in range(0, n, step):
+        rows = w[lo:lo + step]
         m = len(rows)
-        if fixed:
-            part = (rows.reshape(m, -1) @ basis).reshape(m, size, 2)
-            np.square(part, out=part)
-            proj = part[..., 0] + part[..., 1]
-        else:
-            vecs = gen.standard_normal(out=buf[:m])
-            vecs /= np.sqrt(_power(vecs, 2))[..., None, None]
-            part = vecs.reshape(m, size, -1) @ _quadrature(rows)
-            proj = part[..., 0] ** 2 + part[..., 1] ** 2
-        k = np.argmax(proj, axis=1)
         i = np.arange(m)
+        if fixed:
+            proj, im = parts[:, :m]
+            flat = rows.reshape(m, -1)
+            np.square(np.matmul(flat, bases[0], out=proj), out=proj)
+            proj += np.square(np.matmul(flat, bases[1], out=im), out=im)
+            k = np.argmax(proj, axis=1)
+            p, norm = vecs[k], 1.0
+        else:
+            v = gen.standard_normal(out=buf[:m])
+            part = v.reshape(m, size, -1) @ _quadrature(rows)
+            np.square(part, out=part)
+            proj = np.add(part[..., 0], part[..., 1], out=part[..., 0])
+            proj /= _power(v, 2)
+            k = np.argmax(proj, axis=1)
+            p = v[i, k]
+            norm = _power(p)
         top[lo:lo + m] = proj[i, k]
-        if best is not None:
-            best[lo:lo + m] = vecs[k] if fixed else vecs[i, k]
+        if project:
+            # <h, p> p / |p|^2 into each row h, on complex views of the pairs
+            h, u = rows.view(complex)[..., 0], p.view(complex)[..., 0]
+            np.multiply((np.einsum("ij,ij->i", h, u.conj()) / norm)[:, None], u, out=h)
     return top
 
 
@@ -276,17 +302,23 @@ def _aged_power(aged: np.ndarray, rows: slice) -> np.ndarray:
     return _power(aged)
 
 
+def _matched(stale: np.ndarray):
+    """A link that beamforms along its stale part S: the gain of each trial
+    is |<aged, S>|^2 / |S|^2, the power of aged on the unit vector S / |S|."""
+    return stale, 1.0, lambda aged, rows: _inner_power(aged, stale[rows]) / _power(stale[rows])
+
+
 def link_miso_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
-    h = gen.standard_normal((n, config.n_t, 2))
-    power = _power(h)
-    return h, 1.0, lambda aged, rows: _inner_power(aged, h[rows]) / power[rows]
+    # the beam is the stale channel itself
+    return _matched(gen.standard_normal((n, config.n_t, 2)))
 
 
 def link_miso_rvq(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+    # The stale part is h's projection <h, p> p onto the selected beam p:
+    # aged on p is then rho <h, p> + sqrt(1 - rho^2) <e, p>, as for aged h.
     h = gen.standard_normal((n, config.n_t, 2))
-    best = np.empty_like(h)
-    _select_rvq(gen, h, cb, fixed, best)
-    return h, 1.0, lambda aged, rows: _inner_power(aged, best[rows])
+    _select_rvq(gen, h, cb, fixed, project=True)
+    return _matched(h)
 
 
 def link_miso_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):

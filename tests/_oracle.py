@@ -6,6 +6,9 @@ independent implementation that TestPerTrialOracle checks the vectorized
 simulator against, so the simulator must never call it.  The matched filter
 needs no codebook here: its beam is h/||h||.
 
+RVQ selection one trial at a time, which channel._select_rvq must match to
+a few ulps: every candidate is normalised first.
+
 The multiuser selection sum as a scalar (k, m, n) loop, which the array
 form in bfoutage.analytic must equal bit for bit.
 
@@ -73,6 +76,17 @@ def select_beamformer(h: np.ndarray, cb: Codebook) -> SelectionOutcome:
     gain = float(gains[idx])
     tradeoff = gain / total if total > 0 else None
     return SelectionOutcome(beam_index=idx, gain=gain, tradeoff=tradeoff)
+
+
+def select_rvq(h: np.ndarray, vecs: np.ndarray) -> tuple[int, float, np.ndarray]:
+    """RVQ selection for one channel h (n_t,) among the candidates vecs
+    (N, n_t): normalise every candidate to v, take the first argmax of
+    |<h, v>|^2 and return (its index, that power, the projection <h, v> v)."""
+    unit = vecs / np.sqrt(np.sum(np.abs(vecs) ** 2, axis=1, keepdims=True))
+    inner = unit.conj() @ h
+    power = np.abs(inner) ** 2
+    k = int(np.argmax(power))
+    return k, float(power[k]), inner[k] * unit[k]
 
 
 def select_user_antenna(channels: np.ndarray) -> SelectionOutcome:

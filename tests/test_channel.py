@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfoutage import channel
 from bfoutage.channel import (
     BeyondFirstZeroError,
     PersistenceSpec,
@@ -15,9 +16,11 @@ from bfoutage.channel import (
     derive_params,
     jakes_persistence,
 )
+from bfoutage.codebook import rvq_generate
 from bfoutage.specfun import CapabilityError
 
-from _oracle import age_channel, draw_channel, draw_user_channels
+from _oracle import age_channel, draw_channel, draw_user_channels, select_rvq
+from _util import cfg
 
 
 def j0_series(x: float) -> float:
@@ -182,3 +185,82 @@ class TestAgeChannel:
         h = draw_channel(RngStream(5), 2, 1)
         with pytest.raises(ValueError):
             age_channel(h, 1.5, RngStream(6))
+
+
+def _pairs_to_complex(z: np.ndarray) -> np.ndarray:
+    return z[..., 0] + 1j * z[..., 1]
+
+
+def _candidates(gen, n: int, cb, fixed: bool) -> list[np.ndarray]:
+    """Each trial's candidates as the selection sees them: the shared
+    vectors, or the next fresh (N, n_t) draw from gen."""
+    if fixed:
+        return [cb.vectors] * n
+    return list(_pairs_to_complex(gen.standard_normal((n, cb.cardinality, cb.n_t, 2))))
+
+
+class TestSelectRvq:
+    """channel._select_rvq against the per-trial RVQ reference, which
+    normalises every candidate before it projects."""
+
+    #: 14 draw blocks of 7 and one of 3; 20 fixed search blocks of 5 and one of 1
+    TRIALS = 101
+
+    @pytest.mark.parametrize("size, n_t, fixed", [
+        (8, 4, False), (1, 2, False), (5, 3, False), (16, 4, True), (64, 3, True), (1, 2, True)])
+    def test_matches_per_trial_reference(self, size, n_t, fixed, monkeypatch):
+        monkeypatch.setattr(channel, "_BLOCK", 7)
+        monkeypatch.setattr(channel, "_SEARCH_ROWS", 5)
+        n, eps = self.TRIALS, np.finfo(float).eps
+        stream = RngStream(29, 100 * size + n_t)
+        cb = rvq_generate(RngStream(29, 1 << 40), size, n_t)
+        gen = stream.generator()
+        w = gen.standard_normal((n, n_t, 2))
+        h = _pairs_to_complex(w)
+        top = channel._select_rvq(gen, w, cb, fixed, project=True)
+        after = gen.standard_normal(4)
+
+        ref = stream.generator()
+        ref.standard_normal((n, n_t, 2))
+        books = _candidates(ref, n, cb, fixed)
+        assert np.array_equal(ref.standard_normal(4), after)
+
+        proj = _pairs_to_complex(w)
+        for t in range(n):
+            k, power, beam = select_rvq(h[t], books[t])
+            # the winner is the candidate the projection lies along
+            assert select_rvq(proj[t], books[t])[0] == k
+            # rounding of a product of h with a unit vector is a few ulps of |h|
+            norm = np.linalg.norm(h[t])
+            assert abs(top[t] - power) <= 8 * eps * norm ** 2
+            assert np.max(np.abs(proj[t] - beam)) <= 8 * eps * norm
+
+    def test_top_only_leaves_rows_alone(self):
+        cb = rvq_generate(RngStream(31, 1 << 40), 16, 4)
+        w = RngStream(31).generator().standard_normal((50, 4, 2))
+        kept = w.copy()
+        fresh = channel._select_rvq(RngStream(31, 1).generator(), w, cb, False)
+        fixed = channel._select_rvq(None, w, cb, True)
+        assert np.array_equal(w, kept)
+        assert fresh.shape == fixed.shape == (50,)
+
+    @given(seed=st.integers(0, 2**63 - 1), rho=st.floats(0.0, 1.0), n_t=st.integers(1, 6),
+           size=st.integers(1, 40), fixed=st.booleans())
+    @settings(max_examples=60)
+    def test_gain_on_projection_is_aged_gain_on_beam(self, seed, rho, n_t, size, fixed):
+        # the identity the RVQ link rests on: with S = <h, p> p, the matched
+        # gain |<aged, S>|^2 / |S|^2 of aged = rho S + d e is |<rho h + d e, p>|^2
+        n, decay = 16, math.sqrt(1.0 - rho * rho)
+        cb = rvq_generate(RngStream(seed, 1), size, n_t)
+        stale, scale, gain = channel.link_miso_rvq(
+            RngStream(seed).generator(), cfg(nt=n_t, rho=rho), n, cb, fixed)
+        ref = RngStream(seed).generator()
+        h = _pairs_to_complex(ref.standard_normal((n, n_t, 2)))
+        books = _candidates(ref, n, cb, fixed)
+        e = np.random.default_rng(seed).standard_normal((n, n_t, 2))
+        got = gain(rho * scale * stale + decay * e, slice(0, n))
+        aged = rho * h + decay * _pairs_to_complex(e)
+        for t in range(n):
+            v = books[t][select_rvq(h[t], books[t])[0]]
+            want = abs(np.vdot(v / np.linalg.norm(v), aged[t])) ** 2
+            assert got[t] == pytest.approx(want, rel=1e-12, abs=0.0)

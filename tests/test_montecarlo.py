@@ -332,13 +332,16 @@ class TestChunkMemory:
     the old full-chunk footprint nor grows with the number of targets."""
 
     TRIALS = 1 << 16
-    #: per label, MB: traced peaks of one chunk were 2.97 (mu-tas) to 10.41
-    #: (miso-rvq), against 6.0 to 16.0 with e, aged and gains at chunk size
+    #: per label, MB: traced peaks of one chunk were 2.89 (miso-rvq-nt2-n1)
+    #: to 6.43 (miso-rvq), against 6.0 to 16.0 with e, aged and gains at chunk
+    #: size; miso-rvq's were 10.41 (fresh) and 9.79 (fixed) while its link
+    #: kept the selected beams beside the stale channels, and miso-pbf's 4.89
+    #: with a chunk-sized norm array
     PEAK_MB = {
-        "miso-pbf": 5.5,
-        "miso-rvq": 11.5,
-        "miso-rvq-fixed": 11.0,
-        "miso-rvq-nt2-n1": 5.5,
+        "miso-pbf": 5.0,
+        "miso-rvq": 7.5,
+        "miso-rvq-fixed": 5.5,
+        "miso-rvq-nt2-n1": 3.5,
         "miso-tas": 5.5,
         "mu-tas": 3.5,
         "mu-pbf": 5.0,
