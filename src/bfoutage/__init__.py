@@ -27,7 +27,7 @@ from .channel import (
     jakes_persistence,
 )
 from .codebook import Codebook, nu_pdf, rvq_generate
-from .montecarlo import McPoint, McResult, TrialPlan, simulate_outage, simulate_outages, sweep
+from .montecarlo import McPoint, McResult, TrialPlan, simulate_outage, simulate_outages
 from .specfun import (
     bessel_j0,
     expansion_coeffs,

@@ -10,20 +10,22 @@ use at transmission time is
 
 where rho in [0, 1] measures how well the fed-back estimate has persisted.
 
-A scheme's link model, link(gen, config, n, cb, fixed) -> (S, scale, gain),
-draws n trials' stale channels, and any fresh codebooks, from gen and runs
-the scheme's selection on them.  S is the selected stale part as unscaled
-(re, im) normal pairs, sqrt(2) times a CN(0, 1) entry; scale is 1.0 or one
-(n, 1, 1) factor per trial; and gain(aged, rows) is the effective gain of the
-trials at the slice rows, where aged = rho * scale[rows] * S[rows] +
-sqrt(1 - rho^2) * e holds just those trials, with e drawn like S.  The
-simulator calls gain one block of _BLOCK trials at a time, so a chunk holds
-S plus one block.  S is a link's one chunk-sized array of channels (beside
-at most a number per trial): the matched-gain links (miso-pbf and miso-rvq)
-beamform along S itself, and for miso-rvq S is the projection <h, p> p of
-the stale channel onto the selected beam p, since the aged gain
-|<rho h + sqrt(1 - rho^2) e, p>|^2 reads no other part of h.  The links read
-no gain law: the Monte Carlo arbiter simulates, it never evaluates.
+A scheme's link model, link(gen, config, n, cb, fixed) -> (S, gain), draws
+n trials' stale channels, and any fresh codebooks, from gen and runs the
+scheme's selection on them.  S is the selected stale part as unscaled
+(re, im) normal pairs, sqrt(2) times a CN(0, 1) entry, and gain(aged, rows)
+is the effective gain of the trials at the slice rows, where
+aged = rho * S[rows] + sqrt(1 - rho^2) * e holds just those trials, with e
+drawn like S.  The simulator calls gain one block of _BLOCK trials at a
+time, so a chunk holds S plus one block.  S is a link's one chunk-sized
+array of channels (beside at most a number per trial), finished by the
+selection: the matched-gain links (miso-pbf and miso-rvq) beamform along S
+itself, and for miso-rvq S is the projection <h, p> p of the stale channel
+onto the selected beam p, since the aged gain
+|<rho h + sqrt(1 - rho^2) e, p>|^2 reads no other part of h; for mu-rvq S
+is the selected user's channel scaled by the square root of the fraction of
+its power on the beam.  The links read no gain law: the Monte Carlo arbiter
+simulates, it never evaluates.
 """
 
 from __future__ import annotations
@@ -236,10 +238,12 @@ def _inner_power(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool, project: bool = False):
-    """Per row h of w (n, n_t, 2): the maximum over codebook vectors v of
-    |<h, v>|^2 / |v|^2, the power h puts on the unit beam p = v / |v|; if
-    project, h is overwritten with <h, p> p for the winning p.
+def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool, project: bool = False) -> None:
+    """Writes into each row h of w (n, n_t, 2) its selected stale part.  The
+    selection takes the maximum over codebook vectors v of |<h, v>|^2 / |v|^2,
+    the power h puts on the unit beam p = v / |v|; if project, h becomes
+    <h, p> p for the winning p, and otherwise h scaled by the square root of
+    that power over |h|^2.
 
     Unless fixed, every row gets a fresh codebook of cb's cardinality, drawn
     block by block in row order, so the stream matches one (n, N, n_t, 2)
@@ -249,7 +253,6 @@ def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool, project: bool = F
     """
     n, n_t, _ = w.shape
     size = cb.cardinality
-    top = np.empty(n)
     if fixed:
         vecs = np.stack([cb.vectors.real, cb.vectors.imag], axis=-1)
         quad = _quadrature(vecs)
@@ -268,23 +271,21 @@ def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool, project: bool = F
             flat = rows.reshape(m, -1)
             np.square(np.matmul(flat, bases[0], out=proj), out=proj)
             proj += np.square(np.matmul(flat, bases[1], out=im), out=im)
-            k = np.argmax(proj, axis=1)
-            p, norm = vecs[k], 1.0
         else:
             v = gen.standard_normal(out=buf[:m])
             part = v.reshape(m, size, -1) @ _quadrature(rows)
             np.square(part, out=part)
             proj = np.add(part[..., 0], part[..., 1], out=part[..., 0])
             proj /= _power(v, 2)
-            k = np.argmax(proj, axis=1)
-            p = v[i, k]
-            norm = _power(p)
-        top[lo:lo + m] = proj[i, k]
-        if project:
-            # <h, p> p / |p|^2 into each row h, on complex views of the pairs
-            h, u = rows.view(complex)[..., 0], p.view(complex)[..., 0]
-            np.multiply((np.einsum("ij,ij->i", h, u.conj()) / norm)[:, None], u, out=h)
-    return top
+        k = np.argmax(proj, axis=1)
+        if not project:
+            rows *= np.sqrt(proj[i, k] / _power(rows))[:, None, None]
+            continue
+        p = vecs[k] if fixed else v[i, k]
+        norm = 1.0 if fixed else _power(p)
+        # <h, p> p / |p|^2 into each row h, on complex views of the pairs
+        h, u = rows.view(complex)[..., 0], p.view(complex)[..., 0]
+        np.multiply((np.einsum("ij,ij->i", h, u.conj()) / norm)[:, None], u, out=h)
 
 
 def _strongest(gen, n: int, rows: int, width: int) -> np.ndarray:
@@ -305,7 +306,7 @@ def _aged_power(aged: np.ndarray, rows: slice) -> np.ndarray:
 def _matched(stale: np.ndarray):
     """A link that beamforms along its stale part S: the gain of each trial
     is |<aged, S>|^2 / |S|^2, the power of aged on the unit vector S / |S|."""
-    return stale, 1.0, lambda aged, rows: _inner_power(aged, stale[rows]) / _power(stale[rows])
+    return stale, lambda aged, rows: _inner_power(aged, stale[rows]) / _power(stale[rows])
 
 
 def link_miso_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
@@ -329,21 +330,20 @@ def link_miso_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed:
     for lo in range(0, n, _BLOCK):
         rows = h[lo:lo + _BLOCK]
         sel[lo:lo + len(rows)] = np.argmax(rows[..., 0] ** 2 + rows[..., 1] ** 2, axis=1)
-    return h, 1.0, lambda aged, rows: _power(aged[np.arange(len(aged)), sel[rows]])
+    return h, lambda aged, rows: _power(aged[np.arange(len(aged)), sel[rows]])
 
 
 def link_mu_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
     # one row of n_r receive entries per (user, antenna) pair
-    return _strongest(gen, n, config.n_u * config.n_t, config.n_r), 1.0, _aged_power
+    return _strongest(gen, n, config.n_u * config.n_t, config.n_r), _aged_power
 
 
 def link_mu_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
-    return _strongest(gen, n, config.n_u, config.n_t), 1.0, _aged_power
+    return _strongest(gen, n, config.n_u, config.n_t), _aged_power
 
 
 def link_mu_rvq(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
-    # the stale part is the winner scaled by sqrt(nu), nu = top / |win|^2 its
-    # captured fraction
+    # the stale part is the winner scaled by sqrt(nu), nu its captured fraction
     win = _strongest(gen, n, config.n_u, config.n_t)
-    top = _select_rvq(gen, win, cb, fixed)
-    return win, np.sqrt(top / _power(win))[:, None, None], _aged_power
+    _select_rvq(gen, win, cb, fixed)
+    return win, _aged_power

@@ -20,13 +20,14 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analytic, montecarlo, verification
 from .analytic import AccuracyError, RangeError, SchemeId
 from .channel import BeyondFirstZeroError, PersistenceSpec, RngStream, SystemConfig, db_to_linear
 from .codebook import load_codebook, rvq_generate
-from .montecarlo import TrialPlan
+from .montecarlo import McPoint, TrialPlan
 from .specfun import CapabilityError, ConvergenceError
 
 EXIT_OK = 0
@@ -37,6 +38,13 @@ EXIT_VERIFY = 3
 OUTAGE_FIELDS = ("axis", "value", "scheme", "evaluator", "p_out", "std_err", "flags")
 #: --eval name -> the evaluator column of its rows
 _EVALUATORS = {"closed": "closed_form", "quadrature": "quadrature", "mc": "monte_carlo"}
+#: sweep axis -> the (config, codebook size) at one value of that axis
+_AXES = {
+    "snr_db": lambda config, size, v: (replace(config, snr_linear=db_to_linear(v)), size),
+    "rho": lambda config, size, v: (replace(config, persistence=PersistenceSpec.from_rho(v)), size),
+    "users": lambda config, size, v: (replace(config, n_u=v), size),
+    "codebook_size": lambda config, size, v: (config, v),
+}
 
 
 class UsageError(Exception):
@@ -206,13 +214,18 @@ def _evaluators(text: str) -> list[str]:
 
 
 def _outage(args, axis: str, values: str | None, evals: str, codebook_path=None) -> int:
-    """The one outage path of analytic, simulate and sweep: closed form and
-    quadrature at each axis value, Monte Carlo as one montecarlo.sweep batch,
-    then one block of rows per value with the evaluators in request order.
+    """The one outage path of analytic, simulate and sweep.  Each axis value
+    gives one (config, codebook size), formed once for every evaluator; the
+    Monte Carlo inputs are checked before any evaluator runs.  Closed form
+    and quadrature run at each value, Monte Carlo as one simulate_outages
+    batch whose i-th point runs on the streams from i << 32 on, so the first
+    value reproduces a direct simulate_outage call.  Rows come out one block
+    per value, with the evaluators in request order.
 
     values None is the one value --snr-db on the snr_db axis.  A codebook_path
-    holds that codebook fixed in every trial; otherwise an RVQ scheme draws
-    a fresh codebook of --codebook-size vectors per trial.
+    holds that codebook fixed in every trial; otherwise an RVQ scheme draws a
+    fresh codebook per trial, of the value's size, and the codebook drawn
+    per size from the plan's seed lends the batch only its cardinality.
     """
     opts = _merge_config(args)
     scheme = _scheme(args.scheme)
@@ -232,10 +245,18 @@ def _outage(args, axis: str, values: str | None, evals: str, codebook_path=None)
         opts["rho"] = points[0]  # template persistence; replaced per axis value
     config = _system_config(opts)
     names = _evaluators(evals)
+    settings = [_AXES[axis](config, opts["codebook_size"], v) for v in points]
+    if "mc" in names:
+        plan = _plan(opts)
+        fixed = load_codebook(codebook_path) if codebook_path else None
+        stream = RngStream(plan.seed, montecarlo._CODEBOOK_STREAM)
+        drawn = analytic.scheme_uses_codebook(scheme) and fixed is None
+        books = {n: rvq_generate(stream, n, config.n_t) for n in {n for _, n in settings}
+                 if drawn}
+        batch = [McPoint(scheme, cfg, books.get(n, fixed), plan, fixed is not None, i << 32)
+                 for i, (cfg, n) in enumerate(settings)]
     cells = [{} for _ in points]  # per value: evaluator -> (p_out, std_err, flags)
-    for value, cell in zip(points, cells):
-        cfg = montecarlo._SWEEP_AXES[axis](config, value)
-        n = int(value) if axis == "codebook_size" else opts["codebook_size"]
+    for (cfg, n), cell in zip(settings, cells):
         if "closed" in names:
             est = analytic.outage_closed(scheme, cfg, n)
             cell["closed"] = (est.value, 0.0, est.flags)
@@ -243,18 +264,7 @@ def _outage(args, axis: str, values: str | None, evals: str, codebook_path=None)
             est = analytic.outage_semianalytic(scheme, cfg, codebook_size=n)
             cell["quadrature"] = (est.value,)
     if "mc" in names:
-        plan = _plan(opts)
-        cb = None
-        if codebook_path:
-            cb = load_codebook(codebook_path)
-        elif analytic.scheme_uses_codebook(scheme) and axis != "codebook_size":
-            # a codebook-size sweep draws one codebook per value itself
-            stream = RngStream(plan.seed, montecarlo._CODEBOOK_STREAM)
-            cb = rvq_generate(stream, opts["codebook_size"], config.n_t)
-        batch = montecarlo.sweep(
-            scheme, config, axis, points, plan, cb, fixed_codebook=bool(codebook_path)
-        )
-        for cell, (_, res) in zip(cells, batch):
+        for cell, res in zip(cells, montecarlo.simulate_outages(batch, plan.workers)):
             cell["mc"] = (res.p_hat, res.std_err)
     rows = [
         _outage_row(axis, value, scheme, _EVALUATORS[name], *cell[name])

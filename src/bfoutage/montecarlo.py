@@ -3,13 +3,16 @@
 Each trial draws a fresh stale estimate, runs the scheme's selection on it,
 ages the winner by one feedback step, and tests the aged effective gain
 against the outage threshold.  The scheme's link model (its record's `link`,
-defined in the channel module) makes the draws and the selection; this module
-ages what the link selects and counts outages, the same way for every scheme.
+defined in the channel module) makes the draws and the selection and returns
+the finished stale part S with its gain; this module ages S as
+rho * S + sqrt(1 - rho^2) * e and counts outages, the same way for every
+scheme.
 
 Trials are split into fixed-size chunks; chunk j consumes the counter-based
 stream (seed, offset + j), so the outage count depends only on (trials, seed,
 chunk) and never on how many workers execute the chunks, nor on which other
-points share their batch.
+points share their batch.  A sweep is one batch, one point per axis value on
+its own streams; the CLI builds it.
 """
 
 from __future__ import annotations
@@ -17,32 +20,22 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import channel
-from .analytic import SCHEMES, SchemeId, scheme_uses_codebook, validate_scheme
-from .channel import PersistenceSpec, RngStream, SystemConfig, db_to_linear, derive_params
-from .codebook import Codebook, rvq_generate
+from .analytic import SCHEMES, SchemeId, validate_scheme
+from .channel import RngStream, SystemConfig, derive_params
+from .codebook import Codebook
 
-__all__ = ["McPoint", "McResult", "TrialPlan", "simulate_outage", "simulate_outages", "sweep"]
+__all__ = ["McPoint", "McResult", "TrialPlan", "simulate_outage", "simulate_outages"]
 
-#: Stream-id stride between sweep axis values; chunk indices stay below it.
-_SWEEP_STRIDE = 1 << 32
-#: Stream of a codebook drawn for a plan's seed (by the CLI, or per size in
-#: a codebook-size sweep): the last id of the first stride, above every chunk.
-_CODEBOOK_STREAM = _SWEEP_STRIDE - 1
-
-#: Sweep axis -> the config at one value of that axis.
-_SWEEP_AXES = {
-    "snr_db": lambda config, v: replace(config, snr_linear=db_to_linear(float(v))),
-    "rho": lambda config, v: replace(config, persistence=PersistenceSpec.from_rho(float(v))),
-    "users": lambda config, v: replace(config, n_u=int(v)),
-    "codebook_size": lambda config, v: config,
-}
+#: Stream of a codebook drawn for a plan's seed (by the CLI and by verify):
+#: 2^32 - 1, above every chunk index of a point at stream offset 0.
+_CODEBOOK_STREAM = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,8 @@ def _count_chunk(
     codebook vector, then the innovation e of every trial.  When all targets
     have rho = 1, e is not drawn: its weight sqrt(1 - rho^2) is 0.
 
-    The link's stale part S is held for the whole chunk; e, the aged channel
+    The link's stale part S is held for the whole chunk, finished by the
+    selection, and aged as rho * S + sqrt(1 - rho^2) * e; e, the aged channel
     and the gains are formed one block of channel._BLOCK trials at a time, so
     a chunk holds S plus one block whatever the number of targets.  Block
     draws of e continue each other, as one draw of every trial's e would.
@@ -104,7 +98,7 @@ def _count_chunk(
     entry, so every gain is twice the physical one and meets 2 * gamma0.
     """
     gen = rng.generator()
-    stale, scale, gain = SCHEMES[scheme].link(gen, config, n, cb, fixed_codebook)
+    stale, gain = SCHEMES[scheme].link(gen, config, n, cb, fixed_codebook)
     levels: dict[float, list[tuple[int, float]]] = {}
     for i, (rho, gamma0) in enumerate(targets):
         levels.setdefault(rho, []).append((i, 2.0 * gamma0))
@@ -114,10 +108,9 @@ def _count_chunk(
     for lo in range(0, n, block):
         rows = slice(lo, min(lo + block, n))
         part = stale[rows]
-        weight = scale[rows] if isinstance(scale, np.ndarray) else scale
         e = None if buf is None else gen.standard_normal(out=buf[:len(part)])
         for rho, rho_levels in levels.items():
-            aged, decay = rho * weight * part, math.sqrt(1.0 - rho * rho)
+            aged, decay = rho * part, math.sqrt(1.0 - rho * rho)
             if decay:
                 aged += decay * e
             gains = gain(aged, rows)
@@ -208,32 +201,3 @@ def simulate_outage(
     """
     point = McPoint(scheme, config, codebook, plan, fixed_codebook, stream_offset)
     return simulate_outages([point], plan.workers)[0]
-
-
-def sweep(
-    scheme: SchemeId,
-    config_template: SystemConfig,
-    axis: str,
-    values,
-    plan: TrialPlan,
-    codebook: Codebook | None = None,
-    fixed_codebook: bool = False,
-) -> list[tuple[float, McResult]]:
-    """One batch of simulate_outages over the axis values, with
-    stream-separated randomness.
-
-    The first value reuses the unshifted streams, so a single-value sweep
-    reproduces a direct simulate_outage call with the same plan.
-    """
-    if axis not in _SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    values = list(values)
-    points = []
-    for i, value in enumerate(values):
-        cfg = _SWEEP_AXES[axis](config_template, value)
-        cb = codebook
-        if axis == "codebook_size" and scheme_uses_codebook(scheme):
-            # only the cardinality matters unless the codebook is held fixed
-            cb = rvq_generate(RngStream(plan.seed, _CODEBOOK_STREAM), int(value), cfg.n_t)
-        points.append(McPoint(scheme, cfg, cb, plan, fixed_codebook, i * _SWEEP_STRIDE))
-    return list(zip(values, simulate_outages(points, plan.workers)))

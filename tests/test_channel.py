@@ -205,44 +205,67 @@ class TestSelectRvq:
 
     #: 14 draw blocks of 7 and one of 3; 20 fixed search blocks of 5 and one of 1
     TRIALS = 101
+    CASES = [(8, 4, False), (1, 2, False), (5, 3, False), (16, 4, True), (64, 3, True),
+             (1, 2, True)]
 
-    @pytest.mark.parametrize("size, n_t, fixed", [
-        (8, 4, False), (1, 2, False), (5, 3, False), (16, 4, True), (64, 3, True), (1, 2, True)])
-    def test_matches_per_trial_reference(self, size, n_t, fixed, monkeypatch):
+    def _select(self, monkeypatch, size, n_t, fixed, project):
+        """(h, the rows _select_rvq wrote over h, each trial's candidates),
+        all complex, with the selection run in small blocks; checks that it
+        leaves the stream where the reference's draws leave it."""
         monkeypatch.setattr(channel, "_BLOCK", 7)
         monkeypatch.setattr(channel, "_SEARCH_ROWS", 5)
-        n, eps = self.TRIALS, np.finfo(float).eps
+        n = self.TRIALS
         stream = RngStream(29, 100 * size + n_t)
         cb = rvq_generate(RngStream(29, 1 << 40), size, n_t)
         gen = stream.generator()
         w = gen.standard_normal((n, n_t, 2))
         h = _pairs_to_complex(w)
-        top = channel._select_rvq(gen, w, cb, fixed, project=True)
+        assert channel._select_rvq(gen, w, cb, fixed, project) is None
         after = gen.standard_normal(4)
 
         ref = stream.generator()
         ref.standard_normal((n, n_t, 2))
         books = _candidates(ref, n, cb, fixed)
         assert np.array_equal(ref.standard_normal(4), after)
+        return h, _pairs_to_complex(w), books
 
-        proj = _pairs_to_complex(w)
-        for t in range(n):
+    @pytest.mark.parametrize("size, n_t, fixed", CASES)
+    def test_matches_per_trial_reference(self, size, n_t, fixed, monkeypatch):
+        h, proj, books = self._select(monkeypatch, size, n_t, fixed, project=True)
+        eps = np.finfo(float).eps
+        for t in range(self.TRIALS):
             k, power, beam = select_rvq(h[t], books[t])
             # the winner is the candidate the projection lies along
             assert select_rvq(proj[t], books[t])[0] == k
             # rounding of a product of h with a unit vector is a few ulps of |h|
             norm = np.linalg.norm(h[t])
-            assert abs(top[t] - power) <= 8 * eps * norm ** 2
+            assert abs(np.vdot(proj[t], proj[t]).real - power) <= 8 * eps * norm ** 2
             assert np.max(np.abs(proj[t] - beam)) <= 8 * eps * norm
 
-    def test_top_only_leaves_rows_alone(self):
+    @pytest.mark.parametrize("size, n_t, fixed", CASES)
+    def test_scaled_winner_matches_per_trial_reference(self, size, n_t, fixed, monkeypatch):
+        # without projection each row becomes sqrt(nu) h, nu = power / |h|^2
+        # the fraction of h's power on the winning beam
+        h, scaled, books = self._select(monkeypatch, size, n_t, fixed, project=False)
+        eps = np.finfo(float).eps
+        for t in range(self.TRIALS):
+            power = select_rvq(h[t], books[t])[1]
+            norm = np.linalg.norm(h[t])
+            assert np.max(np.abs(scaled[t] - math.sqrt(power / norm ** 2) * h[t])) <= 8 * eps * norm
+
+    def test_both_parts_carry_the_selected_power(self):
+        # mu-rvq's scaled winner and miso-rvq's projection differ in
+        # direction only: both hold the power h puts on the selected beam
         cb = rvq_generate(RngStream(31, 1 << 40), 16, 4)
-        w = RngStream(31).generator().standard_normal((50, 4, 2))
-        kept = w.copy()
-        fresh = channel._select_rvq(RngStream(31, 1).generator(), w, cb, False)
-        fixed = channel._select_rvq(None, w, cb, True)
-        assert np.array_equal(w, kept)
-        assert fresh.shape == fixed.shape == (50,)
+        h = RngStream(31).generator().standard_normal((50, 4, 2))
+        for fixed in (False, True):
+            proj, scaled = h.copy(), h.copy()
+            channel._select_rvq(RngStream(31, 1).generator(), proj, cb, fixed, project=True)
+            channel._select_rvq(RngStream(31, 1).generator(), scaled, cb, fixed)
+            assert np.allclose(channel._power(proj), channel._power(scaled), rtol=1e-13, atol=0.0)
+            ratio = _pairs_to_complex(scaled) / _pairs_to_complex(h)
+            assert np.allclose(ratio, ratio[:, :1].real, rtol=1e-13, atol=0.0)
+            assert np.all(ratio.real < 1.0)
 
     @given(seed=st.integers(0, 2**63 - 1), rho=st.floats(0.0, 1.0), n_t=st.integers(1, 6),
            size=st.integers(1, 40), fixed=st.booleans())
@@ -252,13 +275,13 @@ class TestSelectRvq:
         # gain |<aged, S>|^2 / |S|^2 of aged = rho S + d e is |<rho h + d e, p>|^2
         n, decay = 16, math.sqrt(1.0 - rho * rho)
         cb = rvq_generate(RngStream(seed, 1), size, n_t)
-        stale, scale, gain = channel.link_miso_rvq(
+        stale, gain = channel.link_miso_rvq(
             RngStream(seed).generator(), cfg(nt=n_t, rho=rho), n, cb, fixed)
         ref = RngStream(seed).generator()
         h = _pairs_to_complex(ref.standard_normal((n, n_t, 2)))
         books = _candidates(ref, n, cb, fixed)
         e = np.random.default_rng(seed).standard_normal((n, n_t, 2))
-        got = gain(rho * scale * stale + decay * e, slice(0, n))
+        got = gain(rho * stale + decay * e, slice(0, n))
         aged = rho * h + decay * _pairs_to_complex(e)
         for t in range(n):
             v = books[t][select_rvq(h[t], books[t])[0]]

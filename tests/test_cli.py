@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,10 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from bfoutage import verification
+from bfoutage import analytic, verification
+from bfoutage.analytic import SchemeId, outage_rvq_closed, outage_tas_closed
 from bfoutage.channel import RngStream
 from bfoutage.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, db_to_linear, main
 from bfoutage.codebook import rvq_generate, save_codebook
+from bfoutage.montecarlo import TrialPlan, simulate_outage
+
+from _util import cfg
 
 OUTAGE_HEADER = "axis,value,scheme,evaluator,p_out,std_err,flags"
 
@@ -54,6 +59,50 @@ COLD_START_STEPS = [
     ("jakes", ["simulate", "--scheme", "miso-pbf", "--doppler-hz", "10", "--delay-s", "0.005",
                "--trials", "2000", "--seed", "5"]),
 ]
+
+
+#: sweep flags -> the CSV of `sweep` with SWEEP_GOLDEN_MC, one axis each:
+#: three chunks per value, so the streams of every value's Monte Carlo point
+#: are pinned byte for byte
+SWEEP_GOLDEN_MC = ("--eval", "closed,mc", "--trials", "20000", "--seed", "7", "--chunk", "8192")
+SWEEP_GOLDEN = {
+    "--scheme miso-pbf --axis snr-db --values 0,5,10 --rho 0.9": (
+        "axis,value,scheme,evaluator,p_out,std_err,flags\n"
+        "snr_db,0.0,miso-pbf,closed_form,0.9985796866931869,0.0,coefficient-corrected\n"
+        "snr_db,0.0,miso-pbf,monte_carlo,0.99865,0.0002596321917636527,\n"
+        "snr_db,5.0,miso-pbf,closed_form,0.6373048050616227,0.0,coefficient-corrected\n"
+        "snr_db,5.0,miso-pbf,monte_carlo,0.6378,0.0033986111869409243,\n"
+        "snr_db,10.0,miso-pbf,closed_form,0.09740372470677859,0.0,coefficient-corrected\n"
+        "snr_db,10.0,miso-pbf,monte_carlo,0.0968,0.002090810369210943,\n"
+    ),
+    "--scheme miso-tas --axis rho --values 0.5,0.9,1 --snr-db 10": (
+        "axis,value,scheme,evaluator,p_out,std_err,flags\n"
+        "rho,0.5,miso-tas,closed_form,0.5983165610238099,0.0,exponent-corrected\n"
+        "rho,0.5,miso-tas,monte_carlo,0.60655,0.003454324083666731,\n"
+        "rho,0.9,miso-tas,closed_form,0.3461928506806874,0.0,exponent-corrected\n"
+        "rho,0.9,miso-tas,monte_carlo,0.3461,0.003363887557573826,\n"
+        "rho,1.0,miso-tas,closed_form,0.23846572934751645,0.0,\n"
+        "rho,1.0,miso-tas,monte_carlo,0.23605,0.00300275205020328,\n"
+    ),
+    "--scheme miso-rvq --axis codebook-size --values 1,4,16 --rho 0.9": (
+        "axis,value,scheme,evaluator,p_out,std_err,flags\n"
+        "codebook_size,1,miso-rvq,closed_form,0.6988057880878031,0.0,coefficient-corrected\n"
+        "codebook_size,1,miso-rvq,monte_carlo,0.69585,0.0032530199622812033,\n"
+        "codebook_size,4,miso-rvq,closed_form,0.419521472342531,0.0,coefficient-corrected\n"
+        "codebook_size,4,miso-rvq,monte_carlo,0.4201,0.0034901002134609263,\n"
+        "codebook_size,16,miso-rvq,closed_form,0.24352870521554087,0.0,coefficient-corrected\n"
+        "codebook_size,16,miso-rvq,monte_carlo,0.2442,0.003037814675058372,\n"
+    ),
+    "--scheme mu-rvq --axis users --values 1,2,4 --rho 0.9 --codebook-size 8": (
+        "axis,value,scheme,evaluator,p_out,std_err,flags\n"
+        "users,1,mu-rvq,closed_form,0.135689587312447,0.0,selection-delay-dual\n"
+        "users,1,mu-rvq,monte_carlo,0.1367,0.0024291264890902655,\n"
+        "users,2,mu-rvq,closed_form,0.06357848811873476,0.0,selection-delay-dual\n"
+        "users,2,mu-rvq,monte_carlo,0.06105,0.0016929692480963734,\n"
+        "users,4,mu-rvq,closed_form,0.028739687155990477,0.0,selection-delay-dual\n"
+        "users,4,mu-rvq,monte_carlo,0.0291,0.0011885535326606035,\n"
+    ),
+}
 
 
 class TestColdStart:
@@ -282,6 +331,61 @@ class TestSweep:
         assert outputs[0] == outputs[1]
 
 
+    def test_singleton_matches_direct_call(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--scheme", "miso-tas", "--axis", "snr-db", "--values", "10",
+            "--rho", "0.9", "--eval", "mc", "--trials", "60000", "--seed", "29",
+        )
+        assert code == EXIT_OK
+        direct = simulate_outage(SchemeId.MISO_TAS, cfg(rho=0.9), None,
+                                 TrialPlan(trials=60_000, seed=29))
+        assert float(parse_csv(out)[0]["p_out"]) == direct.p_hat
+
+    def _mc_rows(self, capsys, *argv):
+        code, out, _ = run_cli(capsys, "sweep", *argv)
+        assert code == EXIT_OK
+        return [(float(r["p_out"]), float(r["std_err"]))
+                for r in parse_csv(out) if r["evaluator"] == "monte_carlo"]
+
+    def test_rho_axis_monotone(self, capsys):
+        results = self._mc_rows(
+            capsys, "--scheme", "miso-tas", "--axis", "rho", "--values", "0.8,0.9,1.0",
+            "--eval", "mc", "--trials", "300000", "--seed", "31")
+        for (lo, lo_se), (hi, hi_se) in zip(results, results[1:]):
+            assert hi <= lo + 3 * math.hypot(lo_se, hi_se)
+        # analytic cross-check on the ordering where the gap is resolvable
+        closed = [outage_tas_closed(cfg(rho=r)).value for r in (0.8, 0.9, 1.0)]
+        assert closed[0] > closed[1] > closed[2]
+
+    def test_users_axis_nonincreasing(self, capsys):
+        results = self._mc_rows(
+            capsys, "--scheme", "mu-tas", "--nr", "2", "--rho", "0.9", "--axis", "users",
+            "--values", "1,2,4", "--eval", "mc", "--trials", "300000", "--seed", "37")
+        for (lo, lo_se), (hi, hi_se) in zip(results, results[1:]):
+            assert hi <= lo + 3 * math.hypot(lo_se, hi_se)
+
+    def test_codebook_size_axis(self, capsys):
+        results = self._mc_rows(
+            capsys, "--scheme", "miso-rvq", "--rho", "0.9", "--axis", "codebook-size",
+            "--values", "1,16", "--eval", "mc", "--trials", "200000", "--seed", "41")
+        for (p_hat, std_err), n in zip(results, (1, 16)):
+            assert abs(p_hat - outage_rvq_closed(cfg(rho=0.9), n).value) <= 3 * std_err
+
+    def test_order_preserved(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--scheme", "miso-pbf", "--rho", "0.9", "--axis", "snr-db",
+            "--values", "20,0,10", "--eval", "mc", "--trials", "10000", "--seed", "43",
+        )
+        assert code == EXIT_OK
+        assert [r["value"] for r in parse_csv(out)] == ["20.0", "0.0", "10.0"]
+
+    @pytest.mark.parametrize("flags", list(SWEEP_GOLDEN))
+    def test_mc_bytes_on_every_axis(self, capsys, flags):
+        code, out, _ = run_cli(capsys, "sweep", *flags.split(), *SWEEP_GOLDEN_MC)
+        assert code == EXIT_OK
+        assert out == SWEEP_GOLDEN[flags]
+
+
 class TestCodebookSizeCommand:
     def test_table(self, capsys):
         code, out, _ = run_cli(
@@ -325,6 +429,22 @@ class TestDiversityCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("bad", [["--trials", "100000"],
+                                     ["--trials", "100000", "--seed", "1", "--workers", "0"]])
+    def test_monte_carlo_inputs_checked_before_any_evaluator(self, capsys, monkeypatch, bad):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an analytic evaluator ran before the Monte Carlo check")
+
+        monkeypatch.setattr(analytic, "outage_closed", refuse)
+        monkeypatch.setattr(analytic, "outage_semianalytic", refuse)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--scheme", "mu-rvq", "--axis", "rho",
+            "--values", "0.9,0.95,0.97,0.98,0.99", "--nu", "4", "--snr-db", "20",
+            "--eval", "closed,quadrature,mc", *bad,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+
     def test_unknown_flag_is_usage(self, capsys):
         code, _, err = run_cli(capsys, "analytic", "--scheme", "miso-pbf", "--wat")
         assert code == EXIT_USAGE

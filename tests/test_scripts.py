@@ -9,6 +9,7 @@ the script with its stdout redirected there) and lists the rows that
 changed, with the reason, in CHANGES.md."""
 
 import csv
+import importlib.util
 import io
 import os
 import subprocess
@@ -58,3 +59,15 @@ def test_runs_at_defaults(run):
     assert list(dict.fromkeys(row[0] for row in rows)) == curves
     assert len(rows) == count
     assert all(len(row) == len(header_row) for row in rows)
+
+
+def test_bench_tracer_installs(monkeypatch):
+    # the traced bench wraps package functions by name, so renaming or
+    # deleting one of them must fail here and not only in the bench run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    with tracing.installed(tracing.Tracer()):
+        pass
