@@ -88,12 +88,25 @@ def noncentral_chi2_cdf(half_dof: int, half_noncentrality: float, half_argument:
 #: monkeypatch them to reach the window cap and ConvergenceError.
 _REL_TOL = 1e-12
 _MAX_TERMS = 10_000
-#: Entries of one (k offset x element) block of series terms: bounds the
-#: kernel's scratch memory (a few hundred kB) whatever the grid size.  A window
-#: longer than half a block fills a block alone; :func:`_window_sums` sums
-#: such a lone element with a running sum.  Windows that start at one k get
-#: blocks of their own once they fill one.
+#: Entries of one (k offset x element) block of series terms, which bound
+#: the kernel's scratch memory whatever the grid size.  A block whose windows
+#: share a start reads log k! and g_k as one column, so it holds little more
+#: than its scratch, 8 bytes an entry: _SHARED_BLOCK_ENTRIES of them (1 MiB)
+#: still fit a core's L2 cache, and a big grid of short windows needs few
+#: blocks, each with a fixed cost of about a dozen numpy calls.  A gather
+#: block also holds a gathered copy of both tables, 16 bytes more an entry,
+#: and keeps _BLOCK_ENTRIES (384 kB with that copy).  A start gets blocks of
+#: its own once its elements fill a gather block.  A window longer than half
+#: a block fills a block alone; :func:`_block_sums` sums such a lone element
+#: with a running sum.
 _BLOCK_ENTRIES = 1 << 14
+_SHARED_BLOCK_ENTRIES = 1 << 17
+#: A window whose largest log Poisson weight is below _UNDERFLOW_LOG, past
+#: exp's underflow point at about -745.13, sums to exactly 0 and is skipped;
+#: only windows with delta below _UNDERFLOW_DELTA are tested
+#: (:func:`_underflowing`).
+_UNDERFLOW_LOG = -746.0
+_UNDERFLOW_DELTA = 2.0**30
 #: Elements are summed in bands of this width in delta, so the g_k table of a
 #: band spans at most _DELTA_BAND + 3 * _MAX_TERMS values of k.
 _DELTA_BAND = 1 << 16
@@ -162,9 +175,11 @@ def _noncentral_chi2_cdf_grid(
     gathered column by column.  Each block is reduced unmasked over the rows
     all its columns have, then under a mask over the ragged rest, starting
     from those partial sums.  A lone column takes a running sum instead,
-    since numpy would sum it pairwise.  None of this changes the order of
-    any element's adds, so every element's value is the same, bit for bit,
-    whatever grid it sits in, and equal to the scalar call.
+    since numpy would sum it pairwise.  A window whose every Poisson weight
+    underflows to exactly 0 is not summed at all: its sum is exactly 0.  None
+    of this changes the order of any element's adds, so every element's
+    value is the same, bit for bit, whatever grid it sits in, and equal to
+    the scalar call.
 
     A window widens, its lower edge straight toward k = 0, until the bounds
     are at most _REL_TOL times its sum.  With no absolute stopping rule,
@@ -178,45 +193,73 @@ def _noncentral_chi2_cdf_grid(
     d = int(half_dof)
     deltas = np.asarray(half_noncentralities, dtype=float)
     beta = float(half_argument)
-    if not (np.isfinite(deltas) & (deltas >= 0)).all():
+    delta = deltas.reshape(-1)
+    # min and max return nan if any element is nan, and need no grid-sized mask
+    top = float(delta.max(initial=0.0))
+    if not (delta.min(initial=0.0) >= 0 and math.isfinite(top)):
         raise ValueError("half noncentralities must be finite and >= 0")
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"half_argument must be finite and >= 0, got {beta!r}")
 
-    delta = deltas.reshape(-1)
-    sums = np.zeros_like(delta)
-    if delta.max(initial=0.0) < _DELTA_BAND:  # every delta in band 0
-        bands = [slice(None)] if delta.size else []
+    if not delta.size:
+        return np.zeros(deltas.shape)
+    if top < _DELTA_BAND:  # every delta in band 0: its partial sums are the result
+        sums, converged = _poisson_mixture(d, delta, beta)
+        rows = slice(None)
     else:
+        sums = np.zeros_like(delta)
         band = np.floor(delta / _DELTA_BAND)
-        bands = [band == b for b in np.unique(band)]
-    for rows in bands:
-        sums[rows], converged = _poisson_mixture(d, delta[rows], beta)
-        if not converged:
-            raise ConvergenceError(
-                f"noncentral chi-square series did not converge within {_MAX_TERMS} "
-                f"terms (d={d}, max delta={float(delta[rows].max()):g}, beta={beta:g})",
-                np.clip(sums, 0.0, 1.0).reshape(deltas.shape),
-            )
-    return np.clip(sums, 0.0, 1.0).reshape(deltas.shape)
+        for b in np.unique(band):
+            rows = band == b
+            sums[rows], converged = _poisson_mixture(d, delta[rows], beta)
+            if not converged:
+                break
+    np.clip(sums, 0.0, 1.0, out=sums)
+    if not converged:
+        raise ConvergenceError(
+            f"noncentral chi-square series did not converge within {_MAX_TERMS} "
+            f"terms (d={d}, max delta={float(delta[rows].max()):g}, beta={beta:g})",
+            sums.reshape(deltas.shape),
+        )
+    return sums.reshape(deltas.shape)
 
 
 def _first_window(d: int, delta: np.ndarray, beta: float):
     """(lo, hi), the first window of each element's terms, each half capped at
     (_MAX_TERMS - 1) // 2 terms (sized in :func:`_noncentral_chi2_cdf_grid`)."""
-    # The wing bounds hold wherever a window sits; capping the peak keeps
-    # every k exact as a float.  sqrt(delta) * sqrt(beta) cannot overflow.
-    peak = np.minimum(delta, np.sqrt(delta) * math.sqrt(beta))
-    centre = np.floor(np.minimum(peak, 2.0**52)).astype(np.int64)
+    # The steps write into three float arrays in place.  The window edges
+    # they form are integers below 2^53, so the float arithmetic on them is
+    # exact.  sqrt(delta) * sqrt(beta) cannot overflow.
+    peak = np.sqrt(delta)
+    peak *= math.sqrt(beta)
+    np.minimum(delta, peak, out=peak)
     # peak (d + peak) / (d + 2 peak), in a form that cannot overflow
-    spread = np.where(delta > beta, peak / (1.0 + peak / (d + peak)), peak)
-    cap = (_MAX_TERMS - 1) // 2
-    below = np.minimum(np.ceil(_WINDOW_SIGMAS * np.sqrt(peak)) + _WINDOW_PAD, cap)
-    above = np.minimum(np.ceil(_UPPER_SIGMAS * np.sqrt(spread)) + _UPPER_PAD, cap)
-    lo = np.maximum(centre - below.astype(np.int64), 0)
+    above = peak + d
+    np.divide(peak, above, out=above)
+    above += 1.0
+    np.divide(peak, above, out=above)
+    np.copyto(above, peak, where=delta <= beta)
+    above = _half_width(above, _UPPER_SIGMAS, _UPPER_PAD, out=above)
+    below = _half_width(peak, _WINDOW_SIGMAS, _WINDOW_PAD)
+    # The wing bounds hold wherever a window sits; capping the peak keeps
+    # every k exact as a float.
+    centre = np.floor(np.minimum(peak, 2.0**52, out=peak), out=peak)
+    np.subtract(centre, below, out=below)
+    lo = np.maximum(below, 0.0, out=below).astype(np.int64)
+    centre += above
     # delta = 0 is the central CDF: the k = 0 term alone, exp(0) * g_0.
-    hi = np.where(delta > 0, centre + above.astype(np.int64), 0)
-    return lo, hi
+    np.copyto(centre, 0.0, where=delta == 0)
+    return lo, centre.astype(np.int64)
+
+
+def _half_width(spread: np.ndarray, sigmas: float, pad: int, out=None) -> np.ndarray:
+    """ceil(sigmas * sqrt(spread)) + pad terms, capped at (_MAX_TERMS - 1) // 2,
+    as floats formed in one array (out, if given)."""
+    width = np.sqrt(spread, out=out)
+    width *= sigmas
+    np.ceil(width, out=width)
+    width += pad
+    return np.minimum(width, (_MAX_TERMS - 1) // 2, out=width)
 
 
 def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
@@ -225,20 +268,27 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
     log_delta = np.log(delta, out=np.zeros_like(delta), where=delta > 0)
     g0 = float(_sc.gammainc(d, beta))
     lo, hi = _first_window(d, delta, beta)
-    partial = np.zeros_like(delta)
     # Each round sums, bounds and widens only the windows still open: rows
-    # indexes them, and delta, log_delta, lo and hi shrink to them.
-    rows = np.arange(delta.size)
+    # indexes them in partial, which is the first round's sums, and delta,
+    # log_delta, lo and hi shrink to them.
+    partial = rows = None
     while True:
-        k = np.arange(lo.min(), hi.max() + 2)
-        tables = _series_tables(d, beta, k)
-        sums = _window_sums(lo, hi, delta, log_delta, k[0], tables)
-        partial[rows] = sums
-        lower = np.zeros_like(delta)
-        inner = lo > 0
-        lower[inner] = _sc.pdtr(lo[inner] - 1, delta[inner]) * g0
+        k0 = int(lo.min())
+        tables = _series_tables(d, beta, np.arange(k0, hi.max() + 2))
+        sums = _window_sums(lo, hi, delta, log_delta, k0, tables)
+        if rows is None:
+            partial = sums
+        else:
+            partial[rows] = sums
+        # P(K < lo) g_0, which is 0 for a window from k = 0, and for all of
+        # them at once when every window starts there
+        inner = np.flatnonzero(lo)
+        lower = 0.0
+        if inner.size:
+            lower = np.zeros_like(delta)
+            lower[inner] = _sc.pdtr(lo[inner] - 1, delta[inner]) * g0
         budget = _REL_TOL * sums
-        log_fact_next, g_next = tables[:, hi + 1 - k[0]]
+        log_fact_next, g_next = tables[:, hi + (1 - k0)]
         upper = _upper_wing_bound(d, delta, log_delta, beta, hi, log_fact_next, g_next,
                                   lower, budget)
         todo = upper + lower > budget
@@ -249,7 +299,8 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
         new_hi = np.minimum(new_hi, new_lo + _MAX_TERMS - 1)
         if np.any(todo & (new_lo == lo) & (new_hi == hi)):
             return partial, False
-        rows, delta, log_delta = rows[todo], delta[todo], log_delta[todo]
+        rows = np.flatnonzero(todo) if rows is None else rows[todo]
+        delta, log_delta = delta[todo], log_delta[todo]
         lo, hi = new_lo[todo], new_hi[todo]
 
 
@@ -282,13 +333,28 @@ def _upper_wing_bound(d: int, delta: np.ndarray, log_delta: np.ndarray, beta: fl
     P(K > 0) = 0, so any bound that does not meet the budget falls to 0.
     """
     log_beta = math.log(beta) if beta > 0 else -math.inf
-    # r is formed in logs: delta * beta overflows for delta near 1e300
-    log_r = log_delta + log_beta - np.log(hi + 2.0) - np.log(d + hi + 2.0)
-    t_next = np.exp((hi + 1) * log_delta - delta - log_fact_next) * g_next
+    # r is formed in logs, as delta * beta overflows for delta near 1e300:
+    # log delta + log beta - log(hi + 2) - log(d + hi + 2), with each log
+    # formed in one array and every integer exact as a float
+    log_r = log_delta + log_beta
+    scratch = hi + 2.0
+    log_r -= np.log(scratch, out=scratch)
+    np.add(hi, d + 2.0, out=scratch)
+    log_r -= np.log(scratch, out=scratch)
+    # t_{hi+1} = exp((hi + 1) log delta - delta - log (hi + 1)!) g_{hi+1}
+    t_next = np.add(hi, 1.0, out=scratch)
+    t_next *= log_delta
+    t_next -= delta
+    t_next -= log_fact_next
+    np.exp(t_next, out=t_next)
+    t_next *= g_next
+    # t_{hi+1} / (1 - r) where r < 1, and inf elsewhere
     shrinks = log_r < 0
     upper = np.full_like(delta, np.inf)
-    upper[shrinks] = t_next[shrinks] / -np.expm1(log_r[shrinks])
-    open_ = upper + lower > budget
+    np.expm1(log_r, out=log_r, where=shrinks)
+    np.negative(log_r, out=log_r, where=shrinks)
+    np.divide(t_next, log_r, out=upper, where=shrinks)
+    open_ = np.flatnonzero(np.add(upper, lower, out=log_r) > budget)  # log_r is spent
     upper[open_] = np.minimum(_sc.pdtrc(hi[open_], delta[open_]) * g_next[open_], upper[open_])
     return upper
 
@@ -298,25 +364,70 @@ def _window_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     one term at a time in order of k; tables holds log k! and g_k from
     k = k0 on, padded as :func:`_series_tables` pads them.
 
-    Elements are summed in blocks of at most _BLOCK_ENTRIES terms, longest
-    window first, so that little of a block lies past its elements' ends.
+    A window whose every Poisson weight exp(k log delta - delta - log k!)
+    is exactly 0 (:func:`_underflowing`) sums to exactly 0, and its terms
+    are never formed; the others are summed by :func:`_block_sums`.
+    """
+    zero = _underflowing(lo, hi, delta, log_delta, k0, tables[0])
+    if not zero.any():
+        return _block_sums(lo, hi, delta, log_delta, k0, tables)
+    sums = np.zeros(lo.shape)
+    live = np.flatnonzero(~zero)
+    if live.size:
+        sums[live] = _block_sums(lo[live], hi[live], delta[live], log_delta[live], k0, tables)
+    return sums
+
+
+def _underflowing(lo, hi, delta, log_delta, k0, log_fact) -> np.ndarray:
+    """Whether every Poisson weight exp(k log delta - delta - log k!) of each
+    window [lo, hi] is exactly 0 as :func:`_block_sums` forms it, given
+    log k! from k = k0 on.
+
+    The log weight rises up to the mode floor(delta) and falls after it, so
+    its largest value on a window is at the mode clipped into the window;
+    only that one log weight is formed.  exp is exactly 0 below about
+    -745.13, and a window counts when that log weight is below
+    _UNDERFLOW_LOG.  The kernel's windows end fewer than _MAX_TERMS terms
+    past delta, so while delta < _UNDERFLOW_DELTA, k log delta, delta and
+    log k! stay below 3e10 on every window, and each log weight the kernel
+    forms is within 1e-4 of its exact value, far inside that margin; a
+    larger delta never counts.  Subnormal weights are not 0 and still summed.
+    """
+    if not lo.any() and delta.max() < -_UNDERFLOW_LOG:
+        # every window holds k = 0, whose log weight -delta is above the limit
+        return np.zeros(lo.shape, dtype=bool)
+    mode = np.floor(delta)
+    np.clip(mode, lo, hi, out=mode)
+    at_mode = mode.astype(np.intp)
+    at_mode -= k0
+    log_weight = np.multiply(mode, log_delta, out=mode)
+    log_weight -= delta
+    log_weight -= log_fact[at_mode]
+    return (log_weight < _UNDERFLOW_LOG) & (delta < _UNDERFLOW_DELTA)
+
+
+def _block_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
+    """:func:`_window_sums` over windows that are summed, in blocks of terms.
+
     A block is laid out (k offset, element): column i holds element i's
-    terms at k = lo_i + j for j = 0 ... n0 - 1, where n0 is the first
-    element's window length; a shorter column runs on past hi_i into later
-    table entries or the padding.  The tables are read from a read-only
-    strided view, whose entry [:, j, m] is both tables at k = k0 + m + j,
-    and the terms exp((k log delta - delta) - log k!) * g_k are formed in
-    place in one scratch block.
+    terms at k = lo_i + j for j = 0 ... n0 - 1, where n0 is the block's
+    longest window, its first; a shorter column runs on past hi_i into
+    later table entries or the padding.  The tables are read from a
+    read-only strided view, whose entry [:, j, m] is both tables at
+    k = k0 + m + j, and the terms exp((k log delta - delta) - log k!) * g_k
+    are formed in place in one scratch block, as large as the largest block.
 
     Windows that start at one k, as those clipped at k = 0 do, share their
-    k, log k! and g_k row by row.  A start whose elements fill a block of
-    its longest window, or that every element shares, gets blocks of its
-    own (:func:`_block_plan`), in which log k! and g_k are one (n0, 1)
-    column sliced from the view and k log delta is the (n0, 1) vector lo + j
-    times each column's log delta.  The other elements share gather blocks,
-    which read both tables for every column with one gather and form k as
-    lo_i + j.  k is an integer below 2^52 either way, exact as a float, so
-    both paths form the same terms.
+    k, log k! and g_k row by row.  A start whose elements fill a gather
+    block of its longest window, or that every element shares, gets blocks
+    of its own (:func:`_block_plan`), in which log k! and g_k are one
+    (n0, 1) column sliced from the view and k log delta is the (n0, 1)
+    vector lo + j times each column's log delta.  Such a block holds up to
+    _SHARED_BLOCK_ENTRIES terms, which makes few blocks of a big grid of
+    short windows.  The other elements share gather blocks of up to
+    _BLOCK_ENTRIES terms, which read both tables for every column with one
+    gather and form k as lo_i + j.  k is an integer below 2^52 either way,
+    exact as a float, so both paths form the same terms.
 
     Each block is summed by :func:`_column_sums`: a reduce down the columns
     adds the rows that every column has, and a masked reduce continues from
@@ -324,34 +435,35 @@ def _window_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     hi_i.  With two or more columns, numpy adds a block row after row into
     the vector of sums, so each element gets 0 + t_lo + t_{lo+1} + ..., in
     order of k, whichever path formed its terms and however the block
-    splits.  A lone column (a one-element call, a window longer than
-    _BLOCK_ENTRIES // 2, or a last element left alone in its block) would be
-    summed pairwise by that reduce, so it takes a running sum instead, which
-    adds in the same order.
+    splits.  A lone column (a one-element call, a window longer than half
+    a block, or a last element left alone in its block) would be summed
+    pairwise by that reduce, so it takes a running sum instead, which adds
+    in the same order.
     """
-    lengths = hi - lo + 1
+    lengths = hi - lo
+    lengths += 1
     sums = np.empty(lengths.shape)
     width = int(lengths.max())
-    at = lo - k0  # each window's first entry in the tables
+    at = lo - k0 if k0 else lo  # each window's first entry in the tables
     # runs[:, j, m] is both tables at k = k0 + m + j; the constructor checks
     # that the view stays inside the tables
     step = tables.strides[1]
     runs = np.ndarray((2, width, tables.shape[1] - width + 1), buffer=tables,
                       strides=(tables.strides[0], step, step))
     runs.flags.writeable = False
-    lo_float = lo.astype(float)
     j = np.arange(width, dtype=float)[:, None]
-    scratch = np.empty(min(max(_BLOCK_ENTRIES, width), lengths.size * width))
-    for rows, shared in _block_plan(at, lengths, width, runs.shape[2]):
-        n0 = int(lengths[rows[0]])
+    plan = [(rows, int(lengths[rows[0]]), shared)
+            for rows, shared in _block_plan(at, lengths, width, runs.shape[2])]
+    scratch = np.empty(max(n0 * rows.size for rows, n0, _ in plan))
+    for rows, n0, shared in plan:
         w = scratch[: n0 * rows.size].reshape(n0, rows.size)
         if shared:
             first = rows[0]
             log_fact, g = runs[:, :n0, at[first], None]
-            np.multiply(lo_float[first] + j[:n0], log_delta[rows], out=w)
+            np.multiply(lo[first] + j[:n0], log_delta[rows], out=w)
         else:
             log_fact, g = runs[:, :n0, at[rows]]
-            np.add(lo_float[rows], j[:n0], out=w)
+            np.add(lo[rows], j[:n0], out=w)
             w *= log_delta[rows]
         w -= delta[rows]
         w -= log_fact
@@ -362,37 +474,39 @@ def _window_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
 
 
 def _block_plan(at, lengths, width: int, span: int) -> list:
-    """The blocks of :func:`_window_sums`, as (rows, shared) pairs: rows
+    """The blocks of :func:`_block_sums`, as (rows, shared) pairs: rows
     indexes a block's elements, longest window first, and shared says that
     their windows all start at one k.  at holds each window's first entry
     in the tables, every one below span."""
-    # longest first, ties in input order; a small unsigned key sorts by radix
-    by_length = np.argsort((width - lengths).astype(np.min_scalar_type(width)), kind="stable")
+    # longest first, ties in input order; a small unsigned key sorts by
+    # radix, and width - lengths fits it, so it is formed in that type
+    key = np.subtract(width, lengths, dtype=np.min_scalar_type(width), casting="unsafe")
+    by_length = np.argsort(key, kind="stable")
+    if at.min() == at.max():  # one start, and no gather blocks to fill
+        return [(rows, True) for rows in _blocks(by_length, lengths, _SHARED_BLOCK_ENTRIES)]
     by_start = by_length[np.argsort(at[by_length].astype(np.min_scalar_type(span)), kind="stable")]
     starts = at[by_start]
-    if starts[0] == starts[-1]:  # one start, and no gather blocks to fill
-        return [(rows, True) for rows in _blocks(by_length, lengths)]
     edges = np.concatenate(([0], np.flatnonzero(starts[1:] != starts[:-1]) + 1, [starts.size]))
     counts = edges[1:] - edges[:-1]
-    # a start gets blocks of its own when its elements fill a block of its
-    # longest window; every other element goes to the gather blocks
+    # a start gets blocks of its own when its elements fill a gather block
+    # of its longest window; every other element goes to the gather blocks
     shared = counts >= _BLOCK_ENTRIES // lengths[by_start[edges[:-1]]]
     plan = [(rows, True)
             for a, b in zip(edges[:-1][shared].tolist(), edges[1:][shared].tolist())
-            for rows in _blocks(by_start[a:b], lengths)]
+            for rows in _blocks(by_start[a:b], lengths, _SHARED_BLOCK_ENTRIES)]
     if shared.any():
         in_plan = np.empty(lengths.shape, dtype=bool)
         in_plan[by_start] = np.repeat(shared, counts)
         by_length = by_length[~in_plan[by_length]]
-    return plan + [(rows, False) for rows in _blocks(by_length, lengths)]
+    return plan + [(rows, False) for rows in _blocks(by_length, lengths, _BLOCK_ENTRIES)]
 
 
-def _blocks(order, lengths):
+def _blocks(order, lengths, entries: int):
     """Consecutive runs of order, longest window first, each holding as many
-    elements as _BLOCK_ENTRIES terms of its first window allow, and at least one."""
+    elements as entries terms of its first window allow, and at least one."""
     start = 0
     while start < order.size:
-        stop = start + max(1, _BLOCK_ENTRIES // int(lengths[order[start]]))
+        stop = start + max(1, entries // int(lengths[order[start]]))
         yield order[start:stop]
         start = stop
 

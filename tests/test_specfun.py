@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 from scipy import special as sc
 from scipy.integrate import quad
 
-from bfoutage import specfun
+from bfoutage import analytic, specfun
 from bfoutage.analytic import SchemeId, outage_semianalytic
 from bfoutage.specfun import (
     _BLOCK_ENTRIES,
+    _SHARED_BLOCK_ENTRIES,
     CapabilityError,
     ConvergenceError,
     _block_plan,
@@ -522,6 +524,13 @@ def _bits(values):
     return np.asarray(values).view(np.int64).tolist()
 
 
+def _set_block_entries(patch, entries, shared=None):
+    """Sets the kernel's block budgets: gather blocks of up to entries terms,
+    and shared-start blocks of up to shared terms (entries if None)."""
+    patch.setattr(specfun, "_BLOCK_ENTRIES", entries)
+    patch.setattr(specfun, "_SHARED_BLOCK_ENTRIES", entries if shared is None else shared)
+
+
 def _plan(lo, hi):
     """The kernel's blocks for windows [lo, hi] on tables from k = min(lo),
     as (lengths, shared) pairs."""
@@ -535,9 +544,10 @@ def _plan(lo, hi):
 
 @st.composite
 def start_groups(draw):
-    """(d, beta, lo, hi, delta, block entries): windows whose starts come
-    from a few shared values or are drawn alone, of ragged lengths, with
-    blocks small enough that a start group can fill several."""
+    """(d, beta, lo, hi, delta, (gather, shared) block entries): windows
+    whose starts come from a few shared values or are drawn alone, of ragged
+    lengths, with blocks small enough that a start group can fill several,
+    or the kernel's own budgets."""
     common = draw(st.lists(st.integers(0, 2000), min_size=1, max_size=3))
     count = draw(st.integers(1, 300))
     alone = draw(st.floats(0.0, 1.0))
@@ -547,7 +557,8 @@ def start_groups(draw):
                   rng.choice(common, count))
     hi = lo + rng.integers(0, longest, count)
     delta = rng.uniform(0.0, 3000.0, count)
-    block = draw(st.sampled_from([16, 128, 1024, _BLOCK_ENTRIES]))
+    block = draw(st.sampled_from([(16, 16), (16, 128), (128, 1024), (1024, 1024),
+                                  (_BLOCK_ENTRIES, _SHARED_BLOCK_ENTRIES)]))
     return draw(st.integers(1, 8)), draw(st.floats(0.0, 2000.0)), lo, hi, delta, block
 
 
@@ -555,8 +566,10 @@ class TestWindowSums:
     """The blocked window sums equal the element-at-a-time loop of
     tests/_oracle.py bit for bit."""
 
-    def test_rows_of_unequal_length(self):
+    def test_rows_of_unequal_length(self, monkeypatch):
         # one block of four rows, and 400 rows of 1-300 terms over several blocks
+        block = 1 << 14
+        _set_block_entries(monkeypatch, block)
         got, want = _window_sums_and_reference(
             2, 30.0, [0, 5, 40, 3], [120, 30, 41, 3], [50.0, 12.0, 40.5, 2.0]
         )
@@ -565,7 +578,7 @@ class TestWindowSums:
         lo = rng.integers(0, 500, 400)
         hi = lo + rng.integers(0, 300, 400)
         delta = rng.uniform(0.0, 800.0, 400)
-        assert (hi - lo + 1).sum() > 3 * _BLOCK_ENTRIES
+        assert (hi - lo + 1).sum() > 3 * block
         got, want = _window_sums_and_reference(3, 60.3, lo, hi, delta)
         assert _bits(got) == _bits(want)
 
@@ -596,10 +609,13 @@ class TestWindowSums:
         )
         assert _bits(got) == _bits(want)
 
-    def test_two_columns_of_very_unequal_length(self):
+    def test_two_columns_of_very_unequal_length(self, monkeypatch):
         # one block of exactly two columns: 3000 terms beside one
+        block = 1 << 14
+        _set_block_entries(monkeypatch, block)
         lo, hi = [0, 2500], [2999, 2500]
-        assert _BLOCK_ENTRIES // 3000 >= 2
+        assert _plan(lo, hi) == [([3000, 1], False)]
+        assert block // 3000 >= 2
         got, want = _window_sums_and_reference(2, 3000.0, lo, hi, [1500.0, 2500.0])
         assert _bits(got) == _bits(want)
         assert got[1] > 0.0
@@ -607,7 +623,7 @@ class TestWindowSums:
     def test_every_block_a_lone_column(self, monkeypatch):
         # with one entry per block every element is its own block: the
         # running-sum path, on the same 400 rows as the blocked test above
-        monkeypatch.setattr(specfun, "_BLOCK_ENTRIES", 1)
+        _set_block_entries(monkeypatch, 1)
         rng = np.random.default_rng(5)
         lo = rng.integers(0, 500, 400)
         hi = lo + rng.integers(0, 300, 400)
@@ -640,14 +656,14 @@ class TestWindowSums:
     def test_shared_starts_match_the_reference(self, case):
         d, beta, lo, hi, delta, block = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(specfun, "_BLOCK_ENTRIES", block)
+            _set_block_entries(patch, *block)
             got, want = _window_sums_and_reference(d, beta, lo, hi, delta)
         assert _bits(got) == _bits(want)
 
     def test_start_group_over_several_blocks(self, monkeypatch):
         # 120 windows from k = 7 fill four 256-entry blocks of their own;
         # 30 windows at distinct starts share gather blocks
-        monkeypatch.setattr(specfun, "_BLOCK_ENTRIES", 256)
+        _set_block_entries(monkeypatch, 256)
         rng = np.random.default_rng(11)
         lo = np.concatenate([np.full(120, 7), rng.permutation(np.arange(40, 640, 20))])
         hi = lo + rng.integers(0, 30, lo.size)
@@ -668,30 +684,73 @@ class TestWindowSums:
         got, want = _window_sums_and_reference(3, 40.0, lo, hi, np.linspace(0.0, 80.0, 90))
         assert _bits(got) == _bits(want)
 
-    def test_shared_lone_column(self):
+    def test_windows_whose_weights_underflow(self, monkeypatch):
+        # Poisson weights exp(k log delta - delta - log k!) at delta = 1000
+        # are exactly 0 up to k = 70, subnormal over k = 71 ... 85 and normal
+        # from k = 86 on; g_k is near 1 at beta = 5000.  The first windows
+        # have every weight 0: below the mode (delta 1000 and 5000) and far
+        # above it (delta 2).  Next, windows whose weights run from 0 into
+        # the subnormals only, and on into normal ones; one whose largest log
+        # weight, -745.6, is past exp's underflow point but inside the
+        # margin, so it is summed and comes to 0; and ordinary windows, most
+        # of them sharing the start k = 0.
+        lo = [0, 0, 600, 40, 0, 0, 0, 0, 950, 7]
+        hi = [60, 50, 700, 80, 300, 70, 80, 40, 1050, 60]
+        delta = [1000.0, 5000.0, 2.0, 1000.0, 1000.0, 998.6, 30.0, 5.0, 1000.0, 20.0]
+        zero = [True, True, True] + [False] * 7
+        summed, block_sums = [], specfun._block_sums
+
+        def recording(lo, hi, *args):
+            summed.append(lo.size)
+            return block_sums(lo, hi, *args)
+
+        monkeypatch.setattr(specfun, "_block_sums", recording)
+        for rows in (slice(0, 3), slice(3, 6), slice(None)):  # all zero, none, a mix
+            summed.clear()
+            got, want = _window_sums_and_reference(
+                2, 5000.0, lo[rows], hi[rows], delta[rows])
+            assert _bits(got) == _bits(want)
+            assert summed == ([] if all(zero[rows]) else [zero[rows].count(False)])
+        assert got[:3].tolist() == [0.0, 0.0, 0.0] and got[5] == 0.0
+        assert 0.0 < got[3] < np.finfo(float).tiny < got[4]
+        log_delta = np.log(delta)
+        log_fact = sc.gammaln(np.arange(0, 1052) + 1.0)
+        flagged = specfun._underflowing(np.array(lo), np.array(hi), np.array(delta),
+                                        log_delta, 0, log_fact)
+        assert flagged.tolist() == zero
+
+    def test_shared_lone_column(self, monkeypatch):
         # a window longer than half a block fills a block alone, beside a
         # start that two short windows share
-        lo, hi = [0, 900, 900], [_BLOCK_ENTRIES // 2 + 1, 940, 905]
+        block = 1 << 14
+        _set_block_entries(monkeypatch, block)
+        lo, hi = [0, 900, 900], [block // 2 + 1, 940, 905]
         plan = _plan(lo, hi)
-        assert plan[0] == ([_BLOCK_ENTRIES // 2 + 2], True)
+        assert plan[0] == ([block // 2 + 2], True)
         got, want = _window_sums_and_reference(2, 5000.0, lo, hi, [4500.0, 930.0, 910.0])
         assert _bits(got) == _bits(want)
 
 
-#: Real quadrature grids, and whether any of their blocks is a shared-start
-#: block: at 10 dB, rho 0.97 almost every RVQ element's window starts at
-#: k = 0; at 30 dB, rho 0.999 most elements have a start of their own, and
-#: the elements at k = 0 fill no block.
+#: Real quadrature grids, and whether any of their terms are summed in
+#: shared-start blocks and in gather blocks.  At 10 dB, rho 0.97 almost every
+#: RVQ element's window starts at k = 0.  At 10 dB, rho 0.99 most miso-pbf
+#: elements have a start of their own.  At 30 dB, rho 0.999 so do most
+#: miso-pbf elements, but every Poisson weight of theirs underflows, so they
+#: are skipped and only the windows from k = 0 are summed.  miso-rvq at 30 dB
+#: and mu-rvq at 20 dB, rho 0.999, sum windows of up to 300 and 500 terms.
 GRID_POINTS = [
-    (SchemeId.MISO_RVQ, 10.0, 0.97, True), (SchemeId.MU_RVQ, 10.0, 0.97, True),
-    (SchemeId.MISO_PBF, 30.0, 0.999, False),
+    (SchemeId.MISO_RVQ, 10.0, 0.97, True, False), (SchemeId.MU_RVQ, 10.0, 0.97, True, False),
+    (SchemeId.MISO_PBF, 10.0, 0.99, False, True), (SchemeId.MISO_PBF, 30.0, 0.999, True, False),
+    (SchemeId.MISO_RVQ, 30.0, 0.999, True, False), (SchemeId.MU_RVQ, 20.0, 0.999, True, True),
 ]
+GRID_IDS = [f"{s.value}-{snr:g}dB-{rho:g}" for s, snr, rho, *_ in GRID_POINTS]
 
 
-def _grid_run(monkeypatch, scheme, snr_db, rho, gather_only=False):
+def _grid_run(scheme, snr_db, rho, gather_only=False, entries=None):
     """(value, sums, terms) of one quadrature: its value, the sums of every
     window-sum call, and the terms summed in shared-start blocks and in all.
-    gather_only sums every block by the gather path instead."""
+    gather_only sums every block by the gather path instead; entries, if
+    given, is the budget of every block."""
     nt, nr, nu = SCHEME_MATRIX[scheme]
     config = cfg(nt=nt, nr=nr, nu=nu, snr_db=snr_db, rho=rho)
     sums, terms = [], [0, 0]
@@ -709,29 +768,80 @@ def _grid_run(monkeypatch, scheme, snr_db, rho, gather_only=False):
         sums.append(_window_sums(*args))
         return sums[-1]
 
-    monkeypatch.setattr(specfun, "_block_plan", recording_plan)
-    monkeypatch.setattr(specfun, "_window_sums", recording_sums)
-    n = CODEBOOK_SIZE if scheme in (SchemeId.MISO_RVQ, SchemeId.MU_RVQ) else None
-    return outage_semianalytic(scheme, config, codebook_size=n).value, sums, terms
+    with pytest.MonkeyPatch.context() as patch:
+        if entries is not None:
+            _set_block_entries(patch, entries)
+        patch.setattr(specfun, "_block_plan", recording_plan)
+        patch.setattr(specfun, "_window_sums", recording_sums)
+        n = CODEBOOK_SIZE if scheme in (SchemeId.MISO_RVQ, SchemeId.MU_RVQ) else None
+        return outage_semianalytic(scheme, config, codebook_size=n).value, sums, terms
 
 
 class TestSharedStartGrids:
-    """Shared-start blocks leave every value of a real grid as the gather
-    path makes it, bit for bit, and carry almost all of an RVQ grid's terms."""
+    """Shared-start blocks, and the block budgets, leave every value of a
+    real grid as the gather path and any other budget make it, bit for bit,
+    and shared blocks carry almost all of an RVQ grid's terms."""
 
-    @pytest.mark.parametrize("scheme, snr_db, rho, shares", GRID_POINTS,
-                             ids=[f"{s.value}-{snr:g}dB-{rho:g}" for s, snr, rho, _ in GRID_POINTS])
-    def test_grid_matches_the_gather_path(self, monkeypatch, scheme, snr_db, rho, shares):
-        value, sums, terms = _grid_run(monkeypatch, scheme, snr_db, rho)
+    @pytest.mark.parametrize("scheme, snr_db, rho, shares, gathers", GRID_POINTS, ids=GRID_IDS)
+    def test_grid_matches_the_gather_path(self, scheme, snr_db, rho, shares, gathers):
+        value, sums, terms = _grid_run(scheme, snr_db, rho)
         gathered, gathered_sums, gathered_terms = _grid_run(
-            monkeypatch, scheme, snr_db, rho, gather_only=True)
-        assert (terms[0] > 0) == shares and gathered_terms == [0, terms[1]]
+            scheme, snr_db, rho, gather_only=True)
+        assert (terms[0] > 0) == shares and (terms[0] < terms[1]) == gathers
+        assert gathered_terms == [0, terms[1]]
         assert _bits([value]) == _bits([gathered])
         assert [_bits(a) for a in sums] == [_bits(b) for b in gathered_sums]
 
-    def test_rvq_grid_sums_on_shared_columns(self, monkeypatch):
-        _, _, (shared, total) = _grid_run(monkeypatch, SchemeId.MISO_RVQ, 10.0, 0.97)
+    @pytest.mark.parametrize("entries", [1 << 14, 1 << 10])
+    @pytest.mark.parametrize("scheme, snr_db, rho, shares, gathers", GRID_POINTS, ids=GRID_IDS)
+    def test_grid_matches_other_block_budgets(self, scheme, snr_db, rho, shares, gathers,
+                                              entries):
+        # the parent's flat 16384-entry blocks, and blocks of 1024 entries
+        value, sums, _ = _grid_run(scheme, snr_db, rho)
+        forced, forced_sums, _ = _grid_run(scheme, snr_db, rho, entries=entries)
+        assert _bits([value]) == _bits([forced])
+        assert [_bits(a) for a in sums] == [_bits(b) for b in forced_sums]
+
+    def test_rvq_grid_sums_on_shared_columns(self):
+        _, _, (shared, total) = _grid_run(SchemeId.MISO_RVQ, 10.0, 0.97)
         assert shared >= 0.95 * total
+
+
+class TestKernelMemory:
+    """One big kernel call forms few grid-sized temporaries: the traced peak
+    of a 32768-element miso-rvq grid (10 dB, rho 0.9, from the quadrature's
+    own deltas) stays under PEAK_MB."""
+
+    #: traced peaks of that call: 4.32 MB while the kernel formed some
+    #: twenty grid-sized temporaries in its first window, wing bounds and
+    #: block plan, 2.71 MB with few, beside a 1 MiB shared block; the bound
+    #: sits about halfway between
+    PEAK_MB = 3.5
+
+    def test_big_grid_peak(self, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _noncentral_chi2_cdf_grid(*args)
+
+        monkeypatch.setattr(analytic, "_noncentral_chi2_cdf_grid", recording)
+        outage_semianalytic(SchemeId.MISO_RVQ, cfg(snr_db=10.0, rho=0.9),
+                            codebook_size=CODEBOOK_SIZE)
+        (d, deltas, beta), = calls
+        assert deltas.size == 1 << 15
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _noncentral_chi2_cdf_grid(d, deltas, beta)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < self.PEAK_MB * 2**20
 
 
 class TestColumnReduceOrder:
