@@ -14,6 +14,7 @@ special function, such as a Monte Carlo run given rho directly, never pays it.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -88,19 +89,16 @@ def noncentral_chi2_cdf(half_dof: int, half_noncentrality: float, half_argument:
 #: monkeypatch them to reach the window cap and ConvergenceError.
 _REL_TOL = 1e-12
 _MAX_TERMS = 10_000
-#: Entries of one (k offset x element) block of series terms, which bound
-#: the kernel's scratch memory whatever the grid size.  A block whose windows
-#: share a start reads log k! and g_k as one column, so it holds little more
-#: than its scratch, 8 bytes an entry: _SHARED_BLOCK_ENTRIES of them (1 MiB)
-#: still fit a core's L2 cache, and a big grid of short windows needs few
-#: blocks, each with a fixed cost of about a dozen numpy calls.  A gather
-#: block also holds a gathered copy of both tables, 16 bytes more an entry,
-#: and keeps _BLOCK_ENTRIES (384 kB with that copy).  A start gets blocks of
-#: its own once its elements fill a gather block.  A window longer than half
-#: a block fills a block alone; :func:`_block_sums` sums such a lone element
-#: with a running sum.
+#: Entries of one (k offset x element) gather block of series terms, which
+#: bound the kernel's scratch memory whatever the grid size: with its
+#: gathered copy of both tables, 24 bytes an entry (384 kB).  A window longer
+#: than half a block fills a block alone; :func:`_column_sums` sums such a
+#: lone element with a running sum.
 _BLOCK_ENTRIES = 1 << 14
-_SHARED_BLOCK_ENTRIES = 1 << 17
+#: A window from k = 0 is summed by the recurrence of :func:`_recurrence_sums`
+#: while its first weight exp(-delta) is a normal double, which holds for
+#: delta below -log of the smallest normal double, about 708.4.
+_RECURRENCE_DELTA = -math.log(sys.float_info.min)
 #: A window whose largest log Poisson weight is below _UNDERFLOW_LOG, past
 #: exp's underflow point at about -745.13, sums to exactly 0 and is skipped;
 #: only windows with delta below _UNDERFLOW_DELTA are tested
@@ -114,14 +112,17 @@ _DELTA_BAND = 1 << 16
 #: is flat, so the terms fall only as fast as the Poisson weights: the lower
 #: half spans _WINDOW_SIGMAS times sqrt(peak), plus _WINDOW_PAD terms for
 #: small peaks.  Above it g_k falls too, so the terms fall at least that fast
-#: and, when delta > beta, up to sqrt(2) faster: the upper half spans
-#: _UPPER_SIGMAS times their own spread, plus _UPPER_PAD terms.  A 7.5-sigma
-#: one-sided Gaussian tail is about 3e-14, below _REL_TOL.  The wing bounds
-#: still decide where a window stops; a first window that falls short widens.
+#: and, when delta > beta, up to sqrt(2) faster: the upper edge lies
+#: _UPPER_SIGMAS times their own spread above the peak, rounded up, plus
+#: _UPPER_PAD terms, and one term more when delta <= beta, where the terms
+#: fall only with the Poisson weights, whose right tail is heavier than a
+#: Gaussian's for small peaks.  A 7.5-sigma one-sided Gaussian tail is about
+#: 3e-14, below _REL_TOL.  The wing bounds still decide where a window
+#: stops; a first window that falls short widens.
 _WINDOW_SIGMAS = 10.0
 _WINDOW_PAD = 16
 _UPPER_SIGMAS = 7.5
-_UPPER_PAD = 6
+_UPPER_PAD = 5
 
 
 def _noncentral_chi2_cdf_grid(
@@ -133,21 +134,24 @@ def _noncentral_chi2_cdf_grid(
         F(delta) = sum_k t_k,    t_k = pois(k; delta) * g_k,    g_k = P(d + k, beta),
 
     summed over a window of k (Benton & Krishnamoorthy, CSDA 43, 2003; Ding,
-    AS 275, 1992).  g_k is computed once per call.  Each element sums
-    exp(k log delta - delta - log k!) * g_k over a window [lo, hi] centred on
-    the peak of its terms, not on the Poisson mode: while delta <= beta,
-    g_k stays near 1 up to k ~ delta and the peak is near delta; when
-    delta >> beta, g_k falls like beta^k / (d + k)! and the peak is near
-    sqrt(delta * beta).  The first window, from :func:`_first_window`, is
-    asymmetric about peak = min(delta, sqrt(delta * beta)).  Below the peak
+    AS 275, 1992).  g_k is computed once per call.  Each element sums its
+    terms over a window [lo, hi] centred on their peak, not on the Poisson
+    mode: while delta <= beta, g_k stays near 1 up to k ~ delta and the peak
+    is near delta; when delta >> beta, g_k falls like beta^k / (d + k)! and
+    the peak is near sqrt(delta * beta).  The first window, from
+    :func:`_first_window`, is asymmetric about
+    peak = min(delta, sqrt(delta * beta)).  Below the peak
     g_k is flat, so the terms fall only as fast as the Poisson weights, and
     the window spans 10 sqrt(peak) + 16 terms.  Above it both factors fall:
     log t_k has curvature -(1/k + 1/(d + k)) once g_k falls like
     beta^k / (d + k)!, so the terms spread over
     sigma^2 = peak (d + peak) / (d + 2 peak) when delta > beta, and over the
-    Poisson sigma^2 = peak otherwise; the window spans 7.5 sigma + 6 terms.
-    Both halves are heuristics that only set where summing starts: the wing
-    bounds below decide whether a window is done.
+    Poisson sigma^2 = peak otherwise.  The upper edge lies 7.5 sigma above
+    the peak, rounded up, plus 5 terms, and one more when delta <= beta:
+    there the terms fall with the Poisson weights alone, whose right tail is
+    heavier than a Gaussian's for small peaks.  Both halves are heuristics
+    that only set where summing starts: the wing bounds below decide whether
+    a window is done.
 
     The unsummed terms are bounded rigorously.  Below the window, as g_k
     decreases in k, they are at most P(K < lo) * g_0.  Above it they are at
@@ -166,20 +170,20 @@ def _noncentral_chi2_cdf_grid(
     geometric bound alone meets the budget, so taking the smaller bound
     could not change whether the window stops.
 
-    The windows are summed in blocks laid out (k offset, element), one
-    element per column, by :func:`_window_sums`: a reduce down the columns
-    adds each element's terms one at a time in order of k, as a running sum
-    would, while the adds of neighbouring elements run side by side.  Windows
-    that share a start, as the many clipped at k = 0 do, get blocks that
-    read log k! and g_k as one column for all their elements; the rest are
-    gathered column by column.  Each block is reduced unmasked over the rows
-    all its columns have, then under a mask over the ragged rest, starting
-    from those partial sums.  A lone column takes a running sum instead,
-    since numpy would sum it pairwise.  A window whose every Poisson weight
-    underflows to exactly 0 is not summed at all: its sum is exactly 0.  None
-    of this changes the order of any element's adds, so every element's
-    value is the same, bit for bit, whatever grid it sits in, and equal to
-    the scalar call.
+    Each window is summed one term at a time in order of k, by one of two
+    routes (:func:`_block_sums`) chosen from the element's own lo and delta.
+    A window from k = 0 whose first Poisson weight exp(-delta) is a normal
+    double forms its weights by the recurrence p_k = p_{k-1} (delta / k),
+    as AS 275 does, and adds p_k g_k, stepping every open window of the call
+    at once (:func:`_recurrence_sums`).  Any other window forms its terms as
+    exp(k log delta - delta - log k!) * g_k in blocks laid out (k offset,
+    element), one element per column, where a reduce down the columns adds
+    each element's terms in order of k while the adds of neighbouring
+    elements run side by side.  A window whose every Poisson weight
+    underflows to exactly 0 is not summed at all: its sum is exactly 0.
+    No route depends on the rest of the call, and neither changes the order
+    of any element's adds, so every element's value is the same, bit for
+    bit, whatever grid it sits in, and equal to the scalar call.
 
     A window widens, its lower edge straight toward k = 0, until the bounds
     are at most _REL_TOL times its sum.  With no absolute stopping rule,
@@ -226,24 +230,37 @@ def _noncentral_chi2_cdf_grid(
 
 def _first_window(d: int, delta: np.ndarray, beta: float):
     """(lo, hi), the first window of each element's terms, each half capped at
-    (_MAX_TERMS - 1) // 2 terms (sized in :func:`_noncentral_chi2_cdf_grid`)."""
+    (_MAX_TERMS - 1) // 2 terms from floor(peak) (sized in
+    :func:`_noncentral_chi2_cdf_grid`)."""
     # The steps write into three float arrays in place.  The window edges
     # they form are integers below 2^53, so the float arithmetic on them is
     # exact.  sqrt(delta) * sqrt(beta) cannot overflow.
     peak = np.sqrt(delta)
     peak *= math.sqrt(beta)
     np.minimum(delta, peak, out=peak)
+    below = _half_width(peak, _WINDOW_SIGMAS, _WINDOW_PAD)
     # peak (d + peak) / (d + 2 peak), in a form that cannot overflow
     above = peak + d
     np.divide(peak, above, out=above)
     above += 1.0
     np.divide(peak, above, out=above)
-    np.copyto(above, peak, where=delta <= beta)
-    above = _half_width(above, _UPPER_SIGMAS, _UPPER_PAD, out=above)
-    below = _half_width(peak, _WINDOW_SIGMAS, _WINDOW_PAD)
+    poisson = delta <= beta
+    np.copyto(above, peak, where=poisson)
     # The wing bounds hold wherever a window sits; capping the peak keeps
     # every k exact as a float.
-    centre = np.floor(np.minimum(peak, 2.0**52, out=peak), out=peak)
+    np.minimum(peak, 2.0**52, out=peak)
+    # hi = ceil(peak + sigmas * sqrt(spread)) + pad, one more where
+    # delta <= beta: measured from the peak itself and not from its floor,
+    # so no window loses a term to rounding
+    np.sqrt(above, out=above)
+    above *= _UPPER_SIGMAS
+    above += peak
+    np.ceil(above, out=above)
+    centre = np.floor(peak, out=peak)
+    above -= centre
+    above += _UPPER_PAD
+    above += poisson
+    np.minimum(above, (_MAX_TERMS - 1) // 2, out=above)
     np.subtract(centre, below, out=below)
     lo = np.maximum(below, 0.0, out=below).astype(np.int64)
     centre += above
@@ -380,8 +397,9 @@ def _window_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
 
 def _underflowing(lo, hi, delta, log_delta, k0, log_fact) -> np.ndarray:
     """Whether every Poisson weight exp(k log delta - delta - log k!) of each
-    window [lo, hi] is exactly 0 as :func:`_block_sums` forms it, given
-    log k! from k = k0 on.
+    window [lo, hi] is exactly 0 as the gather blocks of :func:`_block_sums`
+    form it, given log k! from k = k0 on.  A window of the recurrence holds
+    k = 0, whose weight exp(-delta) is normal, so it never counts.
 
     The log weight rises up to the mode floor(delta) and falls after it, so
     its largest value on a window is at the mode clipped into the window;
@@ -407,43 +425,41 @@ def _underflowing(lo, hi, delta, log_delta, k0, log_fact) -> np.ndarray:
 
 
 def _block_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
-    """:func:`_window_sums` over windows that are summed, in blocks of terms.
+    """:func:`_window_sums` over windows that are summed, by one of two
+    routes that :func:`_block_plan` picks from each element's own lo and
+    delta, never from the rest of the call.
 
-    A block is laid out (k offset, element): column i holds element i's
-    terms at k = lo_i + j for j = 0 ... n0 - 1, where n0 is the block's
-    longest window, its first; a shorter column runs on past hi_i into
-    later table entries or the padding.  The tables are read from a
-    read-only strided view, whose entry [:, j, m] is both tables at
-    k = k0 + m + j, and the terms exp((k log delta - delta) - log k!) * g_k
-    are formed in place in one scratch block, as large as the largest block.
+    A window from k = 0 with delta below _RECURRENCE_DELTA is summed by
+    :func:`_recurrence_sums`, with no exp past k = 0 and no log k! table.
+    Every other window forms its terms as exp((k log delta - delta) -
+    log k!) * g_k in gather blocks.  A block is laid out (k offset,
+    element): column i holds element i's terms at k = lo_i + j for j = 0
+    ... n0 - 1, where n0 is the block's longest window, its first; a shorter
+    column runs on past hi_i into later table entries or the padding.  One
+    gather reads both tables for every column from a read-only strided view,
+    whose entry [:, j, m] is both tables at k = k0 + m + j, and the terms are
+    formed in place in one scratch block of up to _BLOCK_ENTRIES terms.  k
+    is lo_i + j, an integer below 2^52 and exact as a float.
 
-    Windows that start at one k, as those clipped at k = 0 do, share their
-    k, log k! and g_k row by row.  A start whose elements fill a gather
-    block of its longest window, or that every element shares, gets blocks
-    of its own (:func:`_block_plan`), in which log k! and g_k are one
-    (n0, 1) column sliced from the view and k log delta is the (n0, 1)
-    vector lo + j times each column's log delta.  Such a block holds up to
-    _SHARED_BLOCK_ENTRIES terms, which makes few blocks of a big grid of
-    short windows.  The other elements share gather blocks of up to
-    _BLOCK_ENTRIES terms, which read both tables for every column with one
-    gather and form k as lo_i + j.  k is an integer below 2^52 either way,
-    exact as a float, so both paths form the same terms.
-
-    Each block is summed by :func:`_column_sums`: a reduce down the columns
-    adds the rows that every column has, and a masked reduce continues from
-    those sums over the ragged rows, leaving out each column's terms past
-    hi_i.  With two or more columns, numpy adds a block row after row into
-    the vector of sums, so each element gets 0 + t_lo + t_{lo+1} + ..., in
-    order of k, whichever path formed its terms and however the block
-    splits.  A lone column (a one-element call, a window longer than half
-    a block, or a last element left alone in its block) would be summed
-    pairwise by that reduce, so it takes a running sum instead, which adds
-    in the same order.
+    Each gather block is summed by :func:`_column_sums`: a reduce down the
+    columns adds the rows that every column has, and a masked reduce
+    continues from those sums over the ragged rows, leaving out each
+    column's terms past hi_i.  With two or more columns, numpy adds a block
+    row after row into the vector of sums, so each element gets 0 + t_lo +
+    t_{lo+1} + ..., in order of k, however the block splits.  A lone column
+    (a one-element call, a window longer than half a block, or a last
+    element left alone in its block) would be summed pairwise by that
+    reduce, so it takes a running sum instead, which adds in the same order.
     """
     lengths = hi - lo
     lengths += 1
     sums = np.empty(lengths.shape)
-    width = int(lengths.max())
+    recur, blocks = _block_plan(lo, delta, lengths)
+    if recur.size:  # some window starts at k = 0, so the tables do too
+        sums[recur] = _recurrence_sums(delta[recur], lengths[recur], tables[1])
+    if not blocks:
+        return sums
+    width = int(lengths[blocks[0][0]])  # the blocks run longest window first
     at = lo - k0 if k0 else lo  # each window's first entry in the tables
     # runs[:, j, m] is both tables at k = k0 + m + j; the constructor checks
     # that the view stays inside the tables
@@ -452,19 +468,13 @@ def _block_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
                       strides=(tables.strides[0], step, step))
     runs.flags.writeable = False
     j = np.arange(width, dtype=float)[:, None]
-    plan = [(rows, int(lengths[rows[0]]), shared)
-            for rows, shared in _block_plan(at, lengths, width, runs.shape[2])]
-    scratch = np.empty(max(n0 * rows.size for rows, n0, _ in plan))
-    for rows, n0, shared in plan:
+    scratch = np.empty(max(int(lengths[rows[0]]) * rows.size for rows in blocks))
+    for rows in blocks:
+        n0 = int(lengths[rows[0]])
         w = scratch[: n0 * rows.size].reshape(n0, rows.size)
-        if shared:
-            first = rows[0]
-            log_fact, g = runs[:, :n0, at[first], None]
-            np.multiply(lo[first] + j[:n0], log_delta[rows], out=w)
-        else:
-            log_fact, g = runs[:, :n0, at[rows]]
-            np.add(lo[rows], j[:n0], out=w)
-            w *= log_delta[rows]
+        log_fact, g = runs[:, :n0, at[rows]]
+        np.add(lo[rows], j[:n0], out=w)
+        w *= log_delta[rows]
         w -= delta[rows]
         w -= log_fact
         np.exp(w, out=w)
@@ -473,32 +483,58 @@ def _block_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     return sums
 
 
-def _block_plan(at, lengths, width: int, span: int) -> list:
-    """The blocks of :func:`_block_sums`, as (rows, shared) pairs: rows
-    indexes a block's elements, longest window first, and shared says that
-    their windows all start at one k.  at holds each window's first entry
-    in the tables, every one below span."""
-    # longest first, ties in input order; a small unsigned key sorts by
-    # radix, and width - lengths fits it, so it is formed in that type
+def _block_plan(lo, delta, lengths):
+    """The routes of :func:`_block_sums`, as (recur, blocks): recur indexes
+    the windows summed by the recurrence, and blocks is a list of index
+    arrays, one per gather block, for the rest.  Each holds its elements
+    longest window first, ties in input order.  An element takes the
+    recurrence when its window starts at k = 0 and delta is below
+    _RECURRENCE_DELTA, whatever else the call holds."""
+    # a small unsigned key sorts by radix, and width - lengths fits it, so
+    # it is formed in that type
+    width = int(lengths.max())
     key = np.subtract(width, lengths, dtype=np.min_scalar_type(width), casting="unsafe")
-    by_length = np.argsort(key, kind="stable")
-    if at.min() == at.max():  # one start, and no gather blocks to fill
-        return [(rows, True) for rows in _blocks(by_length, lengths, _SHARED_BLOCK_ENTRIES)]
-    by_start = by_length[np.argsort(at[by_length].astype(np.min_scalar_type(span)), kind="stable")]
-    starts = at[by_start]
-    edges = np.concatenate(([0], np.flatnonzero(starts[1:] != starts[:-1]) + 1, [starts.size]))
-    counts = edges[1:] - edges[:-1]
-    # a start gets blocks of its own when its elements fill a gather block
-    # of its longest window; every other element goes to the gather blocks
-    shared = counts >= _BLOCK_ENTRIES // lengths[by_start[edges[:-1]]]
-    plan = [(rows, True)
-            for a, b in zip(edges[:-1][shared].tolist(), edges[1:][shared].tolist())
-            for rows in _blocks(by_start[a:b], lengths, _SHARED_BLOCK_ENTRIES)]
-    if shared.any():
-        in_plan = np.empty(lengths.shape, dtype=bool)
-        in_plan[by_start] = np.repeat(shared, counts)
-        by_length = by_length[~in_plan[by_length]]
-    return plan + [(rows, False) for rows in _blocks(by_length, lengths, _BLOCK_ENTRIES)]
+    order = np.argsort(key, kind="stable")
+    recur = lo[order] == 0
+    recur &= delta[order] < _RECURRENCE_DELTA
+    if recur.all():
+        return order, []
+    return order[recur], list(_blocks(order[~recur], lengths, _BLOCK_ENTRIES))
+
+
+def _recurrence_sums(delta, lengths, g) -> np.ndarray:
+    """sum_{k < lengths_i} p_k g_k for windows that start at k = 0, with
+    p_0 = exp(-delta_i) and p_k = p_{k-1} (delta_i / k), added
+    p_0 g_0 + p_1 g_1 + ... in order of k; g holds g_k from k = 0 on.
+
+    lengths descends, so the windows still open at k are a prefix of the
+    elements, and each step of k is four array operations over that prefix.
+    Once one window is left, the rest of it is one multiply.accumulate of
+    its ratios delta / k and one running sum, which multiply and add in the
+    same order as the steps would."""
+    p = np.negative(delta)
+    np.exp(p, out=p)
+    sums = p * g[0]
+    scratch = np.empty_like(p)
+    # open_[k] counts the windows longer than k terms
+    open_ = (lengths.size - np.cumsum(np.bincount(lengths))).tolist()
+    for k in range(1, len(open_) - 1):
+        c = open_[k]
+        if c == 1:
+            stop = int(lengths[0])
+            chain = np.empty(stop - k + 1)
+            chain[0] = p[0]
+            np.divide(delta[0], np.arange(k, stop), out=chain[1:])
+            np.multiply.accumulate(chain, out=chain)  # p_{k-1}, p_k, ...
+            chain[1:] *= g[k:stop]
+            chain[0] = sums[0]
+            sums[0] = np.cumsum(chain)[-1]
+            break
+        ratio = np.divide(delta[:c], k, out=scratch[:c])
+        weight = np.multiply(p[:c], ratio, out=p[:c])
+        np.multiply(weight, g[k], out=ratio)
+        np.add(sums[:c], ratio, out=sums[:c])
+    return sums
 
 
 def _blocks(order, lengths, entries: int):

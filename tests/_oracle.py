@@ -12,11 +12,12 @@ a few ulps: every candidate is normalised first.
 The multiuser selection sum as a scalar (k, m, n) loop, which the array
 form in bfoutage.analytic must equal bit for bit.
 
-The Poisson-mixture window sums one element at a time, which the blocked
-form in bfoutage.specfun must equal bit for bit.
+The Poisson-mixture window sums one element at a time, which both routes of
+bfoutage.specfun must equal bit for bit.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,16 +156,32 @@ def selection_diversity_sum(pool: int, shape: int, mu, beta: float):
     return pool / math.factorial(d - 1) * total
 
 
+#: A window from k = 0 forms its Poisson weights by recurrence while
+#: exp(-delta) is a normal double.
+RECURRENCE_DELTA = -math.log(sys.float_info.min)
+
+
 def window_sums(d: int, beta: float, lo, hi, delta) -> np.ndarray:
     """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * P(d + k, beta) for each element
-    i: the reference that specfun._window_sums must equal bit for bit.  Each
-    element's terms are formed by the same numpy ufuncs on a 1-D array, then
-    added one at a time in order of k."""
+    i: the reference that specfun._window_sums must equal bit for bit.  A
+    window from k = 0 with delta_i below RECURRENCE_DELTA forms its weights
+    as p_0 = exp(-delta_i), by numpy's exp on an array, and p_k = p_{k-1} *
+    (delta_i / k); any other forms each term by the same numpy ufuncs on a
+    1-D array as exp(k log delta_i - delta_i - log k!) * P(d + k, beta).
+    Either way the terms are added one at a time in order of k."""
     sums = np.empty(len(lo))
     for i, (lo_i, hi_i, delta_i) in enumerate(zip(lo, hi, delta)):
         k = np.arange(lo_i, hi_i + 1)
-        log_delta = np.log(delta_i) if delta_i > 0 else 0.0
-        terms = np.exp(k * log_delta - delta_i - sc.gammaln(k + 1.0)) * sc.gammainc(d + k, beta)
+        g = sc.gammainc(d + k, beta)
+        if lo_i == 0 and delta_i < RECURRENCE_DELTA:
+            weight = np.exp(np.array([-delta_i]))[0]
+            terms = [weight * g[0]]
+            for k_i in range(1, hi_i + 1):
+                weight = weight * (delta_i / k_i)
+                terms.append(weight * g[k_i])
+        else:
+            log_delta = np.log(delta_i) if delta_i > 0 else 0.0
+            terms = np.exp(k * log_delta - delta_i - sc.gammaln(k + 1.0)) * g
         total = 0.0
         for t in terms:
             total = total + t

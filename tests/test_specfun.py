@@ -18,7 +18,7 @@ from bfoutage import analytic, specfun
 from bfoutage.analytic import SchemeId, outage_semianalytic
 from bfoutage.specfun import (
     _BLOCK_ENTRIES,
-    _SHARED_BLOCK_ENTRIES,
+    _RECURRENCE_DELTA,
     CapabilityError,
     ConvergenceError,
     _block_plan,
@@ -320,6 +320,18 @@ class TestNoncentralChi2Kernel:
             noncentral_chi2_cdf(1, 5.0, 30.0)
         assert windows == [([0], [15]), ([0], [20])]
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_small_poisson_peaks_settle_in_one_round(self, d, windows):
+        # Where delta <= beta the terms above a small peak fall only with the
+        # Poisson weights, whose right tail is heavier than a Gaussian's; the
+        # first window still reaches far enough, also for delta in [2.9, 4),
+        # where an upper edge counted from floor(delta) fell one term short.
+        for beta in (0.5, 3.0, 6.3, 60.3, 600.0, 5000.0):
+            for delta in np.linspace(2.5, 4.5, 401):
+                windows.clear()
+                noncentral_chi2_cdf(d, float(delta), beta)
+                assert len(windows) == 1, (delta, beta)
+
     def test_grid_convergence_error_carries_partial_sums(self, monkeypatch):
         deltas = np.array([0.5, 50.0])
         monkeypatch.setattr(specfun, "_MAX_TERMS", 30)
@@ -334,7 +346,7 @@ class TestNoncentralChi2Kernel:
         # sqrt(delta * beta) ~ 1770, and at the window there every term and
         # both wing bounds underflow, so the first window settles the value.
         assert noncentral_chi2_cdf(1, 52258.5, 60.0) == 0.0
-        assert windows == [([1333], [2000])]
+        assert windows == [([1333], [1999])]
 
     def test_huge_noncentrality(self):
         # every term and both wing bounds underflow, so the value is exactly 0
@@ -524,31 +536,30 @@ def _bits(values):
     return np.asarray(values).view(np.int64).tolist()
 
 
-def _set_block_entries(patch, entries, shared=None):
-    """Sets the kernel's block budgets: gather blocks of up to entries terms,
-    and shared-start blocks of up to shared terms (entries if None)."""
+def _set_block_entries(patch, entries):
+    """Sets the kernel's gather blocks to up to entries terms."""
     patch.setattr(specfun, "_BLOCK_ENTRIES", entries)
-    patch.setattr(specfun, "_SHARED_BLOCK_ENTRIES", entries if shared is None else shared)
 
 
-def _plan(lo, hi):
-    """The kernel's blocks for windows [lo, hi] on tables from k = min(lo),
-    as (lengths, shared) pairs."""
-    lo, hi = np.asarray(lo), np.asarray(hi)
+def _plan(lo, hi, delta):
+    """The kernel's routes for windows [lo, hi] at delta: the lengths of the
+    windows summed by the recurrence, and those of each gather block."""
+    lo, hi, delta = np.asarray(lo), np.asarray(hi), np.asarray(delta, dtype=float)
     lengths = hi - lo + 1
-    width = int(lengths.max())
-    span = 2 * (int(hi.max()) - int(lo.min()) + 2) - width + 1
-    return [(lengths[rows].tolist(), shared)
-            for rows, shared in _block_plan(lo - lo.min(), lengths, width, span)]
+    recur, blocks = _block_plan(lo, delta, lengths)
+    return lengths[recur].tolist(), [lengths[rows].tolist() for rows in blocks]
 
 
 @st.composite
 def start_groups(draw):
-    """(d, beta, lo, hi, delta, (gather, shared) block entries): windows
-    whose starts come from a few shared values or are drawn alone, of ragged
-    lengths, with blocks small enough that a start group can fill several,
-    or the kernel's own budgets."""
+    """(d, beta, lo, hi, delta, entries): windows whose starts come from a
+    few shared values, k = 0 among them half the time, or are drawn alone,
+    of ragged lengths, at deltas on both sides of _RECURRENCE_DELTA, with
+    gather blocks small enough that a start group can fill several, or the
+    kernel's own budget."""
     common = draw(st.lists(st.integers(0, 2000), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        common.append(0)
     count = draw(st.integers(1, 300))
     alone = draw(st.floats(0.0, 1.0))
     longest = draw(st.integers(1, 120))
@@ -557,9 +568,8 @@ def start_groups(draw):
                   rng.choice(common, count))
     hi = lo + rng.integers(0, longest, count)
     delta = rng.uniform(0.0, 3000.0, count)
-    block = draw(st.sampled_from([(16, 16), (16, 128), (128, 1024), (1024, 1024),
-                                  (_BLOCK_ENTRIES, _SHARED_BLOCK_ENTRIES)]))
-    return draw(st.integers(1, 8)), draw(st.floats(0.0, 2000.0)), lo, hi, delta, block
+    entries = draw(st.sampled_from([16, 128, 1024, _BLOCK_ENTRIES]))
+    return draw(st.integers(1, 8)), draw(st.floats(0.0, 2000.0)), lo, hi, delta, entries
 
 
 class TestWindowSums:
@@ -614,7 +624,7 @@ class TestWindowSums:
         block = 1 << 14
         _set_block_entries(monkeypatch, block)
         lo, hi = [0, 2500], [2999, 2500]
-        assert _plan(lo, hi) == [([3000, 1], False)]
+        assert _plan(lo, hi, [1500.0, 2500.0]) == ([], [[3000, 1]])
         assert block // 3000 >= 2
         got, want = _window_sums_and_reference(2, 3000.0, lo, hi, [1500.0, 2500.0])
         assert _bits(got) == _bits(want)
@@ -654,34 +664,34 @@ class TestWindowSums:
     @given(case=start_groups())
     @settings(max_examples=60)
     def test_shared_starts_match_the_reference(self, case):
-        d, beta, lo, hi, delta, block = case
+        d, beta, lo, hi, delta, entries = case
         with pytest.MonkeyPatch.context() as patch:
-            _set_block_entries(patch, *block)
+            _set_block_entries(patch, entries)
             got, want = _window_sums_and_reference(d, beta, lo, hi, delta)
         assert _bits(got) == _bits(want)
 
     def test_start_group_over_several_blocks(self, monkeypatch):
-        # 120 windows from k = 7 fill four 256-entry blocks of their own;
-        # 30 windows at distinct starts share gather blocks
+        # 120 windows from k = 7 and 30 windows at distinct starts share
+        # 256-entry gather blocks, several of them
         _set_block_entries(monkeypatch, 256)
         rng = np.random.default_rng(11)
         lo = np.concatenate([np.full(120, 7), rng.permutation(np.arange(40, 640, 20))])
         hi = lo + rng.integers(0, 30, lo.size)
         delta = rng.uniform(0.0, 700.0, lo.size)
-        plan = _plan(lo, hi)
-        assert sum(shared for _, shared in plan) >= 4
-        assert sum(len(lengths) for lengths, shared in plan if shared) == 120
-        assert any(not shared and len(lengths) > 1 for lengths, shared in plan)
+        recur, blocks = _plan(lo, hi, delta)
+        assert recur == [] and len(blocks) >= 4
+        assert all(len(lengths) > 1 for lengths in blocks)
         got, want = _window_sums_and_reference(5, 80.0, lo, hi, delta)
         assert _bits(got) == _bits(want)
 
-    def test_shared_block_whose_shortest_column_is_one_term(self):
-        # one start, windows of 1 to 90 terms: the whole block is the ragged
-        # tail, summed under the mask from its first row
+    def test_recurrence_windows_of_one_to_ninety_terms(self):
+        # windows from k = 0 of 1 to 90 terms: the open prefix shrinks by one
+        # window a step, and the longest finishes alone
         lengths = np.arange(90, 0, -1)
         lo, hi = np.zeros(90, dtype=np.int64), lengths - 1
-        assert _plan(lo, hi) == [(lengths.tolist(), True)]
-        got, want = _window_sums_and_reference(3, 40.0, lo, hi, np.linspace(0.0, 80.0, 90))
+        delta = np.linspace(0.0, 80.0, 90)
+        assert _plan(lo, hi, delta) == (lengths.tolist(), [])
+        got, want = _window_sums_and_reference(3, 40.0, lo, hi, delta)
         assert _bits(got) == _bits(want)
 
     def test_windows_whose_weights_underflow(self, monkeypatch):
@@ -720,91 +730,186 @@ class TestWindowSums:
         assert flagged.tolist() == zero
 
     def test_shared_lone_column(self, monkeypatch):
-        # a window longer than half a block fills a block alone, beside a
-        # start that two short windows share
+        # a window longer than half a block fills a gather block alone,
+        # beside a start that two short windows share
         block = 1 << 14
         _set_block_entries(monkeypatch, block)
-        lo, hi = [0, 900, 900], [block // 2 + 1, 940, 905]
-        plan = _plan(lo, hi)
-        assert plan[0] == ([block // 2 + 2], True)
-        got, want = _window_sums_and_reference(2, 5000.0, lo, hi, [4500.0, 930.0, 910.0])
+        lo, hi, delta = [0, 900, 900], [block // 2 + 1, 940, 905], [4500.0, 930.0, 910.0]
+        assert _plan(lo, hi, delta) == ([], [[block // 2 + 2], [41, 6]])
+        got, want = _window_sums_and_reference(2, 5000.0, lo, hi, delta)
         assert _bits(got) == _bits(want)
 
 
-#: Real quadrature grids, and whether any of their terms are summed in
-#: shared-start blocks and in gather blocks.  At 10 dB, rho 0.97 almost every
-#: RVQ element's window starts at k = 0.  At 10 dB, rho 0.99 most miso-pbf
-#: elements have a start of their own.  At 30 dB, rho 0.999 so do most
-#: miso-pbf elements, but every Poisson weight of theirs underflows, so they
-#: are skipped and only the windows from k = 0 are summed.  miso-rvq at 30 dB
-#: and mu-rvq at 20 dB, rho 0.999, sum windows of up to 300 and 500 terms.
+class TestRoutes:
+    """A window from k = 0 with delta below _RECURRENCE_DELTA is summed by
+    the recurrence and any other by exp terms, chosen from the element's
+    own lo and delta, so a value has the same bits in any grid and in a
+    scalar call, and both routes equal the reference bit for bit."""
+
+    def test_bound_is_the_smallest_normal_double(self):
+        assert _RECURRENCE_DELTA == -math.log(sys.float_info.min)
+        below = np.nextafter(_RECURRENCE_DELTA, 0.0)
+        assert np.exp(-below) >= sys.float_info.min
+        above = np.nextafter(_RECURRENCE_DELTA, np.inf)
+        assert _plan([0, 0, 0], [40, 40, 40], [below, _RECURRENCE_DELTA, above]) == (
+            [41], [[41, 41]])
+
+    @pytest.mark.parametrize("d, beta", [(1, 6.3), (4, 60.3), (2, 700.0), (1, 5000.0)])
+    def test_scalar_equals_grid_around_the_bound(self, d, beta):
+        # delta just below, at and just above the bound, at 0, and on either
+        # side of it further out; each element also sits in a grid whose
+        # other elements take the other route
+        bound = _RECURRENCE_DELTA
+        edge = [np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)]
+        deltas = np.array(edge + [0.0, 1e-300, 3.0, 700.0, 716.0, 900.0])
+        grid = _noncentral_chi2_cdf_grid(d, deltas, beta)
+        scalar = [noncentral_chi2_cdf(d, float(x), beta) for x in deltas]
+        assert _bits(grid) == _bits(scalar)
+        assert grid[3] == sc.gammainc(d, beta)
+        for rows in ([0, 2], [2, 0], [1, 4, 7]):
+            assert _bits(_noncentral_chi2_cdf_grid(d, deltas[rows], beta)) == _bits(grid[rows])
+
+    def test_windows_at_the_bound_match_the_reference(self):
+        # one-term windows (hi = 0) and longer ones, on either side of the
+        # bound and at delta = 0
+        bound = _RECURRENCE_DELTA
+        delta = [0.0, 0.0, np.nextafter(bound, 0.0), np.nextafter(bound, 0.0), bound, 720.0,
+                 5.0, 5.0]
+        lo = [0, 0, 0, 0, 0, 0, 0, 3]
+        hi = [0, 12, 0, 900, 900, 900, 0, 40]
+        got, want = _window_sums_and_reference(2, 700.0, lo, hi, delta)
+        assert _bits(got) == _bits(want)
+        assert _plan(lo, hi, delta) == ([901, 13, 1, 1, 1], [[901, 901, 38]])
+
+    def test_window_that_reaches_k_zero_in_its_second_round(self, monkeypatch, windows):
+        # A first window 80 terms above the kernel's own, [115, 269], leaves
+        # a lower wing beyond budget, so the window widens straight to k = 0
+        # and its second round takes the recurrence.
+        first = _first_window
+
+        def raised(d, delta, beta):
+            lo, hi = first(d, delta, beta)
+            return lo + 80, hi
+
+        monkeypatch.setattr(specfun, "_first_window", raised)
+        got = noncentral_chi2_cdf(4, 600.0, 60.0)
+        assert windows == [([115], [269]), ([0], [269])]
+        assert _bits([got]) == _bits(reference_window_sums(4, 60.0, [0], [269], [600.0]))
+        assert got == pytest.approx(ncx2_decimal_oracle(4, 600.0, 60.0), rel=1e-12, abs=0)
+
+
+#: Real quadrature grids, and whether any of their terms are summed by the
+#: recurrence and by gather blocks.  At 10 dB, rho 0.97 every RVQ element's
+#: window starts at k = 0.  At 10 dB, rho 0.99 most miso-pbf elements have a
+#: start of their own.  At 30 dB, rho 0.999 so do most miso-pbf elements,
+#: but every Poisson weight of theirs underflows, so they are skipped; of
+#: the windows from k = 0, a few have delta past the bound.  miso-rvq at
+#: 30 dB and mu-rvq at 20 dB, rho 0.999, sum windows of up to 300 and 500
+#: terms, on both routes.
 GRID_POINTS = [
     (SchemeId.MISO_RVQ, 10.0, 0.97, True, False), (SchemeId.MU_RVQ, 10.0, 0.97, True, False),
-    (SchemeId.MISO_PBF, 10.0, 0.99, False, True), (SchemeId.MISO_PBF, 30.0, 0.999, True, False),
-    (SchemeId.MISO_RVQ, 30.0, 0.999, True, False), (SchemeId.MU_RVQ, 20.0, 0.999, True, True),
+    (SchemeId.MISO_PBF, 10.0, 0.99, True, True), (SchemeId.MISO_PBF, 30.0, 0.999, True, True),
+    (SchemeId.MISO_RVQ, 30.0, 0.999, True, True), (SchemeId.MU_RVQ, 20.0, 0.999, True, True),
 ]
 GRID_IDS = [f"{s.value}-{snr:g}dB-{rho:g}" for s, snr, rho, *_ in GRID_POINTS]
 
 
-def _grid_run(scheme, snr_db, rho, gather_only=False, entries=None):
-    """(value, sums, terms) of one quadrature: its value, the sums of every
-    window-sum call, and the terms summed in shared-start blocks and in all.
-    gather_only sums every block by the gather path instead; entries, if
-    given, is the budget of every block."""
+def _grid_run(scheme, snr_db, rho, entries=None):
+    """(value, grids, calls, terms) of one quadrature: its value, the
+    (d, deltas, beta, values) of every kernel call, the (args, sums) of every
+    window-sum call, and the terms summed by the recurrence and in all.
+    entries, if given, is the budget of every gather block."""
     nt, nr, nu = SCHEME_MATRIX[scheme]
     config = cfg(nt=nt, nr=nr, nu=nu, snr_db=snr_db, rho=rho)
-    sums, terms = [], [0, 0]
+    grids, calls, terms = [], [], [0, 0]
 
-    def recording_plan(at, lengths, *args):
-        plan = [(rows, shared and not gather_only)
-                for rows, shared in _block_plan(at, lengths, *args)]
-        for rows, shared in plan:
-            count = int(lengths[rows].sum())
-            terms[0] += count if shared else 0
-            terms[1] += count
-        return plan
+    def recording_grid(d, deltas, beta):
+        grids.append((d, deltas, beta, _noncentral_chi2_cdf_grid(d, deltas, beta)))
+        return grids[-1][-1]
+
+    def recording_plan(lo, delta, lengths):
+        recur, blocks = _block_plan(lo, delta, lengths)
+        terms[0] += int(lengths[recur].sum())
+        terms[1] += int(lengths.sum())
+        return recur, blocks
 
     def recording_sums(*args):
-        sums.append(_window_sums(*args))
-        return sums[-1]
+        calls.append((args, _window_sums(*args)))
+        return calls[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
         if entries is not None:
             _set_block_entries(patch, entries)
+        patch.setattr(analytic, "_noncentral_chi2_cdf_grid", recording_grid)
         patch.setattr(specfun, "_block_plan", recording_plan)
         patch.setattr(specfun, "_window_sums", recording_sums)
         n = CODEBOOK_SIZE if scheme in (SchemeId.MISO_RVQ, SchemeId.MU_RVQ) else None
-        return outage_semianalytic(scheme, config, codebook_size=n).value, sums, terms
+        value = outage_semianalytic(scheme, config, codebook_size=n).value
+    return value, grids, calls, terms
 
 
 class TestSharedStartGrids:
-    """Shared-start blocks, and the block budgets, leave every value of a
-    real grid as the gather path and any other budget make it, bit for bit,
-    and shared blocks carry almost all of an RVQ grid's terms."""
+    """On real grids, where the windows that share the start k = 0 take the
+    recurrence: every element has the bits of its scalar call and of the
+    reference, whatever the gather-block budget, and the recurrence carries
+    almost all of an RVQ grid's terms."""
 
-    @pytest.mark.parametrize("scheme, snr_db, rho, shares, gathers", GRID_POINTS, ids=GRID_IDS)
-    def test_grid_matches_the_gather_path(self, scheme, snr_db, rho, shares, gathers):
-        value, sums, terms = _grid_run(scheme, snr_db, rho)
-        gathered, gathered_sums, gathered_terms = _grid_run(
-            scheme, snr_db, rho, gather_only=True)
-        assert (terms[0] > 0) == shares and (terms[0] < terms[1]) == gathers
-        assert gathered_terms == [0, terms[1]]
-        assert _bits([value]) == _bits([gathered])
-        assert [_bits(a) for a in sums] == [_bits(b) for b in gathered_sums]
+    @pytest.mark.parametrize("scheme, snr_db, rho, recurs, gathers", GRID_POINTS, ids=GRID_IDS)
+    def test_grid_matches_the_oracle(self, scheme, snr_db, rho, recurs, gathers):
+        _, grids, calls, terms = _grid_run(scheme, snr_db, rho)
+        assert (terms[0] > 0) == recurs and (terms[0] < terms[1]) == gathers
+        rng = np.random.default_rng(26)
+        (d, deltas, beta, values), = grids
+        flat, got = deltas.reshape(-1), values.reshape(-1)
+        sample = rng.choice(flat.size, min(flat.size, 48), replace=False)
+        assert _bits(got[sample]) == _bits([noncentral_chi2_cdf(d, flat[i], beta) for i in sample])
+        for (lo, hi, delta, *_), sums in calls:
+            rows = rng.choice(lo.size, min(lo.size, 24), replace=False)
+            want = reference_window_sums(d, beta, lo[rows], hi[rows], delta[rows])
+            assert _bits(sums[rows]) == _bits(want)
 
     @pytest.mark.parametrize("entries", [1 << 14, 1 << 10])
-    @pytest.mark.parametrize("scheme, snr_db, rho, shares, gathers", GRID_POINTS, ids=GRID_IDS)
-    def test_grid_matches_other_block_budgets(self, scheme, snr_db, rho, shares, gathers,
+    @pytest.mark.parametrize("scheme, snr_db, rho, recurs, gathers", GRID_POINTS, ids=GRID_IDS)
+    def test_grid_matches_other_block_budgets(self, scheme, snr_db, rho, recurs, gathers,
                                               entries):
-        # the parent's flat 16384-entry blocks, and blocks of 1024 entries
-        value, sums, _ = _grid_run(scheme, snr_db, rho)
-        forced, forced_sums, _ = _grid_run(scheme, snr_db, rho, entries=entries)
+        # the kernel's own 16384-entry gather blocks, and blocks of 1024 entries
+        value, _, calls, _ = _grid_run(scheme, snr_db, rho)
+        forced, _, forced_calls, _ = _grid_run(scheme, snr_db, rho, entries=entries)
         assert _bits([value]) == _bits([forced])
-        assert [_bits(a) for a in sums] == [_bits(b) for b in forced_sums]
+        assert [_bits(a[1]) for a in calls] == [_bits(b[1]) for b in forced_calls]
 
     def test_rvq_grid_sums_on_shared_columns(self):
-        _, _, (shared, total) = _grid_run(SchemeId.MISO_RVQ, 10.0, 0.97)
-        assert shared >= 0.95 * total
+        # the recurrence reads g_k as one column that all its windows share
+        _, _, _, (recurred, total) = _grid_run(SchemeId.MISO_RVQ, 10.0, 0.97)
+        assert recurred >= 0.95 * total
+
+
+class TestRouteAccuracy:
+    """Both routes stay within the kernel's _REL_TOL of the 50-digit oracle:
+    seeded elements of real RVQ grids, whose windows all start at k = 0, and
+    deltas on either side of _RECURRENCE_DELTA."""
+
+    @pytest.mark.parametrize("scheme", [SchemeId.MISO_RVQ, SchemeId.MU_RVQ])
+    def test_rvq_grid_elements(self, scheme, windows):
+        _, ((d, deltas, beta, _),), _, _ = _grid_run(scheme, 10.0, 0.97)
+        flat = deltas.reshape(-1)
+        sample = flat[np.random.default_rng(26).choice(flat.size, 12, replace=False)]
+        windows.clear()
+        got = _noncentral_chi2_cdf_grid(d, sample, beta)
+        assert all(lo == 0 for lows, _ in windows for lo in lows)
+        assert sample.max() < _RECURRENCE_DELTA
+        want = [ncx2_decimal_oracle(d, float(x), beta) for x in sample]
+        np.testing.assert_allclose(got, want, rtol=specfun._REL_TOL, atol=0)
+
+    @pytest.mark.parametrize("d, beta", [(1, 5.0), (4, 20.0)])
+    def test_either_side_of_the_bound(self, d, beta, windows):
+        bound = _RECURRENCE_DELTA
+        deltas = np.array([700.0, np.nextafter(bound, 0.0), bound, 716.0])
+        got = _noncentral_chi2_cdf_grid(d, deltas, beta)
+        (lows, _), = windows
+        assert lows == [0, 0, 0, 0]  # the first two take the recurrence, the rest exp terms
+        want = [ncx2_decimal_oracle(d, float(x), beta) for x in deltas]
+        np.testing.assert_allclose(got, want, rtol=specfun._REL_TOL, atol=0)
 
 
 class TestKernelMemory:
@@ -887,6 +992,15 @@ class TestColumnReduceOrder:
         for t in column:
             total = total + t
         assert _bits([np.cumsum(column)[-1]]) == _bits([total])
+
+    def test_multiply_accumulate_multiplies_one_factor_at_a_time(self):
+        # a lone recurrence window forms p_k = p_{k-1} (delta / k) this way
+        factors = np.exp(np.random.default_rng(4).uniform(-0.7, 0.7, 5000))
+        product, chain = 1.0, []
+        for f in factors:
+            product = product * f
+            chain.append(product)
+        assert _bits(np.multiply.accumulate(factors)) == _bits(chain)
 
 
 class TestExpansionCoeffs:
