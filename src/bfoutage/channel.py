@@ -10,18 +10,19 @@ use at transmission time is
 
 where rho in [0, 1] measures how well the fed-back estimate has persisted.
 
-A scheme's link model, link(gen, config, n, cb, fixed) -> (S, gain), draws
+A scheme's link model, link(gen, config, n, codebook) -> (S, gain), draws
 n trials' stale channels, and any fresh codebooks, from gen and runs the
-scheme's selection on them.  S is the selected stale part as unscaled
-(re, im) normal pairs, sqrt(2) times a CN(0, 1) entry, and gain(aged, rows)
-is the effective gain of the trials at the slice rows, where
-aged = rho * S[rows] + sqrt(1 - rho^2) * e holds just those trials, with e
-drawn like S.  The simulator calls gain one block of _BLOCK trials at a
-time, so a chunk holds S plus one block.  S is a link's one chunk-sized
-array of channels (beside at most a number per trial), finished by the
-selection: the matched-gain links (miso-pbf and miso-rvq) beamform along S
-itself, and for miso-rvq S is the projection <h, p> p of the stale channel
-onto the selected beam p, since the aged gain
+scheme's selection on them.  An RVQ link searches a fixed Codebook in every
+trial, or draws each trial a fresh one of int cardinality N.  S is the
+selected stale part as unscaled (re, im) normal pairs, sqrt(2) times a
+CN(0, 1) entry, and gain(aged, rows) is the effective gain of the trials at
+the slice rows, where aged = rho * S[rows] + sqrt(1 - rho^2) * e holds just
+those trials, with e drawn like S.  The simulator calls gain one block of
+_BLOCK trials at a time, so a chunk holds S plus one block.  S is a link's
+one chunk-sized array of channels (beside at most a number per trial),
+finished by the selection: the matched-gain links (miso-pbf and miso-rvq)
+beamform along S itself, and for miso-rvq S is the projection <h, p> p of
+the stale channel onto the selected beam p, since the aged gain
 |<rho h + sqrt(1 - rho^2) e, p>|^2 reads no other part of h; for mu-rvq S
 is the selected user's channel scaled by the square root of the fraction of
 its power on the beam.  The links read no gain law: the Monte Carlo arbiter
@@ -31,6 +32,7 @@ simulates, it never evaluates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -238,23 +240,24 @@ def _inner_power(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def _select_rvq(gen, w: np.ndarray, cb: Codebook, fixed: bool, project: bool = False) -> None:
+def _select_rvq(gen, w: np.ndarray, codebook: Codebook | int, project: bool = False) -> None:
     """Writes into each row h of w (n, n_t, 2) its selected stale part.  The
     selection takes the maximum over codebook vectors v of |<h, v>|^2 / |v|^2,
     the power h puts on the unit beam p = v / |v|; if project, h becomes
     <h, p> p for the winning p, and otherwise h scaled by the square root of
     that power over |h|^2.
 
-    Unless fixed, every row gets a fresh codebook of cb's cardinality, drawn
+    An int codebook N gives every row a fresh codebook of N vectors, drawn
     block by block in row order, so the stream matches one (n, N, n_t, 2)
     draw; the raw draws are ranked and only the winner is scaled.  A fixed
-    codebook's vectors are unit already; its search runs _SEARCH_ROWS rows
+    Codebook's vectors are unit already; its search runs _SEARCH_ROWS rows
     at a time against contiguous Re and Im bases and squares in place.
     """
     n, n_t, _ = w.shape
-    size = cb.cardinality
+    fixed = not isinstance(codebook, numbers.Integral)
+    size = codebook.cardinality if fixed else codebook
     if fixed:
-        vecs = np.stack([cb.vectors.real, cb.vectors.imag], axis=-1)
+        vecs = np.stack([codebook.vectors.real, codebook.vectors.imag], axis=-1)
         quad = _quadrature(vecs)
         bases = [np.ascontiguousarray(quad[..., c].T) for c in (0, 1)]
         step = _SEARCH_ROWS
@@ -309,20 +312,20 @@ def _matched(stale: np.ndarray):
     return stale, lambda aged, rows: _inner_power(aged, stale[rows]) / _power(stale[rows])
 
 
-def link_miso_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+def link_miso_pbf(gen, config: SystemConfig, n: int, codebook: Codebook | int | None):
     # the beam is the stale channel itself
     return _matched(gen.standard_normal((n, config.n_t, 2)))
 
 
-def link_miso_rvq(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+def link_miso_rvq(gen, config: SystemConfig, n: int, codebook: Codebook | int | None):
     # The stale part is h's projection <h, p> p onto the selected beam p:
     # aged on p is then rho <h, p> + sqrt(1 - rho^2) <e, p>, as for aged h.
     h = gen.standard_normal((n, config.n_t, 2))
-    _select_rvq(gen, h, cb, fixed, project=True)
+    _select_rvq(gen, h, codebook, project=True)
     return _matched(h)
 
 
-def link_miso_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+def link_miso_tas(gen, config: SystemConfig, n: int, codebook: Codebook | int | None):
     # Every antenna ages and the gain reads the selected one: elementwise the
     # same as aging the selection, and e is drawn for all n_t antennas.
     h = gen.standard_normal((n, config.n_t, 2))
@@ -333,17 +336,17 @@ def link_miso_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed:
     return h, lambda aged, rows: _power(aged[np.arange(len(aged)), sel[rows]])
 
 
-def link_mu_tas(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+def link_mu_tas(gen, config: SystemConfig, n: int, codebook: Codebook | int | None):
     # one row of n_r receive entries per (user, antenna) pair
     return _strongest(gen, n, config.n_u * config.n_t, config.n_r), _aged_power
 
 
-def link_mu_pbf(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+def link_mu_pbf(gen, config: SystemConfig, n: int, codebook: Codebook | int | None):
     return _strongest(gen, n, config.n_u, config.n_t), _aged_power
 
 
-def link_mu_rvq(gen, config: SystemConfig, n: int, cb: Codebook | None, fixed: bool):
+def link_mu_rvq(gen, config: SystemConfig, n: int, codebook: Codebook | int | None):
     # the stale part is the winner scaled by sqrt(nu), nu its captured fraction
     win = _strongest(gen, n, config.n_u, config.n_t)
-    _select_rvq(gen, win, cb, fixed)
+    _select_rvq(gen, win, codebook)
     return win, _aged_power

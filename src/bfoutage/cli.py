@@ -24,11 +24,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analytic, montecarlo, verification
-from .analytic import AccuracyError, RangeError, SchemeId
-from .channel import BeyondFirstZeroError, PersistenceSpec, RngStream, SystemConfig, db_to_linear
-from .codebook import load_codebook, rvq_generate
+from .analytic import SchemeId
+from .channel import BeyondFirstZeroError, PersistenceSpec, SystemConfig, db_to_linear
+from .codebook import load_codebook
 from .montecarlo import McPoint, TrialPlan
-from .specfun import CapabilityError, ConvergenceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -224,8 +223,7 @@ def _outage(args, axis: str, values: str | None, evals: str, codebook_path=None)
 
     values None is the one value --snr-db on the snr_db axis.  A codebook_path
     holds that codebook fixed in every trial; otherwise an RVQ scheme draws a
-    fresh codebook per trial, of the value's size, and the codebook drawn
-    per size from the plan's seed lends the batch only its cardinality.
+    fresh codebook per trial, of the value's size.
     """
     opts = _merge_config(args)
     scheme = _scheme(args.scheme)
@@ -249,12 +247,10 @@ def _outage(args, axis: str, values: str | None, evals: str, codebook_path=None)
     if "mc" in names:
         plan = _plan(opts)
         fixed = load_codebook(codebook_path) if codebook_path else None
-        stream = RngStream(plan.seed, montecarlo._CODEBOOK_STREAM)
-        drawn = analytic.scheme_uses_codebook(scheme) and fixed is None
-        books = {n: rvq_generate(stream, n, config.n_t) for n in {n for _, n in settings}
-                 if drawn}
-        batch = [McPoint(scheme, cfg, books.get(n, fixed), plan, fixed is not None, i << 32)
+        batch = [McPoint(scheme, cfg, fixed or n, plan, i << 32)
                  for i, (cfg, n) in enumerate(settings)]
+        for cfg, n in settings:  # simulate_outages' check, ahead of every evaluator
+            analytic.validate_scheme(scheme, cfg, fixed.cardinality if fixed else n)
     cells = [{} for _ in points]  # per value: evaluator -> (p_out, std_err, flags)
     for (cfg, n), cell in zip(settings, cells):
         if "closed" in names:
@@ -400,7 +396,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     # ahead of ValueError: a CapabilityError is one, but not the user's mistake
-    except (CapabilityError, ConvergenceError, AccuracyError, RangeError) as exc:
+    except verification.NUMERIC_ERRORS as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, BeyondFirstZeroError, OSError) as exc:

@@ -33,10 +33,6 @@ from .codebook import Codebook
 
 __all__ = ["McPoint", "McResult", "TrialPlan", "simulate_outage", "simulate_outages"]
 
-#: Stream of a codebook drawn for a plan's seed (by the CLI and by verify):
-#: 2^32 - 1, above every chunk index of a point at stream offset 0.
-_CODEBOOK_STREAM = (1 << 32) - 1
-
 
 @dataclass(frozen=True)
 class TrialPlan:
@@ -80,8 +76,7 @@ def _count_chunk(
     n: int,
     rng: RngStream,
     targets: list[tuple[float, float]],
-    cb: Codebook | None,
-    fixed_codebook: bool,
+    codebook: Codebook | int | None,
 ) -> list[int]:
     """Outages in n trials drawn from one stream, one count per (rho, gamma0)
     target, in the order: the stale channel of every trial, then every fresh
@@ -98,7 +93,7 @@ def _count_chunk(
     entry, so every gain is twice the physical one and meets 2 * gamma0.
     """
     gen = rng.generator()
-    stale, gain = SCHEMES[scheme].link(gen, config, n, cb, fixed_codebook)
+    stale, gain = SCHEMES[scheme].link(gen, config, n, codebook)
     levels: dict[float, list[tuple[int, float]]] = {}
     for i, (rho, gamma0) in enumerate(targets):
         levels.setdefault(rho, []).append((i, 2.0 * gamma0))
@@ -120,13 +115,14 @@ def _count_chunk(
 
 
 class McPoint(NamedTuple):
-    """The arguments of one simulate_outage call, as one point of a batch."""
+    """One point of a simulate_outages batch.  codebook is a Codebook held
+    fixed in every trial, the int cardinality of a fresh codebook per trial,
+    or None; a scheme without a codebook ignores it."""
 
     scheme: SchemeId
     config: SystemConfig
-    codebook: Codebook | None
+    codebook: Codebook | int | None
     plan: TrialPlan
-    fixed_codebook: bool = False
     stream_offset: int = 0
 
 
@@ -149,12 +145,14 @@ def simulate_outages(
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     # points with the same streams and link inputs share one draw per chunk
     groups: dict[tuple, list[int]] = {}
-    for i, (scheme, config, codebook, plan, fixed_codebook, stream_offset) in enumerate(points):
-        size = None if codebook is None else codebook.cardinality
-        if validate_scheme(scheme, config, size).uses_codebook and codebook.n_t != config.n_t:
+    for i, (scheme, config, codebook, plan, stream_offset) in enumerate(points):
+        fixed = isinstance(codebook, Codebook)
+        size = codebook.cardinality if fixed else codebook
+        record = validate_scheme(scheme, config, size)
+        if record.uses_codebook and fixed and codebook.n_t != config.n_t:
             raise ValueError("codebook dimension does not match n_t")
         key = (plan.trials, plan.chunk, plan.seed, stream_offset, scheme, config.n_t, config.n_r,
-               config.n_u, id(codebook) if fixed_codebook else size, fixed_codebook)
+               config.n_u, fixed, id(codebook) if fixed else size)
         groups.setdefault(key, []).append(i)
     targets = [(p.config.rho, derive_params(p.config).gamma0) for p in points]
     jobs = [(members, j, min(chunk, trials - lo)) for (trials, chunk, *_), members in groups.items()
@@ -162,10 +160,10 @@ def simulate_outages(
 
     def job(item):
         members, j, size = item
-        scheme, config, codebook, plan, fixed_codebook, stream_offset = points[members[0]]
+        scheme, config, codebook, plan, stream_offset = points[members[0]]
         return _count_chunk(
             scheme, config, size, RngStream(plan.seed, stream_offset + j),
-            [targets[i] for i in members], codebook, fixed_codebook,
+            [targets[i] for i in members], codebook,
         )
 
     tasks = [first] if first is not None else []
@@ -199,5 +197,7 @@ def simulate_outage(
     over codebook realizations.  Pass fixed_codebook=True to reuse the given
     vectors in every trial.  The other schemes ignore the codebook.
     """
-    point = McPoint(scheme, config, codebook, plan, fixed_codebook, stream_offset)
+    if isinstance(codebook, Codebook) and not fixed_codebook:
+        codebook = codebook.cardinality
+    point = McPoint(scheme, config, codebook, plan, stream_offset)
     return simulate_outages([point], plan.workers)[0]

@@ -292,7 +292,7 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
     while True:
         k0 = int(lo.min())
         tables = _series_tables(d, beta, np.arange(k0, hi.max() + 2))
-        sums = _window_sums(lo, hi, delta, log_delta, k0, tables)
+        sums = _block_sums(lo, hi, delta, log_delta, k0, tables)
         if rows is None:
             partial = sums
         else:
@@ -325,7 +325,7 @@ def _series_tables(d: int, beta: float, k: np.ndarray) -> np.ndarray:
     """log k! and g_k = P(d + k, beta) over a run of k, the two rows of one
     array, each followed by as many padding entries with log k! = +inf and
     g_k = 0, whose terms are exactly exp(-inf) * 0 = 0.  A window inside the
-    run is no longer than the run, so :func:`_window_sums` reads no further
+    run is no longer than the run, so :func:`_block_sums` reads no further
     than the padding."""
     tables = np.empty((2, 2 * k.size))
     log_fact, g = tables
@@ -376,25 +376,6 @@ def _upper_wing_bound(d: int, delta: np.ndarray, log_delta: np.ndarray, beta: fl
     return upper
 
 
-def _window_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
-    """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * g_k for each element i, summed
-    one term at a time in order of k; tables holds log k! and g_k from
-    k = k0 on, padded as :func:`_series_tables` pads them.
-
-    A window whose every Poisson weight exp(k log delta - delta - log k!)
-    is exactly 0 (:func:`_underflowing`) sums to exactly 0, and its terms
-    are never formed; the others are summed by :func:`_block_sums`.
-    """
-    zero = _underflowing(lo, hi, delta, log_delta, k0, tables[0])
-    if not zero.any():
-        return _block_sums(lo, hi, delta, log_delta, k0, tables)
-    sums = np.zeros(lo.shape)
-    live = np.flatnonzero(~zero)
-    if live.size:
-        sums[live] = _block_sums(lo[live], hi[live], delta[live], log_delta[live], k0, tables)
-    return sums
-
-
 def _underflowing(lo, hi, delta, log_delta, k0, log_fact) -> np.ndarray:
     """Whether every Poisson weight exp(k log delta - delta - log k!) of each
     window [lo, hi] is exactly 0 as the gather blocks of :func:`_block_sums`
@@ -425,9 +406,11 @@ def _underflowing(lo, hi, delta, log_delta, k0, log_fact) -> np.ndarray:
 
 
 def _block_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
-    """:func:`_window_sums` over windows that are summed, by one of two
-    routes that :func:`_block_plan` picks from each element's own lo and
-    delta, never from the rest of the call.
+    """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * g_k for each element i, in
+    order of k, with tables from :func:`_series_tables` starting at k = k0.
+    :func:`_block_plan` picks each window's route from its own lo, hi and
+    delta: a window whose Poisson weights all underflow to exactly 0
+    (:func:`_underflowing`) takes none and sums to 0.
 
     A window from k = 0 with delta below _RECURRENCE_DELTA is summed by
     :func:`_recurrence_sums`, with no exp past k = 0 and no log k! table.
@@ -453,8 +436,9 @@ def _block_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     """
     lengths = hi - lo
     lengths += 1
-    sums = np.empty(lengths.shape)
-    recur, blocks = _block_plan(lo, delta, lengths)
+    sums = np.zeros(lengths.shape)
+    zero = _underflowing(lo, hi, delta, log_delta, k0, tables[0])
+    recur, blocks = _block_plan(lo, delta, lengths, zero)
     if recur.size:  # some window starts at k = 0, so the tables do too
         sums[recur] = _recurrence_sums(delta[recur], lengths[recur], tables[1])
     if not blocks:
@@ -483,13 +467,13 @@ def _block_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     return sums
 
 
-def _block_plan(lo, delta, lengths):
+def _block_plan(lo, delta, lengths, zero):
     """The routes of :func:`_block_sums`, as (recur, blocks): recur indexes
     the windows summed by the recurrence, and blocks is a list of index
-    arrays, one per gather block, for the rest.  Each holds its elements
-    longest window first, ties in input order.  An element takes the
-    recurrence when its window starts at k = 0 and delta is below
-    _RECURRENCE_DELTA, whatever else the call holds."""
+    arrays, one per gather block, for the rest but the underflowing ones
+    that zero marks.  Each holds its elements longest window first, ties in
+    input order.  An element takes the recurrence when its window starts at
+    k = 0 and delta is below _RECURRENCE_DELTA, whatever else the call holds."""
     # a small unsigned key sorts by radix, and width - lengths fits it, so
     # it is formed in that type
     width = int(lengths.max())
@@ -499,7 +483,7 @@ def _block_plan(lo, delta, lengths):
     recur &= delta[order] < _RECURRENCE_DELTA
     if recur.all():
         return order, []
-    return order[recur], list(_blocks(order[~recur], lengths, _BLOCK_ENTRIES))
+    return order[recur], list(_blocks(order[~(recur | zero[order])], lengths, _BLOCK_ENTRIES))
 
 
 def _recurrence_sums(delta, lengths, g) -> np.ndarray:

@@ -16,11 +16,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytic, montecarlo, specfun
-from .analytic import SchemeId
+from .analytic import AccuracyError, RangeError, SchemeId
 from .channel import PersistenceSpec, RngStream, SystemConfig, db_to_linear, derive_params
-from .codebook import nu_pdf, rvq_generate
+from .codebook import nu_pdf
 from .montecarlo import McPoint, McResult, TrialPlan
-from .specfun import _sc
+from .specfun import CapabilityError, ConvergenceError, _sc
 
 __all__ = [
     "CheckResult",
@@ -51,6 +51,9 @@ SCHEME_MATRIX = {
     SchemeId.MU_PBF: (4, 1, 2),
     SchemeId.MU_RVQ: (4, 1, 2),
 }
+
+#: What an evaluator raises past its accuracy or range (CLI exit code 2).
+NUMERIC_ERRORS = (CapabilityError, ConvergenceError, AccuracyError, RangeError)
 
 CLOSED_VS_QUAD_TOL = 1e-6
 REDUCTION_TOL = 1e-9
@@ -107,17 +110,12 @@ def _agreement_family(trials: int, seed: int, workers: int) -> _McFamily:
     rows, points = [], []
     n = CODEBOOK_SIZE
     for k, scheme in enumerate(SCHEME_MATRIX):
-        cb = None
-        if analytic.scheme_uses_codebook(scheme):
-            # the simulator reads only the cardinality of a fresh codebook
-            stream = RngStream(seed, montecarlo._CODEBOOK_STREAM)
-            cb = rvq_generate(stream, n, SCHEME_MATRIX[scheme][0])
         for snr_db in GRID_SNR_DB:
             for rho in GRID_RHO:
                 config = _cfg(scheme, snr_db, rho)
                 closed = analytic.outage_closed(scheme, config, n).value
                 quad = analytic.outage_semianalytic(scheme, config, codebook_size=n).value
-                points.append(McPoint(scheme, config, cb, plan, stream_offset=k << 32))
+                points.append(McPoint(scheme, config, n, plan, stream_offset=k << 32))
                 rows.append((f"agreement {scheme.value} snr={snr_db:g}dB rho={rho:g}", closed, quad))
 
     def judge(results: list[McResult]) -> list[CheckResult]:
@@ -547,6 +545,14 @@ def determinism_checks(trials: int = 200_000, seed: int = 20260810) -> list[Chec
     ]
 
 
+def _guarded(criterion: str, run: Callable[[], object]):
+    """run(), or one failed check naming criterion and the error it raised."""
+    try:
+        return run()
+    except NUMERIC_ERRORS as exc:
+        return [CheckResult(f"{criterion} raised", False, f"{type(exc).__name__}: {exc}")]
+
+
 def run_all(
     trials: int = 1_000_000, seed: int = 20260810, workers: int = 1
 ) -> list[CheckResult]:
@@ -558,8 +564,14 @@ def run_all(
     threads, with criterion 6's chi-square draws as its first job; then the
     judging of every check.  No closed form or quadrature runs while the
     batch does.  Criterion 7 runs its own simulations last.
+
+    A criterion that raises a numeric error is one failed check, and the
+    others still run, each on its own streams, so their lines do not change.
     """
-    families = [_agreement_family(trials, seed, workers), _arbitration_family(trials, seed, workers)]
+    built = [_guarded(criterion, lambda f=family: f(trials, seed, workers))
+             for criterion, family in (("criterion 1 three-way agreement", _agreement_family),
+                                       ("criterion 2 variant arbitration", _arbitration_family))]
+    families = [f if isinstance(f, _McFamily) else _McFamily([], lambda _, f=f: f) for f in built]
     sampled: list[np.ndarray] = []
     results = montecarlo.simulate_outages(
         [point for family in families for point in family.points], workers,
@@ -569,9 +581,13 @@ def run_all(
     for family in families:
         checks += family.judge(results[:len(family.points)])
         results = results[len(family.points):]
-    checks += diversity_checks()
-    checks += reduction_identity_checks()
-    checks += figure_shape_checks()
-    checks += _exact_checks() + [_chi2_check(sampled[0], _CHI2_SAMPLES)]
-    checks += determinism_checks(seed=seed)
+    for criterion, run in (
+        ("criterion 3 diversity orders", diversity_checks),
+        ("criterion 4 reduction identities", reduction_identity_checks),
+        ("criterion 5 figure shapes", figure_shape_checks),
+        ("criterion 6 combinatorial",
+         lambda: _exact_checks() + [_chi2_check(sampled[0], _CHI2_SAMPLES)]),
+        ("criterion 7 determinism", lambda: determinism_checks(seed=seed)),
+    ):
+        checks += _guarded(criterion, run)
     return checks

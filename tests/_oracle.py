@@ -163,7 +163,7 @@ RECURRENCE_DELTA = -math.log(sys.float_info.min)
 
 def window_sums(d: int, beta: float, lo, hi, delta) -> np.ndarray:
     """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * P(d + k, beta) for each element
-    i: the reference that specfun._window_sums must equal bit for bit.  A
+    i: the reference that specfun._block_sums must equal bit for bit.  A
     window from k = 0 with delta_i below RECURRENCE_DELTA forms its weights
     as p_0 = exp(-delta_i), by numpy's exp on an array, and p_k = p_{k-1} *
     (delta_i / k); any other forms each term by the same numpy ufuncs on a

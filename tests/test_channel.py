@@ -199,6 +199,11 @@ def _candidates(gen, n: int, cb, fixed: bool) -> list[np.ndarray]:
     return list(_pairs_to_complex(gen.standard_normal((n, cb.cardinality, cb.n_t, 2))))
 
 
+def _book(cb, fixed: bool):
+    """The link's codebook argument: cb itself when fixed, else its cardinality."""
+    return cb if fixed else cb.cardinality
+
+
 class TestSelectRvq:
     """channel._select_rvq against the per-trial RVQ reference, which
     normalises every candidate before it projects."""
@@ -220,7 +225,7 @@ class TestSelectRvq:
         gen = stream.generator()
         w = gen.standard_normal((n, n_t, 2))
         h = _pairs_to_complex(w)
-        assert channel._select_rvq(gen, w, cb, fixed, project) is None
+        assert channel._select_rvq(gen, w, _book(cb, fixed), project) is None
         after = gen.standard_normal(4)
 
         ref = stream.generator()
@@ -260,8 +265,8 @@ class TestSelectRvq:
         h = RngStream(31).generator().standard_normal((50, 4, 2))
         for fixed in (False, True):
             proj, scaled = h.copy(), h.copy()
-            channel._select_rvq(RngStream(31, 1).generator(), proj, cb, fixed, project=True)
-            channel._select_rvq(RngStream(31, 1).generator(), scaled, cb, fixed)
+            channel._select_rvq(RngStream(31, 1).generator(), proj, _book(cb, fixed), project=True)
+            channel._select_rvq(RngStream(31, 1).generator(), scaled, _book(cb, fixed))
             assert np.allclose(channel._power(proj), channel._power(scaled), rtol=1e-13, atol=0.0)
             ratio = _pairs_to_complex(scaled) / _pairs_to_complex(h)
             assert np.allclose(ratio, ratio[:, :1].real, rtol=1e-13, atol=0.0)
@@ -276,7 +281,7 @@ class TestSelectRvq:
         n, decay = 16, math.sqrt(1.0 - rho * rho)
         cb = rvq_generate(RngStream(seed, 1), size, n_t)
         stale, gain = channel.link_miso_rvq(
-            RngStream(seed).generator(), cfg(nt=n_t, rho=rho), n, cb, fixed)
+            RngStream(seed).generator(), cfg(nt=n_t, rho=rho), n, _book(cb, fixed))
         ref = RngStream(seed).generator()
         h = _pairs_to_complex(ref.standard_normal((n, n_t, 2)))
         books = _candidates(ref, n, cb, fixed)

@@ -445,6 +445,19 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
 
+    def test_codebook_cardinality_checked_before_any_evaluator(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature ran before the cardinality check")
+
+        monkeypatch.setattr(analytic, "outage_semianalytic", refuse)
+        code, out, err = run_cli(
+            capsys, "sweep", "--scheme", "miso-rvq", "--axis", "codebook-size", "--values", "4,0",
+            "--rho", "0.9", "--eval", "quadrature,mc", "--trials", "1000", "--seed", "1",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "needs a codebook cardinality >= 1" in err
+
     def test_unknown_flag_is_usage(self, capsys):
         code, _, err = run_cli(capsys, "analytic", "--scheme", "miso-pbf", "--wat")
         assert code == EXIT_USAGE
@@ -667,6 +680,26 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--seed", "-3", "--trials", "2000")
         assert code in (EXIT_OK, EXIT_VERIFY), err
         assert "noncentral chi-square CDF" in out
+
+    def test_raising_criterion_is_one_failed_check(self, capsys, monkeypatch):
+        # 24 gain nodes trip the quadrature's density-mass guard in criteria 1
+        # and 3; each becomes one FAIL line, and every other line is unchanged
+        agreement = len(verification.SCHEME_MATRIX) * len(verification.GRID_SNR_DB) * len(
+            verification.GRID_RHO)
+        arbitration = agreement + len(verification._ARBITRATION_CLAIMS)
+        diversity = arbitration + len(verification.diversity_checks())
+        argv = ("verify", "--trials", "2000", "--seed", "11")
+        _, clean, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(analytic, "_GAIN_NODES", 24)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_VERIFY
+        lines, got = clean.splitlines()[:-2], out.splitlines()[:-2]
+        assert lines[agreement - 1].startswith("PASS  agreement mu-rvq ")
+        assert got[1:] == lines[agreement:arbitration] + [got[6]] + lines[diversity:]
+        for line, criterion in ((got[0], "criterion 1 three-way agreement"),
+                                (got[6], "criterion 3 diversity orders")):
+            assert line.startswith(f"FAIL  {criterion} raised  [AccuracyError: gain density mass ")
+        assert out.splitlines()[-1] == f"{len(got) - 2}/{len(got)} checks passed"
 
     def test_failing_check_exits_three(self, capsys, monkeypatch):
         failing = verification.CheckResult(name="stub check", passed=False, detail="gap=1")

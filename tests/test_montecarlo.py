@@ -108,6 +108,17 @@ class TestSimulateOutage:
         assert _agree(fixed, ensemble)
         assert abs(fixed.p_hat - outage_rvq_closed(config, 1).value) <= 3 * fixed.std_err
 
+    @pytest.mark.parametrize("scheme, nu", [(SchemeId.MISO_RVQ, 1), (SchemeId.MU_RVQ, 2)])
+    def test_unfixed_codebooks_of_one_cardinality_give_one_count(self, scheme, nu):
+        # without fixed_codebook every trial draws its own vectors, so a
+        # codebook lends the simulation only its cardinality
+        config = cfg(rho=0.9, nu=nu)
+        plan = TrialPlan(trials=5000, seed=13, chunk=2048)
+        a, b = (rvq_generate(RngStream(13, k), 8, 4) for k in (1, 2))
+        assert not np.array_equal(a.vectors, b.vectors)
+        counts = [simulate_outage(scheme, config, cb, plan).outage_count for cb in (a, b)]
+        assert counts[0] == counts[1] == _alone(McPoint(scheme, config, 8, plan)).outage_count
+
 
 class TestDeterminism:
     def test_worker_invariance(self):
@@ -154,6 +165,12 @@ GOLDEN_RHOS = (0.0, 0.9, 1.0)
 GOLDEN_SMALL_TRIALS = (1, 2047, 2049)
 GOLDEN_LARGE_TRIALS = 150_001
 GOLDEN_SEED = 97
+
+
+def _golden_codebook(size, fixed: bool, n_t: int):
+    """What a point of a GOLDEN_VARIANTS label holds as its codebook: the
+    recorded fixed codebook, or the fresh cardinality (None for no codebook)."""
+    return rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, n_t) if fixed else size
 
 
 def _golden_count(label: str, rho: float, trials: int, workers: int) -> int:
@@ -283,7 +300,7 @@ class TestPerTrialOracle:
             SchemeId.MU_PBF: (config.n_u, n_t),
             SchemeId.MU_RVQ: (config.n_u, n_t),
         }.get(scheme, (n_t,))
-        cb = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, n_t) if size else None
+        book = _golden_codebook(size, fixed, n_t)
         stream = RngStream(GOLDEN_SEED, 5)
 
         gen = stream.generator()
@@ -293,13 +310,13 @@ class TestPerTrialOracle:
             books = [Codebook("RVQ", n_t, v / np.linalg.norm(v, axis=1, keepdims=True))
                      for v in raw]
         else:
-            books = [tas_codebook(n_t) if scheme is SchemeId.MISO_TAS else cb] * n
+            books = [tas_codebook(n_t) if scheme is SchemeId.MISO_TAS else book] * n
         e = _complex_normal(gen, (n, config.n_r if scheme is SchemeId.MU_TAS else n_t))
         gains = np.sort([_oracle_gain(scheme, h[i], e[i], books[i], rho) for i in range(n)])
 
         below = list(range(30, n, 30))
         targets = [(rho, 0.5 * (gains[k - 1] + gains[k])) for k in below]
-        assert _count_chunk(scheme, config, n, stream, targets, cb, fixed) == below
+        assert _count_chunk(scheme, config, n, stream, targets, book) == below
 
     @pytest.mark.parametrize("rho", [0.5, 0.9])
     @pytest.mark.parametrize("label", list(GOLDEN_VARIANTS))
@@ -356,16 +373,16 @@ class TestChunkMemory:
     def test_chunk_peak(self, label):
         scheme, kwargs, size, fixed = GOLDEN_VARIANTS[label]
         config = cfg(rho=0.9, **kwargs)
-        cb = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, config.n_t) if size else None
+        book = _golden_codebook(size, fixed, config.n_t)
         stream = RngStream(GOLDEN_SEED, 9)
 
         def peak(targets):
             return _traced_peak(
-                lambda: _count_chunk(scheme, config, self.TRIALS, stream, targets, cb, fixed))
+                lambda: _count_chunk(scheme, config, self.TRIALS, stream, targets, book))
 
         one = peak([(0.9, 1.0)])
         twelve = peak([(0.5 + 0.04 * k, 1.0) for k in range(12)])
-        row = analytic.SCHEMES[scheme].link(stream.generator(), config, 1, cb, fixed)[0][0]
+        row = analytic.SCHEMES[scheme].link(stream.generator(), config, 1, book)[0][0]
         assert one < self.PEAK_MB[label] * 2**20
         assert twelve <= one + channel._BLOCK * row.nbytes
 
@@ -376,9 +393,9 @@ def _batch_points() -> list[McPoint]:
     points = []
     for k, (label, (scheme, kwargs, size, fixed)) in enumerate(GOLDEN_VARIANTS.items()):
         config = cfg(rho=0.9, **kwargs)
-        cb = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, config.n_t) if size else None
+        book = _golden_codebook(size, fixed, config.n_t)
         plan = TrialPlan(trials=5297, seed=GOLDEN_SEED + k, chunk=2048)
-        points.append(McPoint(scheme, config, cb, plan, fixed, stream_offset=3 * k))
+        points.append(McPoint(scheme, config, book, plan, stream_offset=3 * k))
     return points
 
 
@@ -404,9 +421,8 @@ def _shared_grid_points() -> list[McPoint]:
     plan = TrialPlan(trials=5297, seed=GOLDEN_SEED, chunk=2048)
     points = []
     for label, (scheme, kwargs, size, fixed) in GOLDEN_VARIANTS.items():
-        n_t = cfg(**kwargs).n_t
-        cb = rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), size, n_t) if size else None
-        points += [McPoint(scheme, cfg(snr_db=snr_db, rho=rho, **kwargs), cb, plan, fixed, 7)
+        book = _golden_codebook(size, fixed, cfg(**kwargs).n_t)
+        points += [McPoint(scheme, cfg(snr_db=snr_db, rho=rho, **kwargs), book, plan, 7)
                    for snr_db in SHARED_SNR_DB for rho in SHARED_RHOS]
     return points
 
@@ -422,24 +438,30 @@ UNMERGED_PAIRS = {
     "chunk": (_PBF, _PBF._replace(plan=replace(_PLAN, chunk=1024))),
     "n_u": (McPoint(SchemeId.MU_PBF, cfg(nu=2), None, _PLAN),
             McPoint(SchemeId.MU_PBF, cfg(nu=3), None, _PLAN)),
-    "cardinality": (McPoint(SchemeId.MISO_RVQ, cfg(), _BOOK, _PLAN),
-                    McPoint(SchemeId.MISO_RVQ, cfg(),
-                            rvq_generate(RngStream(GOLDEN_SEED, 1 << 40), 16, 4), _PLAN)),
-    "codebook_object": (McPoint(SchemeId.MISO_RVQ, cfg(), _BOOK, _PLAN, True),
+    "cardinality": (McPoint(SchemeId.MISO_RVQ, cfg(), 8, _PLAN),
+                    McPoint(SchemeId.MISO_RVQ, cfg(), 16, _PLAN)),
+    "codebook_object": (McPoint(SchemeId.MISO_RVQ, cfg(), _BOOK, _PLAN),
                         McPoint(SchemeId.MISO_RVQ, cfg(),
-                                Codebook(_BOOK.scheme, _BOOK.n_t, _BOOK.vectors.copy()), _PLAN, True)),
+                                Codebook(_BOOK.scheme, _BOOK.n_t, _BOOK.vectors.copy()), _PLAN)),
+    "fixed_or_fresh": (McPoint(SchemeId.MISO_RVQ, cfg(), _BOOK, _PLAN),
+                       McPoint(SchemeId.MISO_RVQ, cfg(), _BOOK.cardinality, _PLAN)),
 }
+
+
+def _alone(point: McPoint) -> McResult:
+    """point's result in a batch of its own."""
+    return simulate_outages([point], 1)[0]
 
 
 class TestBatch:
     """simulate_outages runs every chunk of every point on one pool; each
-    point's count must equal its own simulate_outage call, also when points
-    on the same streams share their draws."""
+    point's count must equal its count in a batch of its own, also when
+    points on the same streams share their draws."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_counts_equal_separate_calls(self, workers):
         points = _batch_points()
-        separate = [simulate_outage(*p).outage_count for p in points]
+        separate = [_alone(p).outage_count for p in points]
         batch = simulate_outages(points, workers)
         assert [r.outage_count for r in batch] == separate
         assert [r.trials for r in batch] == [p.plan.trials for p in points]
@@ -447,7 +469,7 @@ class TestBatch:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_points_on_one_stream_share_draws(self, monkeypatch, workers):
         points = _shared_grid_points()
-        separate = [simulate_outage(*p).outage_count for p in points]
+        separate = [_alone(p).outage_count for p in points]
         batch = []
         opened = _streams_opened(monkeypatch, lambda: batch.extend(simulate_outages(points, workers)))
         assert [r.outage_count for r in batch] == separate
@@ -456,8 +478,8 @@ class TestBatch:
     @pytest.mark.parametrize("field", list(UNMERGED_PAIRS))
     def test_points_differing_in_stream_or_link_inputs_never_merge(self, monkeypatch, field):
         base, other = UNMERGED_PAIRS[field]
-        separate = [simulate_outage(*p).outage_count for p in (base, other)]
-        alone = sum(_streams_opened(monkeypatch, lambda p=p: simulate_outage(*p)) for p in (base, other))
+        separate = [_alone(p).outage_count for p in (base, other)]
+        alone = sum(_streams_opened(monkeypatch, lambda p=p: _alone(p)) for p in (base, other))
         batch = []
         opened = _streams_opened(monkeypatch, lambda: batch.extend(simulate_outages([base, other], 2)))
         assert [r.outage_count for r in batch] == separate
@@ -466,8 +488,8 @@ class TestBatch:
     def test_agreement_checks_draw_one_stream_per_scheme(self, monkeypatch):
         opened = _streams_opened(
             monkeypatch, lambda: verification.three_way_agreement_checks(30_000, GOLDEN_SEED, 2))
-        codebooks = 2  # one per RVQ scheme
-        assert opened == len(verification.SCHEME_MATRIX) * 1 + codebooks
+        # one chunk per scheme; a fresh codebook is drawn from the chunk's stream
+        assert opened == len(verification.SCHEME_MATRIX)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_job_runs_once_and_moves_no_count(self, monkeypatch, workers):
@@ -490,6 +512,7 @@ class TestBatch:
         McPoint(SchemeId.MISO_PBF, cfg(nu=2), None, TrialPlan(trials=100, seed=1)),
         McPoint(SchemeId.MU_RVQ, cfg(nu=2), rvq_generate(RngStream(1, 0), 4, 3),
                 TrialPlan(trials=100, seed=1)),
+        McPoint(SchemeId.MISO_RVQ, cfg(), 0, TrialPlan(trials=100, seed=1)),
     ])
     def test_invalid_point_raises_before_any_chunk(self, monkeypatch, bad, position):
         calls = []

@@ -22,11 +22,12 @@ from bfoutage.specfun import (
     CapabilityError,
     ConvergenceError,
     _block_plan,
+    _block_sums,
     _first_window,
     _noncentral_chi2_cdf_grid,
     _series_tables,
+    _underflowing,
     _upper_wing_bound,
-    _window_sums,
     bessel_j0,
     expansion_coeffs,
     lemma1_identity,
@@ -46,9 +47,9 @@ def windows(monkeypatch):
 
     def recording(lo, hi, *args):
         seen.append((lo.tolist(), hi.tolist()))
-        return _window_sums(lo, hi, *args)
+        return _block_sums(lo, hi, *args)
 
-    monkeypatch.setattr(specfun, "_window_sums", recording)
+    monkeypatch.setattr(specfun, "_block_sums", recording)
     return seen
 
 
@@ -528,7 +529,7 @@ def _window_sums_and_reference(d, beta, lo, hi, delta):
     lo, hi, delta = np.asarray(lo), np.asarray(hi), np.asarray(delta, dtype=float)
     log_delta = np.log(delta, out=np.zeros_like(delta), where=delta > 0)
     k = np.arange(lo.min(), hi.max() + 2)
-    got = _window_sums(lo, hi, delta, log_delta, k[0], _series_tables(d, beta, k))
+    got = _block_sums(lo, hi, delta, log_delta, k[0], _series_tables(d, beta, k))
     return got, reference_window_sums(d, beta, lo, hi, delta)
 
 
@@ -543,10 +544,15 @@ def _set_block_entries(patch, entries):
 
 def _plan(lo, hi, delta):
     """The kernel's routes for windows [lo, hi] at delta: the lengths of the
-    windows summed by the recurrence, and those of each gather block."""
+    windows summed by the recurrence, and those of each gather block.  A
+    window whose Poisson weights all underflow is in neither."""
     lo, hi, delta = np.asarray(lo), np.asarray(hi), np.asarray(delta, dtype=float)
     lengths = hi - lo + 1
-    recur, blocks = _block_plan(lo, delta, lengths)
+    log_delta = np.log(delta, out=np.zeros_like(delta), where=delta > 0)
+    k0 = int(lo.min())
+    log_fact = sc.gammaln(np.arange(k0, hi.max() + 1) + 1.0)
+    zero = _underflowing(lo, hi, delta, log_delta, k0, log_fact)
+    recur, blocks = _block_plan(lo, delta, lengths, zero)
     return lengths[recur].tolist(), [lengths[rows].tolist() for rows in blocks]
 
 
@@ -694,7 +700,7 @@ class TestWindowSums:
         got, want = _window_sums_and_reference(3, 40.0, lo, hi, delta)
         assert _bits(got) == _bits(want)
 
-    def test_windows_whose_weights_underflow(self, monkeypatch):
+    def test_windows_whose_weights_underflow(self):
         # Poisson weights exp(k log delta - delta - log k!) at delta = 1000
         # are exactly 0 up to k = 70, subnormal over k = 71 ... 85 and normal
         # from k = 86 on; g_k is near 1 at beta = 5000.  The first windows
@@ -708,19 +714,14 @@ class TestWindowSums:
         hi = [60, 50, 700, 80, 300, 70, 80, 40, 1050, 60]
         delta = [1000.0, 5000.0, 2.0, 1000.0, 1000.0, 998.6, 30.0, 5.0, 1000.0, 20.0]
         zero = [True, True, True] + [False] * 7
-        summed, block_sums = [], specfun._block_sums
-
-        def recording(lo, hi, *args):
-            summed.append(lo.size)
-            return block_sums(lo, hi, *args)
-
-        monkeypatch.setattr(specfun, "_block_sums", recording)
         for rows in (slice(0, 3), slice(3, 6), slice(None)):  # all zero, none, a mix
-            summed.clear()
             got, want = _window_sums_and_reference(
                 2, 5000.0, lo[rows], hi[rows], delta[rows])
             assert _bits(got) == _bits(want)
-            assert summed == ([] if all(zero[rows]) else [zero[rows].count(False)])
+            recur, blocks = _plan(lo[rows], hi[rows], delta[rows])
+            routed = sorted(recur + [n for block in blocks for n in block])
+            kept = zip(lo[rows], hi[rows], zero[rows])
+            assert routed == sorted(b - a + 1 for a, b, z in kept if not z)
         assert got[:3].tolist() == [0.0, 0.0, 0.0] and got[5] == 0.0
         assert 0.0 < got[3] < np.finfo(float).tiny < got[4]
         log_delta = np.log(delta)
@@ -827,14 +828,14 @@ def _grid_run(scheme, snr_db, rho, entries=None):
         grids.append((d, deltas, beta, _noncentral_chi2_cdf_grid(d, deltas, beta)))
         return grids[-1][-1]
 
-    def recording_plan(lo, delta, lengths):
-        recur, blocks = _block_plan(lo, delta, lengths)
+    def recording_plan(lo, delta, lengths, zero):
+        recur, blocks = _block_plan(lo, delta, lengths, zero)
         terms[0] += int(lengths[recur].sum())
-        terms[1] += int(lengths.sum())
+        terms[1] += int(lengths[~zero].sum())
         return recur, blocks
 
     def recording_sums(*args):
-        calls.append((args, _window_sums(*args)))
+        calls.append((args, _block_sums(*args)))
         return calls[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -842,7 +843,7 @@ def _grid_run(scheme, snr_db, rho, entries=None):
             _set_block_entries(patch, entries)
         patch.setattr(analytic, "_noncentral_chi2_cdf_grid", recording_grid)
         patch.setattr(specfun, "_block_plan", recording_plan)
-        patch.setattr(specfun, "_window_sums", recording_sums)
+        patch.setattr(specfun, "_block_sums", recording_sums)
         n = CODEBOOK_SIZE if scheme in (SchemeId.MISO_RVQ, SchemeId.MU_RVQ) else None
         value = outage_semianalytic(scheme, config, codebook_size=n).value
     return value, grids, calls, terms

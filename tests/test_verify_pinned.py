@@ -10,8 +10,6 @@ whatever the worker count."""
 import pytest
 
 from bfoutage import analytic, montecarlo, verification
-from bfoutage.channel import RngStream
-from bfoutage.codebook import rvq_generate
 from bfoutage.montecarlo import McPoint, TrialPlan
 
 SEED = 20260810
@@ -45,10 +43,8 @@ def _parent_layout_points() -> list[McPoint]:
         for snr_db in verification.GRID_SNR_DB:
             for rho in verification.GRID_RHO:
                 config = verification._cfg(scheme, snr_db, rho)
-                cb = None
-                if analytic.scheme_uses_codebook(scheme):
-                    cb = rvq_generate(RngStream(SEED, 0), verification.CODEBOOK_SIZE, config.n_t)
-                points.append(McPoint(scheme, config, cb, plan, stream_offset=len(points) << 32))
+                n = verification.CODEBOOK_SIZE if analytic.scheme_uses_codebook(scheme) else None
+                points.append(McPoint(scheme, config, n, plan, stream_offset=len(points) << 32))
     for k, (scheme, snr_db, rho) in enumerate(
         (scheme, snr_db, rho)
         for scheme in (analytic.SchemeId.MISO_PBF, analytic.SchemeId.MISO_TAS)
