@@ -16,7 +16,8 @@ a value on purpose re-records it:
 
     PYTHONPATH=src python3 scripts/value_fingerprint.py > tests/value_fingerprint.csv
 
-and lists the rows that changed, with the reason, in CHANGES.md.
+and lists the rows that changed, with the reason, in CHANGES.md;
+scripts/fingerprint_diff.py prints them from the old and new files.
 """
 
 import csv

@@ -170,20 +170,20 @@ def _noncentral_chi2_cdf_grid(
     geometric bound alone meets the budget, so taking the smaller bound
     could not change whether the window stops.
 
-    Each window is summed one term at a time in order of k, by one of two
-    routes (:func:`_block_sums`) chosen from the element's own lo and delta.
-    A window from k = 0 whose first Poisson weight exp(-delta) is a normal
-    double forms its weights by the recurrence p_k = p_{k-1} (delta / k),
-    as AS 275 does, and adds p_k g_k, stepping every open window of the call
-    at once (:func:`_recurrence_sums`).  Any other window forms its terms as
-    exp(k log delta - delta - log k!) * g_k in blocks laid out (k offset,
-    element), one element per column, where a reduce down the columns adds
-    each element's terms in order of k while the adds of neighbouring
-    elements run side by side.  A window whose every Poisson weight
-    underflows to exactly 0 is not summed at all: its sum is exactly 0.
-    No route depends on the rest of the call, and neither changes the order
-    of any element's adds, so every element's value is the same, bit for
-    bit, whatever grid it sits in, and equal to the scalar call.
+    Each window is summed by one of two routes (:func:`_block_sums`) chosen
+    from the element's own lo and delta.  A window from k = 0 whose first
+    Poisson weight exp(-delta) is a normal double is summed from its top
+    term down in the nested form exp(-delta) (g_0 + delta/1 (g_1 + ...)) of
+    AS 275's recurrence p_k = p_{k-1} (delta / k), stepping every open
+    window of the call at once (:func:`_recurrence_sums`).  Any other window
+    forms its terms as exp(k log delta - delta - log k!) * g_k in blocks
+    laid out (k offset, element), one element per column, where a reduce
+    down the columns adds each element's terms in order of k while the adds
+    of neighbouring elements run side by side.  A window whose every Poisson
+    weight underflows to exactly 0 is not summed at all: its sum is exactly
+    0.  No route depends on the rest of the call, and neither changes the
+    order of any element's operations, so every element's value is the same,
+    bit for bit, whatever grid it sits in, and equal to the scalar call.
 
     A window widens, its lower edge straight toward k = 0, until the bounds
     are at most _REL_TOL times its sum.  With no absolute stopping rule,
@@ -305,7 +305,7 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
             lower = np.zeros_like(delta)
             lower[inner] = _sc.pdtr(lo[inner] - 1, delta[inner]) * g0
         budget = _REL_TOL * sums
-        log_fact_next, g_next = tables[:, hi + (1 - k0)]
+        log_fact_next, g_next = np.take(tables, hi + (1 - k0), axis=1)
         upper = _upper_wing_bound(d, delta, log_delta, beta, hi, log_fact_next, g_next,
                                   lower, budget)
         todo = upper + lower > budget
@@ -406,14 +406,14 @@ def _underflowing(lo, hi, delta, log_delta, k0, log_fact) -> np.ndarray:
 
 
 def _block_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
-    """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * g_k for each element i, in
-    order of k, with tables from :func:`_series_tables` starting at k = k0.
+    """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * g_k for each element i, with
+    tables from :func:`_series_tables` starting at k = k0.
     :func:`_block_plan` picks each window's route from its own lo, hi and
     delta: a window whose Poisson weights all underflow to exactly 0
     (:func:`_underflowing`) takes none and sums to 0.
 
-    A window from k = 0 with delta below _RECURRENCE_DELTA is summed by
-    :func:`_recurrence_sums`, with no exp past k = 0 and no log k! table.
+    A window from k = 0 with delta below _RECURRENCE_DELTA is summed
+    nested by :func:`_recurrence_sums`, with one exp and no log k! table.
     Every other window forms its terms as exp((k log delta - delta) -
     log k!) * g_k in gather blocks.  A block is laid out (k offset,
     element): column i holds element i's terms at k = lo_i + j for j = 0
@@ -487,38 +487,34 @@ def _block_plan(lo, delta, lengths, zero):
 
 
 def _recurrence_sums(delta, lengths, g) -> np.ndarray:
-    """sum_{k < lengths_i} p_k g_k for windows that start at k = 0, with
-    p_0 = exp(-delta_i) and p_k = p_{k-1} (delta_i / k), added
-    p_0 g_0 + p_1 g_1 + ... in order of k; g holds g_k from k = 0 on.
+    """sum_{k < lengths_i} pois(k; delta_i) g_k for windows from k = 0, in
+    the nested form exp(-delta_i) (g_0 + delta_i/1 (g_1 + delta_i/2 (...)))
+    of the weights p_k = p_{k-1} (delta_i / k): from each window's top term
+    down, v = (v + g_k) / k * delta_i, then g_0 and one exp.  No partial
+    value exceeds e^delta_i, a double while delta_i < _RECURRENCE_DELTA;
+    g holds g_k from k = 0 on.
 
-    lengths descends, so the windows still open at k are a prefix of the
-    elements, and each step of k is four array operations over that prefix.
-    Once one window is left, the rest of it is one multiply.accumulate of
-    its ratios delta / k and one running sum, which multiply and add in the
-    same order as the steps would."""
-    p = np.negative(delta)
-    np.exp(p, out=p)
-    sums = p * g[0]
-    scratch = np.empty_like(p)
+    lengths descends, so the windows that hold k are a prefix, and a step
+    of k is three in-place operations over it (v = 0 before a window
+    opens).  A lone longest window's top steps take Python floats, which
+    round as numpy does."""
     # open_[k] counts the windows longer than k terms
     open_ = (lengths.size - np.cumsum(np.bincount(lengths))).tolist()
-    for k in range(1, len(open_) - 1):
-        c = open_[k]
-        if c == 1:
-            stop = int(lengths[0])
-            chain = np.empty(stop - k + 1)
-            chain[0] = p[0]
-            np.divide(delta[0], np.arange(k, stop), out=chain[1:])
-            np.multiply.accumulate(chain, out=chain)  # p_{k-1}, p_k, ...
-            chain[1:] *= g[k:stop]
-            chain[0] = sums[0]
-            sums[0] = np.cumsum(chain)[-1]
-            break
-        ratio = np.divide(delta[:c], k, out=scratch[:c])
-        weight = np.multiply(p[:c], ratio, out=p[:c])
-        np.multiply(weight, g[k], out=ratio)
-        np.add(sums[:c], ratio, out=sums[:c])
-    return sums
+    k, x, delta_0 = len(open_) - 2, 0.0, float(delta[0])
+    g_k = g[: k + 1].tolist()
+    while k > 0 and open_[k] == 1:
+        x = (x + g_k[k]) / k * delta_0
+        k -= 1
+    v = np.zeros_like(delta)
+    v[0] = x
+    for k in range(k, 0, -1):
+        w = v[: open_[k]]
+        w += g_k[k]
+        w /= k
+        w *= delta[: open_[k]]
+    v += g_k[0]
+    v *= np.exp(-delta)
+    return v
 
 
 def _blocks(order, lengths, entries: int):

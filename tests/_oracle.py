@@ -13,7 +13,8 @@ The multiuser selection sum as a scalar (k, m, n) loop, which the array
 form in bfoutage.analytic must equal bit for bit.
 
 The Poisson-mixture window sums one element at a time, which both routes of
-bfoutage.specfun must equal bit for bit.
+bfoutage.specfun must equal bit for bit: windows from k = 0 nested from
+their top term down, the rest term by term in order of k.
 """
 
 import math
@@ -164,26 +165,29 @@ RECURRENCE_DELTA = -math.log(sys.float_info.min)
 def window_sums(d: int, beta: float, lo, hi, delta) -> np.ndarray:
     """sum_{k=lo_i}^{hi_i} pois(k; delta_i) * P(d + k, beta) for each element
     i: the reference that specfun._block_sums must equal bit for bit.  A
-    window from k = 0 with delta_i below RECURRENCE_DELTA forms its weights
-    as p_0 = exp(-delta_i), by numpy's exp on an array, and p_k = p_{k-1} *
-    (delta_i / k); any other forms each term by the same numpy ufuncs on a
-    1-D array as exp(k log delta_i - delta_i - log k!) * P(d + k, beta).
-    Either way the terms are added one at a time in order of k."""
+    window from k = 0 with delta_i below RECURRENCE_DELTA is summed nested,
+    exp(-delta_i) (g_0 + delta_i/1 (g_1 + delta_i/2 (g_2 + ...))): from
+    k = hi_i down, v = (v + g_k) / k * delta_i, then v + g_0, multiplied by
+    exp(-delta_i) from numpy's exp on an array.  Any other forms each term
+    by the same numpy ufuncs on a 1-D array as
+    exp(k log delta_i - delta_i - log k!) * P(d + k, beta), and adds the
+    terms one at a time in order of k."""
     sums = np.empty(len(lo))
+    nested = []
     for i, (lo_i, hi_i, delta_i) in enumerate(zip(lo, hi, delta)):
         k = np.arange(lo_i, hi_i + 1)
         g = sc.gammainc(d + k, beta)
         if lo_i == 0 and delta_i < RECURRENCE_DELTA:
-            weight = np.exp(np.array([-delta_i]))[0]
-            terms = [weight * g[0]]
-            for k_i in range(1, hi_i + 1):
-                weight = weight * (delta_i / k_i)
-                terms.append(weight * g[k_i])
-        else:
-            log_delta = np.log(delta_i) if delta_i > 0 else 0.0
-            terms = np.exp(k * log_delta - delta_i - sc.gammaln(k + 1.0)) * g
+            total = 0.0
+            for k_i in range(hi_i, 0, -1):
+                total = (total + g[k_i]) / k_i * delta_i
+            sums[i] = total + g[0]
+            nested.append(i)
+            continue
+        log_delta = np.log(delta_i) if delta_i > 0 else 0.0
         total = 0.0
-        for t in terms:
+        for t in np.exp(k * log_delta - delta_i - sc.gammaln(k + 1.0)) * g:
             total = total + t
         sums[i] = total
+    sums[nested] *= np.exp(-np.asarray(delta, dtype=float)[nested])
     return sums

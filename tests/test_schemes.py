@@ -82,10 +82,11 @@ class TestContract:
 #: when the kernel's first window got a narrower upper half, and again
 #: (+5e-16) when its upper edge was measured from the peak itself.  Six
 #: quadratures here re-recorded (at most 3e-16 relative) when windows from
-#: k = 0 took their Poisson weights by recurrence.
+#: k = 0 took their Poisson weights by recurrence, and eight (at most 3e-16)
+#: when those windows were summed nested from their top term down.
 PINNED = (
-    ('miso-pbf', (4, 1, 1), 10.0, 0.9, None, 0.09740372470677859, 0.09740372470677765),
-    ('miso-pbf', (1, 1, 1), 10.0, 0.8, None, 0.25918177931828207, 0.2591817793182947),
+    ('miso-pbf', (4, 1, 1), 10.0, 0.9, None, 0.09740372470677859, 0.09740372470677766),
+    ('miso-pbf', (1, 1, 1), 10.0, 0.8, None, 0.25918177931828207, 0.25918177931829467),
     ('miso-pbf', (4, 1, 1), 15.0, 1.0, None, 0.0006390330417503666, 0.0006390330417503666),
     ('miso-pbf', (2, 1, 1), 20.0, 0.0, None, 0.05823546641575128, 0.05823546641569258),
     ('miso-rvq', (4, 1, 1), 10.0, 0.9, 8, 0.31407969960215293, 0.31407969960214976),
@@ -93,18 +94,18 @@ PINNED = (
     ('miso-rvq', (1, 1, 1), 10.0, 0.9, 8, 0.2591817793182821, 0.25918177931830066),
     ('miso-rvq', (4, 1, 1), 10.0, 1.0, 16, 0.13554151501831788, 0.1355415150183179),
     ('miso-tas', (4, 1, 1), 10.0, 0.9, None, 0.3461928506806874, 0.34619285068068406),
-    ('miso-tas', (1, 1, 1), 5.0, 0.95, None, 0.612749418491547, 0.6127494184915683),
+    ('miso-tas', (1, 1, 1), 5.0, 0.95, None, 0.612749418491547, 0.6127494184915684),
     ('miso-tas', (3, 1, 1), 20.0, 1.0, None, 0.000637584083278318, 0.0006375840832783165),
-    ('mu-tas', (4, 2, 2), 10.0, 0.9, None, 0.018758432038483153, 0.01875843203847849),
-    ('mu-tas', (2, 3, 2), 5.0, 0.8, None, 0.09370713511811246, 0.09370713511811227),
+    ('mu-tas', (4, 2, 2), 10.0, 0.9, None, 0.018758432038483153, 0.018758432038478486),
+    ('mu-tas', (2, 3, 2), 5.0, 0.8, None, 0.09370713511811246, 0.09370713511811224),
     ('mu-tas', (1, 2, 3), 10.0, 1.0, None, 5.0391887918086976e-05, 5.0391887918086976e-05),
-    ('mu-tas', (4, 1, 1), 20.0, 0.95, None, 0.004027661843851893, 0.004027661843852121),
+    ('mu-tas', (4, 1, 1), 20.0, 0.95, None, 0.004027661843851893, 0.00402766184385212),
     ('mu-pbf', (4, 1, 2), 10.0, 0.9, None, 0.0060706599086792394, 0.006070659908679154),
     ('mu-pbf', (3, 1, 3), 5.0, 0.0, None, 0.5414506103976494, 0.541450610397106),
-    ('mu-pbf', (1, 1, 2), 10.0, 0.8, None, 0.1616427353377613, 0.16164273533776033),
+    ('mu-pbf', (1, 1, 2), 10.0, 0.8, None, 0.1616427353377613, 0.16164273533776036),
     ('mu-pbf', (4, 1, 2), 15.0, 1.0, None, 4.083632284487258e-07, 4.083632284487258e-07),
     ('mu-rvq', (4, 1, 2), 10.0, 0.9, 8, 0.06357848811873476, 0.06357848811873415),
-    ('mu-rvq', (2, 1, 3), 5.0, 0.8, 4, 0.4446698939798768, 0.4446698939798718),
+    ('mu-rvq', (2, 1, 3), 5.0, 0.8, 4, 0.4446698939798768, 0.44466989397987183),
     ('mu-rvq', (1, 1, 2), 10.0, 0.9, 8, 0.12235111659124764, 0.12235111659124691),
     ('mu-rvq', (4, 1, 2), 10.0, 1.0, 8, 0.06554332723939539, 0.06554332723939539),
     ('mu-rvq', (4, 1, 1), 15.0, 0.95, 2, 0.0427416212491324, 0.042741621249131626),
@@ -115,14 +116,16 @@ PINNED = (
 #: (-1.1e-15 relative) when the first window got a narrower upper half.  It,
 #: mu-rvq at rho 0.97 and miso-pbf at 30 dB re-recorded (at most 1.3e-15)
 #: when windows from k = 0 took their Poisson weights by recurrence, miso-rvq
-#: also for the first window's upper edge.
+#: also for the first window's upper edge.  miso-pbf at 30 dB, mu-pbf at 30 dB
+#: and miso-rvq at 40 dB re-recorded (at most 4.7e-16) when those windows
+#: were summed nested from their top term down.
 PINNED_WINDOWS = (
     ('miso-rvq', (4, 1, 1), 10.0, 0.97, 8, 0.24396618997950803, 0.24396618997950525),
     ('mu-rvq', (4, 1, 2), 10.0, 0.97, 8, 0.06582931901343485, 0.06582931901343408),
-    ('miso-pbf', (4, 1, 1), 30.0, 0.999, None, 3.505288667769678e-09, 3.505310146609387e-09),
+    ('miso-pbf', (4, 1, 1), 30.0, 0.999, None, 3.505288667769678e-09, 3.5053101466093852e-09),
     ('mu-tas', (4, 2, 2), 30.0, 0.99, None, 1.7997756063259374e-17, 1.477150876443806e-17),
-    ('mu-pbf', (4, 1, 2), 30.0, 0.99, None, 1.2632583175810485e-14, 1.2632583181668782e-14),
-    ('miso-rvq', (4, 1, 1), 40.0, 0.9, 8, 7.045011455731598e-05, 7.04501145573154e-05),
+    ('mu-pbf', (4, 1, 2), 30.0, 0.99, None, 1.2632583175810485e-14, 1.2632583181668784e-14),
+    ('miso-rvq', (4, 1, 1), 40.0, 0.9, 8, 7.045011455731598e-05, 7.045011455731538e-05),
     ('miso-rvq', (4, 1, 1), 50.0, 0.9, 8, 7.014267683631548e-06, 7.014267683631491e-06),
 )
 
@@ -131,14 +134,15 @@ PINNED_WINDOWS = (
 #: forms here are far from quadrature (mu-tas with 32 users clips to 1.0);
 #: the pins hold the float operations, not the accuracy.  Four quadratures
 #: here re-recorded (at most 5.9e-15 relative) when windows from k = 0 took
-#: their Poisson weights by recurrence.
+#: their Poisson weights by recurrence, and six (at most 3.8e-16) when those
+#: windows were summed nested from their top term down.
 PINNED_SUMS = (
-    ('mu-tas', (4, 3, 8), 10.0, 0.9, None, 1.7750669106031403e-05, 1.7615431304116154e-05),
-    ('mu-tas', (4, 1, 32), 10.0, 0.9, None, 1.0, 0.00282359057634004),
-    ('mu-pbf', (4, 1, 16), 10.0, 0.9, None, 4.402409641649877e-06, 4.402410678391353e-06),
-    ('mu-rvq', (4, 1, 4), 10.0, 0.9, 8, 0.028739687155990477, 0.028739687155990377),
-    ('mu-tas', (4, 3, 8), 30.0, 0.99, None, 0.0, 3.473794743975363e-53),
-    ('mu-pbf', (4, 1, 16), 5.0, 0.97, None, 0.0018693358197277021, 0.0018693358140811206),
+    ('mu-tas', (4, 3, 8), 10.0, 0.9, None, 1.7750669106031403e-05, 1.7615431304116157e-05),
+    ('mu-tas', (4, 1, 32), 10.0, 0.9, None, 1.0, 0.0028235905763400403),
+    ('mu-pbf', (4, 1, 16), 10.0, 0.9, None, 4.402409641649877e-06, 4.402410678391355e-06),
+    ('mu-rvq', (4, 1, 4), 10.0, 0.9, 8, 0.028739687155990477, 0.02873968715599038),
+    ('mu-tas', (4, 3, 8), 30.0, 0.99, None, 0.0, 3.473794743975364e-53),
+    ('mu-pbf', (4, 1, 16), 5.0, 0.97, None, 0.0018693358197277021, 0.0018693358140811204),
 )
 
 

@@ -6,11 +6,13 @@ The value fingerprint must also equal tests/value_fingerprint.csv byte for
 byte, so every closed-form and quadrature value on its grid stays bitwise
 identical.  A change that moves a value on purpose re-records the file (run
 the script with its stdout redirected there) and lists the rows that
-changed, with the reason, in CHANGES.md."""
+changed, with the reason, in CHANGES.md; scripts/fingerprint_diff.py prints
+them."""
 
 import csv
 import importlib.util
 import io
+import math
 import os
 import subprocess
 import sys
@@ -71,3 +73,36 @@ def test_bench_tracer_installs(monkeypatch):
     spec.loader.exec_module(tracing)
     with tracing.installed(tracing.Tracer()):
         pass
+
+
+def test_fingerprint_diff(tmp_path):
+    # identical fingerprints: no output and exit 0; then one value moved by
+    # one ulp, one row raising instead and one row dropped, each printed
+    # with its key, old and new value and relative change, and exit 1
+    recorded = ROOT / "tests" / "value_fingerprint.csv"
+    header, *rows = csv.reader(io.StringIO(recorded.read_text()))
+    value, error = header.index("value"), header.index("error")
+    moved, raising, dropped = rows[1][:], rows[2][:], rows[3]
+    old = float.fromhex(moved[value])
+    moved[value] = math.nextafter(old, math.inf).hex()
+    raising[value: error + 1] = ["", "", "", "ConvergenceError: no"]
+    new = tmp_path / "new.csv"
+    with new.open("w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(
+            [header, rows[0], moved, raising, *rows[4:]])
+
+    def diff(a, b):
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "fingerprint_diff.py"),
+                               str(a), str(b)], capture_output=True, text=True, timeout=60)
+
+    same = diff(recorded, recorded)
+    assert (same.returncode, same.stdout, same.stderr) == (0, "", "")
+    changed = diff(recorded, new)
+    assert changed.returncode == 1
+    rel = f"{(float.fromhex(moved[value]) - old) / old:+.2e}"
+    assert changed.stdout.splitlines() == [
+        f"{','.join(moved[:8])}  {rows[1][value]} -> {moved[value]}  {rel}",
+        f"{','.join(raising[:8])}  {rows[2][value]} method={rows[2][value + 1]} "
+        f"flags={rows[2][value + 2]} -> ConvergenceError: no method= flags=  n/a",
+        f"{','.join(dropped[:8])}  {dropped[value]} -> (missing)  n/a",
+    ]

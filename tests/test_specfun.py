@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 
@@ -691,8 +692,9 @@ class TestWindowSums:
         assert _bits(got) == _bits(want)
 
     def test_recurrence_windows_of_one_to_ninety_terms(self):
-        # windows from k = 0 of 1 to 90 terms: the open prefix shrinks by one
-        # window a step, and the longest finishes alone
+        # windows from k = 0 of 1 to 90 terms: stepping down from the top,
+        # the longest starts alone and the open prefix grows by one window a
+        # step
         lengths = np.arange(90, 0, -1)
         lo, hi = np.zeros(90, dtype=np.int64), lengths - 1
         delta = np.linspace(0.0, 80.0, 90)
@@ -797,6 +799,53 @@ class TestRoutes:
         assert windows == [([115], [269]), ([0], [269])]
         assert _bits([got]) == _bits(reference_window_sums(4, 60.0, [0], [269], [600.0]))
         assert got == pytest.approx(ncx2_decimal_oracle(4, 600.0, 60.0), rel=1e-12, abs=0)
+
+
+class TestRecurrenceEdges:
+    """The nested recurrence at the edges of its range, each against the
+    reference bit for bit and the 50-digit oracle within 1e-13, with every
+    RuntimeWarning an error."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_raise(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @pytest.mark.parametrize("beta", [720.0, 750.0, 5000.0])
+    def test_delta_just_below_the_bound(self, beta):
+        # beta >= delta keeps g_k near 1, so the nested sum before its
+        # factor exp(-delta) comes to about e^708, within 4x of the largest
+        # double; the window holds every term above 1e-16 of the sum
+        delta, hi = 708.3, 1400
+        assert delta < _RECURRENCE_DELTA
+        assert _plan([0], [hi], [delta]) == ([hi + 1], [])
+        got, want = _window_sums_and_reference(2, beta, [0], [hi], [delta])
+        assert _bits(got) == _bits(want)
+        assert got[0] == pytest.approx(ncx2_decimal_oracle(2, delta, beta), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("delta", [30.0, 200.0, 600.0])
+    def test_subnormal_top_terms(self, delta):
+        # at beta = 5, g_242 and g_243 are subnormal (and g_244 on flushes to
+        # 0), so the nested sum starts from subnormal values
+        d, beta, hi = 1, 5.0, 243
+        g = sc.gammainc(d + np.arange(hi - 1, hi + 2), beta)
+        assert 0.0 < g[1] < g[0] < sys.float_info.min and g[2] == 0.0
+        got, want = _window_sums_and_reference(d, beta, [0], [hi], [delta])
+        assert _bits(got) == _bits(want)
+        assert got[0] == pytest.approx(ncx2_decimal_oracle(d, delta, beta), rel=1e-13, abs=0)
+
+    def test_lone_window_of_over_a_thousand_terms(self, monkeypatch, windows):
+        # A one-term first window at k = 1000, far above the peak at delta =
+        # 700, leaves both wings beyond its tiny budget: the second round
+        # runs from k = 0 to 1001 and takes the recurrence as a lone window,
+        # stepped in Python floats alone
+        monkeypatch.setattr(specfun, "_first_window",
+                            lambda d, delta, beta: (np.full(delta.shape, 1000),) * 2)
+        got = noncentral_chi2_cdf(3, 700.0, 800.0)
+        assert windows == [([1000], [1000]), ([0], [1001])]
+        assert _bits([got]) == _bits(reference_window_sums(3, 800.0, [0], [1001], [700.0]))
+        assert got == pytest.approx(ncx2_decimal_oracle(3, 700.0, 800.0), rel=1e-13, abs=0)
 
 
 #: Real quadrature grids, and whether any of their terms are summed by the
@@ -952,9 +1001,10 @@ class TestKernelMemory:
 
 class TestColumnReduceOrder:
     """The kernel's sums rest on numpy adding an (n, m >= 2) block, masked or
-    not, into its output row after row, and on cumsum adding one term at a time.
-    If a numpy release reorders either, this fails before any pinned value
-    moves."""
+    not, into its output row after row, on cumsum adding one term at a time,
+    and on Python floats rounding the recurrence's steps as numpy's array
+    operations do.  If a numpy release changes any of these, this fails
+    before any pinned value moves."""
 
     @pytest.mark.parametrize("n, m", [(2, 2), (9, 2), (300, 3), (2, 8192), (8192, 2), (128, 128)])
     def test_masked_reduce_down_columns_adds_in_row_order(self, n, m):
@@ -994,14 +1044,29 @@ class TestColumnReduceOrder:
             total = total + t
         assert _bits([np.cumsum(column)[-1]]) == _bits([total])
 
-    def test_multiply_accumulate_multiplies_one_factor_at_a_time(self):
-        # a lone recurrence window forms p_k = p_{k-1} (delta / k) this way
-        factors = np.exp(np.random.default_rng(4).uniform(-0.7, 0.7, 5000))
-        product, chain = 1.0, []
-        for f in factors:
-            product = product * f
-            chain.append(product)
-        assert _bits(np.multiply.accumulate(factors)) == _bits(chain)
+    def test_python_float_steps_round_as_array_steps(self):
+        # The recurrence steps v = (v + g_k) / k * delta down from k = 1999
+        # in numpy's in-place array operations, and a lone window's top steps
+        # in Python floats: both must give the same bits.
+        rng = np.random.default_rng(4)
+        g = np.exp(rng.uniform(-700.0, 0.0, 2000)).tolist()
+        delta = rng.uniform(0.0, 708.0, 64)
+        v = np.zeros_like(delta)
+        for k in range(len(g) - 1, 0, -1):
+            v += g[k]
+            v /= k
+            v *= delta
+        steps, folded = [], []
+        for d in delta.tolist():
+            x = y = 0.0
+            for k in range(len(g) - 1, 0, -1):
+                x = (x + g[k]) / k * d
+                y = (y + g[k]) * (d / k)
+            steps.append(x)
+            folded.append(y)
+        assert _bits(v) == _bits(steps)
+        # folding delta / k into one factor rounds differently, so the check has teeth
+        assert _bits(folded) != _bits(steps)
 
 
 class TestExpansionCoeffs:
