@@ -58,6 +58,7 @@ __all__ = [
 _TAIL_TARGET = 1e-12  # gain-axis truncation leaves less mass than this
 _TAIL_LIMIT = 1e-10  # hard accuracy bound on the truncated tail
 _MASS_TOL = 1e-8  # quadrature must recover the density mass this well
+_CLIP_MARGIN = 1e-9  # a corrected closed form further outside [0, 1] raises
 # Gauss-Legendre nodes on the gain axis and on the captured-fraction axis.
 # Each is read when an evaluation runs, so tests may monkeypatch it.
 _GAIN_NODES = 256
@@ -72,10 +73,15 @@ _MAX_PDF_SHAPE = 171
 # x^(s-1) overflows at the quadrature's upper cut, so the density is formed
 # in logs.
 _POWER_PDF_SHAPE = 131
+# The captured-fraction rule (nodes, weights, density) where nu is identically
+# 1, without a codebook or with one transmit antenna: one node, read-only.
+_ONE_NODE_RULE = (np.ones(1),) * 3
+_ONE_NODE_RULE[0].flags.writeable = False
 
 
 class AccuracyError(ArithmeticError):
-    """A quadrature accuracy guard failed (tail mass or density mass)."""
+    """An accuracy guard failed: a quadrature's tail mass or density mass,
+    or a closed form that cancelled to a value outside [0, 1]."""
 
 
 class RangeError(ArithmeticError):
@@ -267,22 +273,17 @@ def outage_semianalytic(
     scheme: SchemeId, config: SystemConfig, codebook_size: int | None = None
 ) -> OutageEstimate:
     """Outage by numeric integration of the conditional outage against the
-    selected-gain density (with an outer quantization-factor integral for the
-    RVQ schemes).  At rho = 1 the integral degenerates to the gain CDF at the
-    threshold."""
+    selected-gain density, then against the captured-fraction density on a
+    nu rule: _nu_grid for an RVQ scheme with n_t > 1, and for every other
+    scheme, whose nu is identically 1, the one node nu = 1 of weight 1.  At
+    rho = 1 the gain integral degenerates to the gain CDF at gamma0 / nu."""
     dist = gain_distribution(scheme, config, codebook_size)
-    # with one transmit antenna the captured fraction is identically 1
-    mixed = scheme_uses_codebook(scheme) and config.n_t > 1
     params = derive_params(config)
-
-    if mixed:
-        nu, w_nu, f_nu = _nu_grid(codebook_size, config.n_t)
+    nu, w_nu, f_nu = (_nu_grid(codebook_size, config.n_t)
+                      if scheme_uses_codebook(scheme) and config.n_t > 1 else _ONE_NODE_RULE)
 
     if params.no_delay:
-        if not mixed:
-            value = float(dist.cdf(params.gamma0))
-        else:
-            value = float(w_nu @ (f_nu * dist.cdf(params.gamma0 / nu)))
+        value = float(w_nu @ (f_nu * dist.cdf(params.gamma0 / nu)))
         return OutageEstimate(value=min(max(value, 0.0), 1.0), method="quadrature")
 
     if not math.isfinite(params.beta):
@@ -299,14 +300,8 @@ def outage_semianalytic(
     if abs(mass - (1.0 - tail)) > _MASS_TOL:
         raise AccuracyError(f"gain density mass {mass!r} deviates from {1.0 - tail!r}")
 
-    if not mixed:
-        cond = _noncentral_chi2_cdf_grid(dist.half_dof, params.mu * x, params.beta)
-        value = float(w @ (pdf * cond))
-    else:
-        deltas = params.mu * nu[:, None] * x[None, :]
-        cond = _noncentral_chi2_cdf_grid(dist.half_dof, deltas, params.beta)
-        inner = cond @ (w * pdf)
-        value = float(w_nu @ (f_nu * inner))
+    cond = _noncentral_chi2_cdf_grid(dist.half_dof, params.mu * nu[:, None] * x, params.beta)
+    value = float(w_nu @ (f_nu * (cond @ (w * pdf))))
     if value <= 0.0:
         raise UnderflowError(f"quadrature underflowed to 0 although rho < 1 (beta {params.beta:g})")
     return OutageEstimate(value=min(max(value, 0.0), 1.0), method="quadrature")
@@ -460,8 +455,9 @@ def outage_closed(
     its finite sum in the aging ratio mu.  An RVQ scheme averages either one
     over the captured fraction nu, at gamma0 / nu or mu nu (nu is identically
     1 with one transmit antenna).  codebook_size is ignored by the schemes
-    without a codebook.  The corrected variant is clipped to [0, 1];
-    diagnostic variants may fall outside it and are reported unclipped."""
+    without a codebook.  The corrected variant is clipped to [0, 1], and
+    raises AccuracyError if it lies more than _CLIP_MARGIN outside, where the
+    sum cancelled; diagnostic variants are reported unclipped and unchecked."""
     record = validate_scheme(scheme, config, codebook_size)
     if variant not in record.variants:
         raise ValueError(f"variant must be one of {record.variants}, got {variant!r}")
@@ -479,6 +475,8 @@ def outage_closed(
         value = (w * f) @ value
     value = float(value)
     if variant == "corrected":
+        if value < -_CLIP_MARGIN or value > 1.0 + _CLIP_MARGIN:
+            raise AccuracyError(f"{scheme.value} closed form cancelled to {value!r}, outside [0, 1]")
         value = min(max(value, 0.0), 1.0)
     return OutageEstimate(value=value, method="closed_form", flags=flags)
 

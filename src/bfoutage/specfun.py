@@ -576,8 +576,6 @@ def _expansion_coeffs(n_r: int, k: int) -> tuple[float, ...]:
     for _ in range(k):
         product = [Fraction(0)] * (len(coeffs) + n_r - 1)
         for i, a in enumerate(coeffs):
-            if a == 0:
-                continue
             for j, b in enumerate(base):
                 product[i + j] += a * b
         coeffs = product

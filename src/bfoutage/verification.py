@@ -62,6 +62,8 @@ REDUCTION_TOL = 1e-9
 _DUAL_RVQ_NODES = 64
 #: Rows per block of the empirical noncentral chi-square draws.
 _SAMPLE_BLOCK = 1 << 14
+#: Trials of each of criterion 7's determinism runs.
+_DETERMINISM_TRIALS = 200_000
 
 
 @dataclass(frozen=True)
@@ -530,11 +532,11 @@ def combinatorial_checks(samples: int = _CHI2_SAMPLES, seed: int = 20260810) -> 
 # ---------------------------------------------------------------------------
 
 
-def determinism_checks(trials: int = 200_000, seed: int = 20260810) -> list[CheckResult]:
+def determinism_checks(seed: int = 20260810) -> list[CheckResult]:
     config = _cfg(SchemeId.MU_TAS, 10.0, 0.9)
     counts = []
     for workers in (1, 4, 16):
-        plan = TrialPlan(trials=trials, seed=seed, workers=workers)
+        plan = TrialPlan(trials=_DETERMINISM_TRIALS, seed=seed, workers=workers)
         counts.append(montecarlo.simulate_outage(SchemeId.MU_TAS, config, None, plan).outage_count)
     return [
         CheckResult(

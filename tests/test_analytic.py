@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,6 +373,23 @@ class TestClosedFormLimits:
         with pytest.raises(AccuracyError, match="density mass 0.88"):
             outage_semianalytic(SchemeId.MISO_RVQ, config, codebook_size=16384)
 
+    @pytest.mark.parametrize("raw, clipped", [
+        (-1e-9, 0.0), (1.0 + 1e-9, 1.0), (-1.1e-9, None), (1.0 + 1.1e-9, None),
+    ])
+    def test_clip_rounds_off_ulps_only(self, monkeypatch, raw, clipped):
+        # a corrected value within 1e-9 of [0, 1] is clipped into it; further
+        # out it raises, naming the scheme and the raw value; a diagnostic
+        # variant is returned as it is
+        record = analytic.SCHEMES[SchemeId.MISO_PBF]
+        monkeypatch.setitem(analytic.SCHEMES, SchemeId.MISO_PBF,
+                            replace(record, aged=lambda c, mu, beta, v: raw))
+        if clipped is None:
+            with pytest.raises(AccuracyError, match=f"miso-pbf closed form cancelled to {raw!r}"):
+                outage_pbf_closed(cfg())
+        else:
+            assert outage_pbf_closed(cfg()).value == clipped
+        assert outage_closed(SchemeId.MISO_PBF, cfg(), variant="factorial").value == raw
+
     def test_verbatim_variants_flagged_and_broken(self):
         config = cfg(rho=0.9)
         verbatim = outage_closed(SchemeId.MISO_PBF, config, variant="verbatim")
@@ -430,6 +448,13 @@ class TestDiversityOrder:
         with pytest.raises(RangeError):
             diversity_order(SchemeId.MU_PBF, cfg(nu=2, rho=0.9), (900.0, 1000.0))
 
+    def test_zero_outage_at_rho_one_raises_range_error(self):
+        # at rho = 1 the quadrature is the gain CDF, 0.0 at 40 dB for 128
+        # candidates: the slope itself refuses it, not a quadrature guard
+        with pytest.raises(RangeError, match="at 40.0 dB; shrink the grid") as exc:
+            diversity_order(SchemeId.MU_TAS, cfg(nu=32, rho=1.0), (40.0, 50.0))
+        assert type(exc.value) is RangeError
+
     def test_miso_tas_delayed_slope_one(self):
         slope = diversity_order(SchemeId.MISO_TAS, cfg(rho=0.9))
         assert 0.85 <= slope <= 1.15
@@ -479,6 +504,25 @@ class TestMinCodebookSize:
         # 3072 misses this target and 3584 raises, so no size is verified
         with pytest.raises(AccuracyError, match="density mass"):
             min_codebook_size(0.00173065, cfg(nt=2, snr_db=20.0, rho=1.0))
+
+    def test_unverified_probe_as_answer_raises(self, monkeypatch):
+        # n_max 3119 is the doubling's last probe and raises; every size the
+        # bisection evaluates below it misses the target, so the answer would
+        # be the unverified probe, and its error is raised again
+        config = cfg(nt=2, snr_db=15.0, rho=0.999)
+        below, floor = outage_rvq_closed(config, 3118).value, outage_pbf_closed(config).value
+        with pytest.raises(AccuracyError, match="density mass"):
+            outage_rvq_closed(config, 3119)
+        evaluated = []
+
+        def counted(config, n):
+            evaluated.append(n)
+            return outage_rvq_closed(config, n)
+
+        monkeypatch.setattr(analytic, "outage_rvq_closed", counted)
+        with pytest.raises(AccuracyError, match="density mass"):
+            min_codebook_size(0.5 * (below + floor), config, n_max=3119)
+        assert evaluated[-2:] == [3117, 3118]
 
     @pytest.mark.parametrize("target, snr_db, rho, n_max, size", [
         (0.01, 15.0, 0.995, 4096, 9), (0.05, 15.0, 0.995, 4096, 4),

@@ -528,6 +528,32 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numeric error") and message in err
 
+    @pytest.mark.parametrize("args, value", [
+        (("mu-tas", "--nt", "4", "--nu", "32", "--snr-db", "10", "--rho", "0.9"), "7.5158"),
+        (("mu-tas", "--nt", "4", "--nu", "32", "--snr-db", "60", "--rho", "0"), "1.2344"),
+        (("mu-tas", "--nt", "4", "--nu", "16", "--snr-db", "10", "--rho", "0.9"), "-79.462"),
+        (("mu-pbf", "--nt", "1", "--nu", "64", "--snr-db", "10", "--rho", "0.9"), "122.28"),
+    ], ids=["mu-tas-nu32-10dB", "mu-tas-nu32-60dB-rho0", "mu-tas-nu16", "mu-pbf-nu64"])
+    def test_cancelled_closed_form_is_numeric(self, capsys, args, value):
+        # each alternating sum cancels to garbage far outside [0, 1], which
+        # the clip used to print as 1.0 or 0.0 with exit 0
+        code, out, err = run_cli(
+            capsys, "analytic", "--scheme", *args, "--eval", "closed,quadrature")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric error") and f"cancelled to {value}" in err
+
+    def test_diversity_underflow_at_rho_one_is_numeric(self, capsys):
+        # at rho = 1 the quadrature returns the gain CDF, which is 0.0 at
+        # 40 dB for 128 candidates; the slope needs a positive outage
+        code, out, err = run_cli(
+            capsys, "diversity", "--scheme", "mu-tas", "--nt", "4", "--nu", "32",
+            "--rho-values", "1", "--grid-db", "40,50",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric error") and "shrink the grid" in err
+
     @pytest.mark.parametrize("command, rate", [
         ("analytic", "1100"), ("simulate", "1100"), ("analytic", "1023"),
     ], ids=["analytic-gamma0", "simulate-gamma0", "analytic-beta"])
