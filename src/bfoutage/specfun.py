@@ -1,7 +1,8 @@
 """Scalar special functions and combinatorial kernels shared by the outage evaluators.
 
-Everything here is a pure function of its arguments and safe to call from any
-number of threads.
+Every function here returns the same value for the same arguments, from any
+number of threads at once.  The Poisson-mixture kernel keeps one scratch per
+thread (:class:`_Scratch`), which no result it returns shares.
 
 This is the one module that touches ``scipy.special``: the closed forms,
 quadrature and verification read it through ``_sc`` here.  The handle imports
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -123,6 +125,71 @@ _WINDOW_SIGMAS = 10.0
 _WINDOW_PAD = 16
 _UPPER_SIGMAS = 7.5
 _UPPER_PAD = 5
+#: A thread's kernel scratch (:class:`_Scratch`) holds _SCRATCH_WORDS rows
+#: of eight bytes an element, each read as float64 or as int64, and
+#: _SCRATCH_FLAGS rows of bools, with one entry per element of the largest
+#: call so far.  A row holds one grid-sized array at a time; arrays that are
+#: never live together share it:
+#:
+#:   0       log delta, in :func:`_poisson_mixture`
+#:   1       peak, in :func:`_first_window`; v, in :func:`_recurrence_sums`;
+#:           then the budget
+#:   2       below; exp(-delta); then log (hi + 1)!, and over it, once the
+#:           wing bound has spent it, the upper bound
+#:   3       above; delta of the recurrence windows; then g_{hi+1}
+#:   4       lengths (int), in :func:`_block_sums`; then the index of hi + 1
+#:           (int); log r, in :func:`_upper_wing_bound`; then upper + lower
+#:   5       lengths of the recurrence windows (int); the wing bound's
+#:           scratch, which ends as t_{hi+1}
+#:   6, 7    lo and hi of the first window (int)
+#:   flag 0  delta > 0; delta <= beta; lo == 0, in :func:`_block_plan`;
+#:           r < 1; then the open windows
+#:   flag 1  delta == 0; delta < _RECURRENCE_DELTA; the open test of the
+#:           upper wing
+_SCRATCH_WORDS = 8
+_SCRATCH_FLAGS = 2
+#: A thread keeps at most this many bytes of scratch between calls, enough
+#: for about 127000 elements; a larger call frees its scratch on return.
+_SCRATCH_BYTES = 1 << 23
+
+
+class _Scratch(threading.local):
+    """One thread's grid-sized scratch for the Poisson-mixture kernel, which
+    persists across calls and grows only when a call is larger, so a big
+    call reuses the pages of the last one instead of faulting freshly
+    allocated ones in.  Each row is an array of its own: kept as one block,
+    the rows still left the call's other temporaries faulting in afresh
+    (with glibc, 1792 minor faults an analytic-grid pass against none).
+    Growth leaves arrays handed out earlier on the old rows, which their
+    views keep alive, so it never moves live data.  Arrays the kernel's
+    helpers return are rows of it, which the thread's next call overwrites."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.size = self.n = 0
+        self.words, self.flags, self.views = [], [], ((), (), ())
+
+    def rows(self, n: int):
+        """(floats, ints, flags), n entries of each row: floats[i] and
+        ints[i] are word row i read as float64 and as int64."""
+        if n != self.n:
+            if n > self.size:
+                self.size = n
+                self.words = [np.empty(n) for _ in range(_SCRATCH_WORDS)]
+                self.flags = [np.empty(n, dtype=bool) for _ in range(_SCRATCH_FLAGS)]
+            floats = tuple(row[:n] for row in self.words)
+            ints = tuple(row.view(np.int64) for row in floats)
+            self.views = floats, ints, tuple(row[:n] for row in self.flags)
+            self.n = n
+        return self.views
+
+    def nbytes(self) -> int:
+        return self.size * (8 * _SCRATCH_WORDS + _SCRATCH_FLAGS)
+
+
+_scratch = _Scratch()
 
 
 def _noncentral_chi2_cdf_grid(
@@ -191,6 +258,13 @@ def _noncentral_chi2_cdf_grid(
     depends on its own arguments only.  Raises ConvergenceError, carrying
     the partial sums, when a window would need more than _MAX_TERMS
     terms.
+
+    Each thread keeps its own scratch (:class:`_Scratch`) for the call's
+    grid-sized temporaries, 66 bytes an element of its largest call so far
+    (2.1 MiB at 32768 elements), so a later call of that size faults in no
+    new pages.  It keeps at most _SCRATCH_BYTES (8 MiB); a larger call drops
+    its scratch on return.  The returned sums, and the partial sums of a
+    ConvergenceError, are new arrays that share no memory with it.
     """
     if int(half_dof) != half_dof or half_dof < 1:
         raise ValueError(f"half_dof must be a positive integer, got {half_dof!r}")
@@ -207,17 +281,21 @@ def _noncentral_chi2_cdf_grid(
 
     if not delta.size:
         return np.zeros(deltas.shape)
-    if top < _DELTA_BAND:  # every delta in band 0: its partial sums are the result
-        sums, converged = _poisson_mixture(d, delta, beta)
-        rows = slice(None)
-    else:
-        sums = np.zeros_like(delta)
-        band = np.floor(delta / _DELTA_BAND)
-        for b in np.unique(band):
-            rows = band == b
-            sums[rows], converged = _poisson_mixture(d, delta[rows], beta)
-            if not converged:
-                break
+    try:
+        if top < _DELTA_BAND:  # every delta in band 0: its partial sums are the result
+            sums, converged = _poisson_mixture(d, delta, beta)
+            rows = slice(None)
+        else:
+            sums = np.zeros_like(delta)
+            band = np.floor(delta / _DELTA_BAND)
+            for b in np.unique(band):
+                rows = band == b
+                sums[rows], converged = _poisson_mixture(d, delta[rows], beta)
+                if not converged:
+                    break
+    finally:
+        if _scratch.nbytes() > _SCRATCH_BYTES:
+            _scratch.clear()
     np.clip(sums, 0.0, 1.0, out=sums)
     if not converged:
         raise ConvergenceError(
@@ -232,19 +310,22 @@ def _first_window(d: int, delta: np.ndarray, beta: float):
     """(lo, hi), the first window of each element's terms, each half capped at
     (_MAX_TERMS - 1) // 2 terms from floor(peak) (sized in
     :func:`_noncentral_chi2_cdf_grid`)."""
-    # The steps write into three float arrays in place.  The window edges
-    # they form are integers below 2^53, so the float arithmetic on them is
-    # exact.  sqrt(delta) * sqrt(beta) cannot overflow.
-    peak = np.sqrt(delta)
+    # The steps write into three float rows of the scratch in place.  The
+    # window edges they form are integers below 2^53, so the float
+    # arithmetic on them is exact.  sqrt(delta) * sqrt(beta) cannot overflow.
+    floats, ints, (poisson, central) = _scratch.rows(delta.size)
+    peak, below, above = floats[1:4]
+    lo, hi = ints[6:8]
+    np.sqrt(delta, out=peak)
     peak *= math.sqrt(beta)
     np.minimum(delta, peak, out=peak)
-    below = _half_width(peak, _WINDOW_SIGMAS, _WINDOW_PAD)
+    _half_width(peak, _WINDOW_SIGMAS, _WINDOW_PAD, out=below)
     # peak (d + peak) / (d + 2 peak), in a form that cannot overflow
-    above = peak + d
+    np.add(peak, d, out=above)
     np.divide(peak, above, out=above)
     above += 1.0
     np.divide(peak, above, out=above)
-    poisson = delta <= beta
+    np.less_equal(delta, beta, out=poisson)
     np.copyto(above, peak, where=poisson)
     # The wing bounds hold wherever a window sits; capping the peak keeps
     # every k exact as a float.
@@ -262,16 +343,17 @@ def _first_window(d: int, delta: np.ndarray, beta: float):
     above += poisson
     np.minimum(above, (_MAX_TERMS - 1) // 2, out=above)
     np.subtract(centre, below, out=below)
-    lo = np.maximum(below, 0.0, out=below).astype(np.int64)
+    np.copyto(lo, np.maximum(below, 0.0, out=below), casting="unsafe")
     centre += above
     # delta = 0 is the central CDF: the k = 0 term alone, exp(0) * g_0.
-    np.copyto(centre, 0.0, where=delta == 0)
-    return lo, centre.astype(np.int64)
+    np.copyto(centre, 0.0, where=np.equal(delta, 0, out=central))
+    np.copyto(hi, centre, casting="unsafe")
+    return lo, hi
 
 
-def _half_width(spread: np.ndarray, sigmas: float, pad: int, out=None) -> np.ndarray:
+def _half_width(spread: np.ndarray, sigmas: float, pad: int, out: np.ndarray) -> np.ndarray:
     """ceil(sigmas * sqrt(spread)) + pad terms, capped at (_MAX_TERMS - 1) // 2,
-    as floats formed in one array (out, if given)."""
+    as floats formed in out."""
     width = np.sqrt(spread, out=out)
     width *= sigmas
     np.ceil(width, out=width)
@@ -282,7 +364,10 @@ def _half_width(spread: np.ndarray, sigmas: float, pad: int, out=None) -> np.nda
 def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
     """Partial sums of the mixture series for each element, and whether
     every element met its bound within _MAX_TERMS terms."""
-    log_delta = np.log(delta, out=np.zeros_like(delta), where=delta > 0)
+    floats, _, bools = _scratch.rows(delta.size)
+    log_delta = floats[0]
+    log_delta.fill(0.0)
+    np.log(delta, out=log_delta, where=np.greater(delta, 0, out=bools[0]))
     g0 = float(_sc.gammainc(d, beta))
     lo, hi = _first_window(d, delta, beta)
     # Each round sums, bounds and widens only the windows still open: rows
@@ -304,11 +389,15 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
         if inner.size:
             lower = np.zeros_like(delta)
             lower[inner] = _sc.pdtr(lo[inner] - 1, delta[inner]) * g0
-        budget = _REL_TOL * sums
-        log_fact_next, g_next = np.take(tables, hi + (1 - k0), axis=1)
+        floats, ints, bools = _scratch.rows(delta.size)
+        budget, log_fact_next, g_next = floats[1:4]
+        np.multiply(_REL_TOL, sums, out=budget)
+        at_next = np.add(hi, 1 - k0, out=ints[4])
+        _take(tables[0], at_next, log_fact_next)
+        _take(tables[1], at_next, g_next)
         upper = _upper_wing_bound(d, delta, log_delta, beta, hi, log_fact_next, g_next,
                                   lower, budget)
-        todo = upper + lower > budget
+        todo = np.greater(np.add(upper, lower, out=floats[4]), budget, out=bools[0])
         if not todo.any():
             return partial, True
         new_lo = np.where(lower > 0.5 * budget, np.maximum(hi - _MAX_TERMS + 1, 0), lo)
@@ -319,6 +408,13 @@ def _poisson_mixture(d: int, delta: np.ndarray, beta: float):
         rows = np.flatnonzero(todo) if rows is None else rows[todo]
         delta, log_delta = delta[todo], log_delta[todo]
         lo, hi = new_lo[todo], new_hi[todo]
+
+
+def _take(values: np.ndarray, at: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[at], written into out.  Every index the kernel takes is in
+    range, so mode "clip" never acts; it lets take write straight into out,
+    which the default mode "raise" would fill through a buffer."""
+    return values.take(at, out=out, mode="clip")
 
 
 def _series_tables(d: int, beta: float, k: np.ndarray) -> np.ndarray:
@@ -353,8 +449,12 @@ def _upper_wing_bound(d: int, delta: np.ndarray, log_delta: np.ndarray, beta: fl
     # r is formed in logs, as delta * beta overflows for delta near 1e300:
     # log delta + log beta - log(hi + 2) - log(d + hi + 2), with each log
     # formed in one array and every integer exact as a float
-    log_r = log_delta + log_beta
-    scratch = hi + 2.0
+    floats, _, (shrinks, open_test) = _scratch.rows(delta.size)
+    # upper takes the row of log_fact_next in the kernel, and is first
+    # written once t_{hi+1} has spent log_fact_next
+    upper, log_r, scratch = floats[2], floats[4], floats[5]
+    np.add(log_delta, log_beta, out=log_r)
+    np.add(hi, 2.0, out=scratch)
     log_r -= np.log(scratch, out=scratch)
     np.add(hi, d + 2.0, out=scratch)
     log_r -= np.log(scratch, out=scratch)
@@ -366,12 +466,13 @@ def _upper_wing_bound(d: int, delta: np.ndarray, log_delta: np.ndarray, beta: fl
     np.exp(t_next, out=t_next)
     t_next *= g_next
     # t_{hi+1} / (1 - r) where r < 1, and inf elsewhere
-    shrinks = log_r < 0
-    upper = np.full_like(delta, np.inf)
+    np.less(log_r, 0, out=shrinks)
+    upper.fill(np.inf)
     np.expm1(log_r, out=log_r, where=shrinks)
     np.negative(log_r, out=log_r, where=shrinks)
     np.divide(t_next, log_r, out=upper, where=shrinks)
-    open_ = np.flatnonzero(np.add(upper, lower, out=log_r) > budget)  # log_r is spent
+    # log_r is spent
+    open_ = np.flatnonzero(np.greater(np.add(upper, lower, out=log_r), budget, out=open_test))
     upper[open_] = np.minimum(_sc.pdtrc(hi[open_], delta[open_]) * g_next[open_], upper[open_])
     return upper
 
@@ -434,13 +535,15 @@ def _block_sums(lo, hi, delta, log_delta, k0, tables) -> np.ndarray:
     element left alone in its block) would be summed pairwise by that
     reduce, so it takes a running sum instead, which adds in the same order.
     """
-    lengths = hi - lo
+    lengths = np.subtract(hi, lo, out=_scratch.rows(lo.size)[1][4])
     lengths += 1
     sums = np.zeros(lengths.shape)
     zero = _underflowing(lo, hi, delta, log_delta, k0, tables[0])
     recur, blocks = _block_plan(lo, delta, lengths, zero)
     if recur.size:  # some window starts at k = 0, so the tables do too
-        sums[recur] = _recurrence_sums(delta[recur], lengths[recur], tables[1])
+        floats, ints, _ = _scratch.rows(recur.size)
+        sums[recur] = _recurrence_sums(_take(delta, recur, floats[3]),
+                                       _take(lengths, recur, ints[5]), tables[1])
     if not blocks:
         return sums
     width = int(lengths[blocks[0][0]])  # the blocks run longest window first
@@ -479,8 +582,10 @@ def _block_plan(lo, delta, lengths, zero):
     width = int(lengths.max())
     key = np.subtract(width, lengths, dtype=np.min_scalar_type(width), casting="unsafe")
     order = np.argsort(key, kind="stable")
-    recur = lo[order] == 0
-    recur &= delta[order] < _RECURRENCE_DELTA
+    starts, low = _scratch.rows(lo.size)[2]
+    np.equal(lo, 0, out=starts)
+    starts &= np.less(delta, _RECURRENCE_DELTA, out=low)
+    recur = starts[order]
     if recur.all():
         return order, []
     return order[recur], list(_blocks(order[~(recur | zero[order])], lengths, _BLOCK_ENTRIES))
@@ -505,7 +610,8 @@ def _recurrence_sums(delta, lengths, g) -> np.ndarray:
     while k > 0 and open_[k] == 1:
         x = (x + g_k[k]) / k * delta_0
         k -= 1
-    v = np.zeros_like(delta)
+    v, first = _scratch.rows(delta.size)[0][1:3]
+    v.fill(0.0)
     v[0] = x
     for k in range(k, 0, -1):
         w = v[: open_[k]]
@@ -513,7 +619,7 @@ def _recurrence_sums(delta, lengths, g) -> np.ndarray:
         w /= k
         w *= delta[: open_[k]]
     v += g_k[0]
-    v *= np.exp(-delta)
+    v *= np.exp(np.negative(delta, out=first), out=first)
     return v
 
 

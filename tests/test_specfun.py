@@ -499,9 +499,11 @@ class TestUpperWingBound:
         deltas, g_next = np.full(his.shape, delta), sc.gammainc(d + his + 1, beta)
         args = (d, deltas, np.log(deltas), beta, his, sc.gammaln(his + 2.0), g_next)
         zero = np.zeros(his.shape)
-        both = _upper_wing_bound(*args, zero, zero)
+        # the bound is returned in the thread's kernel scratch, which the
+        # next call overwrites, so the two kept bounds are copied
+        both = _upper_wing_bound(*args, zero, zero).copy()
         no_limit = np.full(his.shape, np.inf)
-        geometric = _upper_wing_bound(*args, zero, no_limit)
+        geometric = _upper_wing_bound(*args, zero, no_limit).copy()
         assert np.isinf(geometric[0]) and np.isfinite(both).all()
         budget = np.geomspace(1e-300, 1.0, his.size)
         lower = 0.25 * budget
@@ -884,7 +886,10 @@ def _grid_run(scheme, snr_db, rho, entries=None):
         return recur, blocks
 
     def recording_sums(*args):
-        calls.append((args, _block_sums(*args)))
+        # lo, hi and log delta may be rows of the thread's kernel scratch,
+        # which later kernel calls overwrite, so the record keeps copies
+        kept = tuple(np.copy(a) if isinstance(a, np.ndarray) else a for a in args)
+        calls.append((kept, _block_sums(*args)))
         return calls[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -962,41 +967,151 @@ class TestRouteAccuracy:
         np.testing.assert_allclose(got, want, rtol=specfun._REL_TOL, atol=0)
 
 
+def rvq_grid(rho: float):
+    """(d, deltas, beta) of the one kernel call of the miso-rvq quadrature at
+    10 dB: a 32768-element grid of the quadrature's own deltas."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _noncentral_chi2_cdf_grid(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytic, "_noncentral_chi2_cdf_grid", recording)
+        outage_semianalytic(SchemeId.MISO_RVQ, cfg(snr_db=10.0, rho=rho),
+                            codebook_size=CODEBOOK_SIZE)
+    (d, deltas, beta), = calls
+    assert deltas.size == 1 << 15
+    return d, deltas, beta
+
+
+def scratch_rows():
+    """The rows of the calling thread's kernel scratch."""
+    return specfun._scratch.words + specfun._scratch.flags
+
+
+def shares_scratch(array) -> bool:
+    return any(np.shares_memory(array, row) for row in scratch_rows())
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) in a new thread, whose kernel scratch starts empty."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)
+
+
 class TestKernelMemory:
     """One big kernel call forms few grid-sized temporaries: the traced peak
     of a 32768-element miso-rvq grid (10 dB, rho 0.9, from the quadrature's
-    own deltas) stays under PEAK_MB."""
+    own deltas), its scratch included, stays under PEAK_MB; a warm repeat
+    of it faults in at most WARM_FAULTS pages; and the scratch a thread
+    keeps stays under its cap."""
 
     #: traced peaks of that call: 4.32 MB while the kernel formed some
     #: twenty grid-sized temporaries in its first window, wing bounds and
     #: block plan, 2.71 MB with few, beside a 1 MiB shared block; the bound
     #: sits about halfway between
     PEAK_MB = 3.5
+    #: minor page faults of a warm repeat of that call: about 960 while
+    #: each call allocated its temporaries afresh and the allocator gave
+    #: them back to the system after it
+    WARM_FAULTS = 240
 
-    def test_big_grid_peak(self, monkeypatch):
-        calls = []
+    def test_big_grid_peak(self):
+        d, deltas, beta = rvq_grid(0.9)
 
-        def recording(*args):
-            calls.append(args)
-            return _noncentral_chi2_cdf_grid(*args)
+        def traced_peak():
+            # a fresh thread allocates its scratch in the call, so that
+            # counts against the peak too
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _noncentral_chi2_cdf_grid(d, deltas, beta)
+            return tracemalloc.get_traced_memory()[1] - base
 
-        monkeypatch.setattr(analytic, "_noncentral_chi2_cdf_grid", recording)
-        outage_semianalytic(SchemeId.MISO_RVQ, cfg(snr_db=10.0, rho=0.9),
-                            codebook_size=CODEBOOK_SIZE)
-        (d, deltas, beta), = calls
-        assert deltas.size == 1 << 15
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            _noncentral_chi2_cdf_grid(d, deltas, beta)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            peak = in_fresh_thread(traced_peak)
         finally:
             if not tracing:
                 tracemalloc.stop()
         assert peak < self.PEAK_MB * 2**20
+
+    def test_warm_call_faults(self):
+        resource = pytest.importorskip("resource")
+        d, deltas, beta = rvq_grid(0.9)
+        _noncentral_chi2_cdf_grid(d, deltas, beta)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _noncentral_chi2_cdf_grid(d, deltas, beta)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= self.WARM_FAULTS
+
+    def test_scratch_kept_under_its_cap(self, monkeypatch):
+        d, deltas, beta = rvq_grid(0.9)
+        want = _noncentral_chi2_cdf_grid(d, deltas, beta)
+        kept = specfun._scratch.nbytes()
+        assert kept == sum(row.nbytes for row in scratch_rows())
+        assert 2**21 <= kept <= specfun._SCRATCH_BYTES  # 32768 elements or more
+
+        def over_the_cap():
+            got = _noncentral_chi2_cdf_grid(d, deltas, beta)
+            return got, specfun._scratch.nbytes()
+
+        # a cap below this call's 2.1 MiB: the call still gets its scratch,
+        # and drops it on return
+        monkeypatch.setattr(specfun, "_SCRATCH_BYTES", 1 << 20)
+        got, kept = in_fresh_thread(over_the_cap)
+        assert kept == 0
+        assert got.tobytes() == want.tobytes()
+
+
+class TestKernelScratch:
+    """The scratch each thread keeps never reaches a caller: results and
+    partial sums share no memory with it, a kept result survives later
+    calls, every call equals the same call in a fresh thread bit for bit,
+    and threads calling at once each get their serial results."""
+
+    def test_results_never_share_the_scratch(self):
+        d, deltas, beta = rvq_grid(0.9)
+        flat = deltas.reshape(-1)
+        kept = _noncentral_chi2_cdf_grid(d, deltas, beta)
+        assert not shares_scratch(kept)
+        bits = kept.tobytes()
+        bigger = np.concatenate([flat, 1.5 * flat[::-1]])
+        for grid in (bigger, flat[::97].copy()):
+            got = _noncentral_chi2_cdf_grid(d, grid, beta)
+            assert not shares_scratch(got)
+            assert got.tobytes() == in_fresh_thread(_noncentral_chi2_cdf_grid, d, grid,
+                                                    beta).tobytes()
+        assert kept.tobytes() == bits
+        assert bits == in_fresh_thread(_noncentral_chi2_cdf_grid, d, deltas, beta).tobytes()
+
+    def test_partial_sums_never_share_the_scratch(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 30)
+        deltas = np.array([0.5, 50.0])
+        with pytest.raises(ConvergenceError) as exc:
+            _noncentral_chi2_cdf_grid(1, deltas, 30.0)
+        partial = exc.value.partial_sum
+        assert not shares_scratch(partial)
+        bits = partial.tobytes()
+        with pytest.raises(ConvergenceError):
+            _noncentral_chi2_cdf_grid(1, deltas[::-1].copy(), 30.0)
+        assert partial.tobytes() == bits
+
+    def test_threads_keep_their_own_scratch(self):
+        grids = [rvq_grid(0.9), rvq_grid(0.97)]
+        serial = [_noncentral_chi2_cdf_grid(*grid).tobytes() for grid in grids]
+        barrier = threading.Barrier(len(grids))
+
+        def repeat(grid):
+            barrier.wait(timeout=10)
+            return [_noncentral_chi2_cdf_grid(*grid).tobytes() for _ in range(20)]
+
+        with ThreadPoolExecutor(len(grids)) as pool:
+            runs = [f.result(timeout=120) for f in [pool.submit(repeat, g) for g in grids]]
+        for want, got in zip(serial, runs):
+            assert got == [want] * 20
 
 
 class TestColumnReduceOrder:
