@@ -66,9 +66,6 @@ _NU_NODES = 128
 # Largest pool of the selection sum: C(pool - 1, k) overflows a float for
 # some k from pool 1031 on.
 _MAX_SELECTION_POOL = 1030
-# Largest shape of the gain density: (shape - 1)! overflows a float from
-# shape 172 on.
-_MAX_PDF_SHAPE = 171
 # Largest shape whose density is formed as x^(s-1) e^-x / (s-1)!: past it,
 # x^(s-1) overflows at the quadrature's upper cut, so the density is formed
 # in logs.
@@ -202,11 +199,7 @@ class GainDistribution:
     half_dof: int
 
     def pdf(self, x):
-        """Density at x; a shape past _MAX_PDF_SHAPE raises CapabilityError."""
         s, z = self.shape, self.pool_size
-        if s > _MAX_PDF_SHAPE:
-            raise CapabilityError(
-                f"gain shape {s} is past {_MAX_PDF_SHAPE}: (shape - 1)! overflows a float")
         x = np.asarray(x, dtype=float)
         if s <= _POWER_PDF_SHAPE:
             base = x ** (s - 1) * np.exp(-x) / math.factorial(s - 1)
@@ -455,9 +448,11 @@ def outage_closed(
     its finite sum in the aging ratio mu.  An RVQ scheme averages either one
     over the captured fraction nu, at gamma0 / nu or mu nu (nu is identically
     1 with one transmit antenna).  codebook_size is ignored by the schemes
-    without a codebook.  The corrected variant is clipped to [0, 1], and
-    raises AccuracyError if it lies more than _CLIP_MARGIN outside, where the
-    sum cancelled; diagnostic variants are reported unclipped and unchecked."""
+    without a codebook.  A sum whose terms overflow a float raises
+    CapabilityError.  The corrected variant is clipped to [0, 1], and raises
+    AccuracyError if it is nan or lies more than _CLIP_MARGIN outside, where
+    the sum cancelled; diagnostic variants are reported unclipped and
+    unchecked."""
     record = validate_scheme(scheme, config, codebook_size)
     if variant not in record.variants:
         raise ValueError(f"variant must be one of {record.variants}, got {variant!r}")
@@ -466,16 +461,19 @@ def outage_closed(
     nu = 1.0  # dividing or scaling by it is exact
     if mixed:
         nu, w, f = _nu_grid(codebook_size, config.n_t)
-    if params.no_delay:
-        flags, value = (), record.ideal(config, params.gamma0 / nu)
-    else:
-        flags = (record.flag.format(variant),) if record.flag else ()
-        value = record.aged(config, params.mu * nu, params.beta, variant)
+    try:
+        if params.no_delay:
+            flags, value = (), record.ideal(config, params.gamma0 / nu)
+        else:
+            flags = (record.flag.format(variant),) if record.flag else ()
+            value = record.aged(config, params.mu * nu, params.beta, variant)
+    except OverflowError as exc:
+        raise CapabilityError(f"{scheme.value} closed form overflows a float: {exc}") from exc
     if mixed:
         value = (w * f) @ value
     value = float(value)
     if variant == "corrected":
-        if value < -_CLIP_MARGIN or value > 1.0 + _CLIP_MARGIN:
+        if not -_CLIP_MARGIN <= value <= 1.0 + _CLIP_MARGIN:
             raise AccuracyError(f"{scheme.value} closed form cancelled to {value!r}, outside [0, 1]")
         value = min(max(value, 0.0), 1.0)
     return OutageEstimate(value=value, method="closed_form", flags=flags)

@@ -200,11 +200,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    z = gen.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
-
-
 # ---------------------------------------------------------------------------
 # link models, one per scheme (see the module docstring)
 # ---------------------------------------------------------------------------

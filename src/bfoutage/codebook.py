@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import RngStream, _complex_normal
+from .channel import RngStream
 
 __all__ = [
     "Codebook",
@@ -53,10 +53,11 @@ class Codebook:
 
 
 def rvq_generate(rng: RngStream, n: int, n_t: int) -> Codebook:
-    """N isotropic unit vectors, obtained by normalizing i.i.d. CN(0,1) draws."""
+    """N isotropic unit vectors: the stream's (N, n_t, 2) normal (re, im)
+    pairs, drawn as every link draws a channel, normalized as complex rows."""
     if n < 1:
         raise ValueError("codebook cardinality must be >= 1")
-    raw = _complex_normal(rng.generator(), (int(n), int(n_t)))
+    raw = rng.generator().standard_normal((int(n), int(n_t), 2)).view(complex)[..., 0]
     vecs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     return Codebook(scheme="RVQ", n_t=int(n_t), vectors=vecs)
 

@@ -319,7 +319,12 @@ def _first_window(d: int, delta: np.ndarray, beta: float):
     np.sqrt(delta, out=peak)
     peak *= math.sqrt(beta)
     np.minimum(delta, peak, out=peak)
-    _half_width(peak, _WINDOW_SIGMAS, _WINDOW_PAD, out=below)
+    # ceil(sigmas * sqrt(peak)) + pad terms below the peak
+    np.sqrt(peak, out=below)
+    below *= _WINDOW_SIGMAS
+    np.ceil(below, out=below)
+    below += _WINDOW_PAD
+    np.minimum(below, (_MAX_TERMS - 1) // 2, out=below)
     # peak (d + peak) / (d + 2 peak), in a form that cannot overflow
     np.add(peak, d, out=above)
     np.divide(peak, above, out=above)
@@ -349,16 +354,6 @@ def _first_window(d: int, delta: np.ndarray, beta: float):
     np.copyto(centre, 0.0, where=np.equal(delta, 0, out=central))
     np.copyto(hi, centre, casting="unsafe")
     return lo, hi
-
-
-def _half_width(spread: np.ndarray, sigmas: float, pad: int, out: np.ndarray) -> np.ndarray:
-    """ceil(sigmas * sqrt(spread)) + pad terms, capped at (_MAX_TERMS - 1) // 2,
-    as floats formed in out."""
-    width = np.sqrt(spread, out=out)
-    width *= sigmas
-    np.ceil(width, out=width)
-    width += pad
-    return np.minimum(width, (_MAX_TERMS - 1) // 2, out=width)
 
 
 def _poisson_mixture(d: int, delta: np.ndarray, beta: float):

@@ -78,11 +78,11 @@ class CheckResult:
         )
 
 
-def _cfg(scheme: SchemeId, snr_db: float, rho: float, rate: float = RATE) -> SystemConfig:
+def _cfg(scheme: SchemeId, snr_db: float, rho: float) -> SystemConfig:
     n_t, n_r, n_u = SCHEME_MATRIX[scheme]
     return SystemConfig(
         n_t=n_t,
-        rate_bits=rate,
+        rate_bits=RATE,
         snr_linear=db_to_linear(snr_db),
         persistence=PersistenceSpec.from_rho(rho),
         n_r=n_r,

@@ -24,9 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from bfoutage.channel import RngStream, _complex_normal
+from bfoutage.channel import RngStream
 from bfoutage.codebook import Codebook
 from bfoutage.specfun import expansion_coeffs
+
+
+def complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """i.i.d. CN(0,1) entries from shape + (2,) standard normal (re, im) pairs."""
+    z = gen.standard_normal(shape + (2,))
+    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -41,14 +47,14 @@ def draw_channel(rng: RngStream, n_t: int, n_r: int = 1) -> np.ndarray:
     """One (n_t, n_r) matrix of i.i.d. CN(0,1) entries."""
     if n_t < 1 or n_r < 1:
         raise ValueError("antenna counts must be >= 1")
-    return _complex_normal(rng.generator(), (int(n_t), int(n_r)))
+    return complex_normal(rng.generator(), (int(n_t), int(n_r)))
 
 
 def draw_user_channels(rng: RngStream, n_u: int, n_t: int, n_r: int = 1) -> np.ndarray:
     """Per-user channel stack of shape (n_u, n_t, n_r), i.i.d. CN(0,1)."""
     if n_u < 1 or n_t < 1 or n_r < 1:
         raise ValueError("user and antenna counts must be >= 1")
-    return _complex_normal(rng.generator(), (int(n_u), int(n_t), int(n_r)))
+    return complex_normal(rng.generator(), (int(n_u), int(n_t), int(n_r)))
 
 
 def age_channel(h: np.ndarray, rho: float, rng: RngStream) -> np.ndarray:
@@ -58,7 +64,7 @@ def age_channel(h: np.ndarray, rho: float, rng: RngStream) -> np.ndarray:
     h = np.asarray(h)
     if rho == 1.0:
         return h.copy()
-    e = _complex_normal(rng.generator(), h.shape)
+    e = complex_normal(rng.generator(), h.shape)
     return rho * h + math.sqrt(1.0 - rho * rho) * e
 
 

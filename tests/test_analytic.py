@@ -16,6 +16,7 @@ from bfoutage.analytic import (
     GainDistribution,
     RangeError,
     SchemeId,
+    UnderflowError,
     _selection_diversity_sum,
     diversity_order,
     gain_distribution,
@@ -265,9 +266,54 @@ class TestLargePools:
         assert quad > 0.0
         assert abs(quad - closed) < CLOSED_VS_QUAD_TOL * max(closed, quad)
 
-    def test_quadrature_refuses_a_shape_past_the_factorial_range(self):
-        with pytest.raises(CapabilityError, match="gain shape 172 is past 171"):
-            outage_semianalytic(SchemeId.MISO_PBF, cfg(nt=172))
+    @pytest.mark.parametrize("nt", [172, 256, 400])
+    def test_quadrature_past_the_factorial_range(self, nt):
+        # (shape - 1)! overflows a float from shape 172 on; the log-form
+        # density never forms it
+        config = cfg(nt=nt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quad = outage_semianalytic(SchemeId.MISO_PBF, config).value
+        closed = outage_closed(SchemeId.MISO_PBF, config).value
+        assert quad > 0.0
+        assert abs(quad - closed) <= 1e-12 * closed
+
+    @pytest.mark.parametrize("scheme, config, value", [
+        (SchemeId.MU_PBF, cfg(nt=172), 9.777521718219606e-40),
+        (SchemeId.MU_TAS, cfg(nt=1, nr=200, nu=2, snr_db=-10.0), 5.712882046876937e-124),
+    ], ids=["mu-pbf-nt172", "mu-tas-nr200"])
+    def test_quadrature_answers_past_any_closed_form(self, scheme, config, value):
+        with pytest.raises(CapabilityError):
+            outage_closed(scheme, config)
+        assert outage_semianalytic(scheme, config).value == pytest.approx(value, rel=1e-12)
+
+    def test_quadrature_past_the_factorial_range_still_underflows(self):
+        with pytest.raises(UnderflowError):
+            outage_semianalytic(SchemeId.MU_TAS, cfg(nt=4, nr=172))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme, config, size", [
+        (SchemeId.MISO_PBF, cfg(nt=120, rho=0.9999), None),
+        (SchemeId.MU_TAS, cfg(nt=16, nr=2, nu=4, snr_db=120.0, rho=0.9999), None),
+        (SchemeId.MU_RVQ, cfg(nt=64, nu=2, rho=0.99, rate=0.01), 1),
+    ], ids=["miso-pbf", "mu-tas", "mu-rvq"])
+    def test_closed_form_nan_raises(self, scheme, config, size):
+        # the sum overflows to inf - inf; nan fails every comparison, so the
+        # guard is written to hold only inside its margin
+        with pytest.raises(AccuracyError, match="cancelled to nan"):
+            outage_closed(scheme, config, size)
+        assert outage_semianalytic(scheme, config, size).value > 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme, nt, size", [
+        (SchemeId.MU_PBF, 172, None), (SchemeId.MU_RVQ, 172, 8),
+        (SchemeId.MISO_PBF, 1031, None), (SchemeId.MISO_TAS, 1031, None),
+    ], ids=["mu-pbf", "mu-rvq", "miso-pbf", "miso-tas"])
+    def test_closed_form_overflow_raises(self, scheme, nt, size):
+        # (d + n - 1)! or C(n_t - 1, k) is past the float range
+        with pytest.raises(CapabilityError, match="overflows a float") as info:
+            outage_closed(scheme, cfg(nt=nt), size)
+        assert isinstance(info.value.__cause__, OverflowError)
 
     def test_log_density_matches_the_power_form(self, monkeypatch):
         # at shape 131 both forms hold; the log form is the power form to

@@ -575,16 +575,58 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert parse_csv(out)[0]["p_out"] == "1.0"
 
-    @pytest.mark.parametrize("args", [
-        ("miso-pbf", "--nt", "172"), ("mu-tas", "--nr", "172"),
+    @pytest.mark.parametrize("args, rows", [
+        (("miso-pbf", "--nt", "172", "--eval", "closed,quadrature"), 2),
+        (("mu-tas", "--nt", "1", "--nr", "200", "--nu", "2", "--snr-db", "-10",
+          "--eval", "quadrature"), 1),
     ], ids=["miso-pbf-nt", "mu-tas-nr"])
-    def test_quadrature_shape_past_factorial_range_is_numeric(self, capsys, args):
+    def test_quadrature_past_the_factorial_range(self, capsys, args, rows):
+        # (shape - 1)! overflows a float from shape 172 on; the log-form
+        # density never forms it
+        code, out, err = run_cli(capsys, "analytic", "--scheme", *args, "--rho", "0.9")
+        assert code == EXIT_OK
+        assert err == ""
+        values = [float(row["p_out"]) for row in parse_csv(out)]
+        assert len(values) == rows
+        assert min(values) > 0.0
+        assert max(values) - min(values) <= 1e-12 * min(values)
+
+    def test_quadrature_underflow_past_the_factorial_range_is_numeric(self, capsys):
         code, out, err = run_cli(
-            capsys, "analytic", "--scheme", *args, "--rho", "0.9", "--eval", "quadrature",
+            capsys, "analytic", "--scheme", "mu-tas", "--nr", "172", "--rho", "0.9",
+            "--eval", "quadrature",
         )
         assert code == EXIT_NUMERIC
         assert out == ""
-        assert err.startswith("numeric error") and "gain shape 172" in err
+        assert err.startswith("numeric error") and "underflowed" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("args", [
+        ("miso-pbf", "--nt", "120", "--rho", "0.9999"),
+        ("mu-tas", "--nt", "16", "--nr", "2", "--nu", "4", "--snr-db", "120", "--rho", "0.9999"),
+        ("mu-rvq", "--nt", "64", "--nu", "2", "--rho", "0.99", "--rate", "0.01",
+         "--codebook-size", "1"),
+    ], ids=["miso-pbf", "mu-tas", "mu-rvq"])
+    def test_closed_form_nan_is_numeric(self, capsys, args):
+        # the sum overflows to inf - inf, which the clip used to print as nan
+        code, out, err = run_cli(
+            capsys, "analytic", "--scheme", *args, "--eval", "closed,quadrature")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric error") and "cancelled to nan" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("args", [
+        ("mu-pbf", "--nt", "172"), ("mu-rvq", "--nt", "172", "--codebook-size", "8"),
+        ("miso-pbf", "--nt", "1031"), ("miso-tas", "--nt", "1031"),
+    ], ids=["mu-pbf", "mu-rvq", "miso-pbf", "miso-tas"])
+    def test_closed_form_overflow_is_numeric(self, capsys, args):
+        # an integer past the float range used to escape as an OverflowError
+        code, out, err = run_cli(
+            capsys, "analytic", "--scheme", *args, "--rho", "0.9", "--eval", "closed")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric error") and "overflows a float" in err
 
     @pytest.mark.parametrize("args", [
         ("miso-pbf", "--nt", "132"), ("mu-tas", "--nr", "132"),

@@ -44,6 +44,14 @@ class TestCodebookConstruction:
         b = rvq_generate(RngStream(3, 5), 8, 4)
         assert np.array_equal(a.vectors, b.vectors)
 
+    def test_rvq_normalizes_the_pair_draw_of_its_stream(self):
+        # the (N, n_t, 2) standard normal pairs every link draws, as complex rows
+        stream = RngStream(3, 5)
+        pairs = stream.generator().standard_normal((8, 4, 2))
+        raw = np.array([[complex(re, im) for re, im in row] for row in pairs])
+        expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        assert np.array_equal(rvq_generate(stream, 8, 4).vectors, expected)
+
     def test_tas_is_standard_basis(self):
         cb = tas_codebook(4)
         assert np.array_equal(cb.vectors, np.eye(4, dtype=complex))

@@ -11,7 +11,7 @@ import pytest
 from scipy import special as sc
 
 from bfoutage.analytic import SchemeId, outage_rvq_closed
-from bfoutage.channel import RngStream, _complex_normal, derive_params
+from bfoutage.channel import RngStream, derive_params
 from bfoutage.codebook import Codebook, rvq_generate
 from bfoutage import analytic, channel, montecarlo, verification
 from bfoutage.montecarlo import (
@@ -23,7 +23,9 @@ from bfoutage.montecarlo import (
     simulate_outages,
 )
 
-from _oracle import select_beamformer, select_user_antenna, select_user_maxnorm, tas_codebook
+from _oracle import (
+    complex_normal, select_beamformer, select_user_antenna, select_user_maxnorm, tas_codebook,
+)
 from _util import cfg
 
 
@@ -304,14 +306,14 @@ class TestPerTrialOracle:
         stream = RngStream(GOLDEN_SEED, 5)
 
         gen = stream.generator()
-        h = _complex_normal(gen, (n,) + shape)
+        h = complex_normal(gen, (n,) + shape)
         if size and not fixed:
-            raw = _complex_normal(gen, (n, size, n_t))
+            raw = complex_normal(gen, (n, size, n_t))
             books = [Codebook("RVQ", n_t, v / np.linalg.norm(v, axis=1, keepdims=True))
                      for v in raw]
         else:
             books = [tas_codebook(n_t) if scheme is SchemeId.MISO_TAS else book] * n
-        e = _complex_normal(gen, (n, config.n_r if scheme is SchemeId.MU_TAS else n_t))
+        e = complex_normal(gen, (n, config.n_r if scheme is SchemeId.MU_TAS else n_t))
         gains = np.sort([_oracle_gain(scheme, h[i], e[i], books[i], rho) for i in range(n)])
 
         below = list(range(30, n, 30))
