@@ -449,10 +449,11 @@ def outage_closed(
     over the captured fraction nu, at gamma0 / nu or mu nu (nu is identically
     1 with one transmit antenna).  codebook_size is ignored by the schemes
     without a codebook.  A sum whose terms overflow a float raises
-    CapabilityError.  The corrected variant is clipped to [0, 1], and raises
-    AccuracyError if it is nan or lies more than _CLIP_MARGIN outside, where
+    CapabilityError, and so does a corrected value that is not finite, where
+    a term overflowed to inf.  The corrected variant is clipped to [0, 1],
+    and raises AccuracyError if it lies more than _CLIP_MARGIN outside, where
     the sum cancelled; diagnostic variants are reported unclipped and
-    unchecked."""
+    unchecked (the verbatim one divides by zero on purpose)."""
     record = validate_scheme(scheme, config, codebook_size)
     if variant not in record.variants:
         raise ValueError(f"variant must be one of {record.variants}, got {variant!r}")
@@ -462,17 +463,21 @@ def outage_closed(
     if mixed:
         nu, w, f = _nu_grid(codebook_size, config.n_t)
     try:
-        if params.no_delay:
-            flags, value = (), record.ideal(config, params.gamma0 / nu)
-        else:
-            flags = (record.flag.format(variant),) if record.flag else ()
-            value = record.aged(config, params.mu * nu, params.beta, variant)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if params.no_delay:
+                flags, value = (), record.ideal(config, params.gamma0 / nu)
+            else:
+                flags = (record.flag.format(variant),) if record.flag else ()
+                value = record.aged(config, params.mu * nu, params.beta, variant)
+            if mixed:
+                value = (w * f) @ value
     except OverflowError as exc:
         raise CapabilityError(f"{scheme.value} closed form overflows a float: {exc}") from exc
-    if mixed:
-        value = (w * f) @ value
     value = float(value)
     if variant == "corrected":
+        if not math.isfinite(value):
+            raise CapabilityError(f"{scheme.value} closed form overflows a float: "
+                                  f"its sum came to {value!r}")
         if not -_CLIP_MARGIN <= value <= 1.0 + _CLIP_MARGIN:
             raise AccuracyError(f"{scheme.value} closed form cancelled to {value!r}, outside [0, 1]")
         value = min(max(value, 0.0), 1.0)

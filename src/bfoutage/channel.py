@@ -1,6 +1,6 @@
 """The channel model's parameters: persistence (direct or Jakes), the system
-configuration, the thresholds derived from it, counter-based random streams,
-and the link model of every scheme.
+configuration, the thresholds derived from it, seeded random streams, and
+the link model of every scheme.
 
 The channel model: every entry of the estimated channel h and of the
 innovation e is i.i.d. standard complex Gaussian CN(0,1), and the channel in
@@ -184,12 +184,17 @@ def derive_params(config: SystemConfig) -> DerivedParams:
 
 @dataclass(frozen=True)
 class RngStream:
-    """A (seed, stream_id) pair naming one counter-based random stream.
+    """A (seed, stream_id) pair naming one random stream.
 
     The pair fully determines the stream: every call to generator() returns a
     fresh generator positioned at the start, so repeated draws from the same
-    RngStream reproduce each other.  Distinct stream_ids give statistically
-    independent streams.
+    RngStream reproduce each other.  Seed and stream_id are each taken mod
+    2^64 and packed into one 128-bit key, which a SeedSequence hashes into
+    the state of an SFC64 generator, so distinct pairs give statistically
+    independent streams.  The key is one integer rather than a (seed,
+    stream_id) tuple because SeedSequence joins a tuple's entries as 32-bit
+    words with no length prefix, which would give (7 + 2^32, 5) and
+    (7, 1 + 5 * 2^32) one state.
     """
 
     seed: int
@@ -197,7 +202,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         key = (self.seed % _U64) | ((self.stream_id % _U64) << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Chunked, counter-seeded Monte Carlo link simulation.
+"""Chunked, stream-seeded Monte Carlo link simulation.
 
 Each trial draws a fresh stale estimate, runs the scheme's selection on it,
 ages the winner by one feedback step, and tests the aged effective gain
@@ -8,11 +8,12 @@ the finished stale part S with its gain; this module ages S as
 rho * S + sqrt(1 - rho^2) * e and counts outages, the same way for every
 scheme.
 
-Trials are split into fixed-size chunks; chunk j consumes the counter-based
-stream (seed, offset + j), so the outage count depends only on (trials, seed,
-chunk) and never on how many workers execute the chunks, nor on which other
-points share their batch.  A sweep is one batch, one point per axis value on
-its own streams; the CLI builds it.
+Trials are split into fixed-size chunks; chunk j consumes the random stream
+(seed, offset + j), an SFC64 generator of its own (channel.RngStream), so the
+outage count depends only on (trials, seed, chunk) and never on how many
+workers execute the chunks, nor on which other points share their batch.
+A sweep is one batch, one point per axis value on its own streams; the CLI
+builds it.
 """
 
 from __future__ import annotations

@@ -131,6 +131,32 @@ class TestDeriveParams:
                          persistence=PersistenceSpec.from_rho(0.9))
 
 
+class TestRngStream:
+    """The one place a stream is made: (seed mod 2^64) | (stream_id mod 2^64)
+    << 64, one 128-bit key, seeds an SFC64 generator through a SeedSequence."""
+
+    def test_first_normals_pinned(self):
+        # a numpy change to SFC64, SeedSequence or the ziggurat fails here first
+        draws = RngStream(97, 5).generator().standard_normal(4)
+        assert [float(x).hex() for x in draws] == [
+            "0x1.028343b18a249p-2", "-0x1.a7cca6e71922ap-1",
+            "0x1.569eaee0fcfa3p-5", "-0x1.9f9f5d083e7bep-3",
+        ]
+
+    @pytest.mark.parametrize("seed, stream_id", [(-3, 5), (3, -5), (-1, -1), (7 + (1 << 64), 5)])
+    def test_ids_name_the_stream_of_their_residue(self, seed, stream_id):
+        residue = RngStream(seed % (1 << 64), stream_id % (1 << 64))
+        assert np.array_equal(RngStream(seed, stream_id).generator().standard_normal(8),
+                              residue.generator().standard_normal(8))
+
+    def test_key_is_one_integer_not_a_word_tuple(self):
+        # a (seed, stream_id) tuple would reach SeedSequence as the 32-bit
+        # words (7, 1, 5) both times, with no length prefix to tell them apart
+        a = RngStream(7 + (1 << 32), 5).generator().standard_normal(8)
+        b = RngStream(7, 1 + 5 * (1 << 32)).generator().standard_normal(8)
+        assert not np.array_equal(a, b)
+
+
 class TestDrawChannel:
     def test_determinism(self):
         stream = RngStream(seed=42, stream_id=3)

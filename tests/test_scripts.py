@@ -106,3 +106,52 @@ def test_fingerprint_diff(tmp_path):
         f"flags={rows[2][value + 2]} -> ConvergenceError: no method= flags=  n/a",
         f"{','.join(dropped[:8])}  {dropped[value]} -> (missing)  n/a",
     ]
+
+
+def _verify_size_table(out: str) -> dict[str, list[int]]:
+    """criterion -> [checks, failing checks, seeds failing] from the table."""
+    table = out.split("\ncriterion ", 1)[1].splitlines()[1:8]
+    return {" ".join(r.split()[:-3]): [int(v) for v in r.split()[-3:]] for r in table}
+
+
+def test_verify_size_runs_the_suite_per_seed():
+    out = _run("verify_size.py", "--seeds", "1-2", "--trials", "2000")
+    lines = out.splitlines()
+    exits = [line for line in lines if line.startswith("seed ")]
+    assert [line.rsplit(" ", 1)[0] for line in exits] == ["seed 1: exit", "seed 2: exit"]
+    failed_lines = [line for line in lines if line.startswith("    FAIL  ")]
+    table = _verify_size_table(out)
+    assert list(table)[0] == "1 three-way agreement" and len(table) == 7
+    assert all(checks > 0 for checks, _, _ in table.values())
+    assert sum(failing for _, failing, _ in table.values()) == len(failed_lines)
+    false_exits = sum(line.endswith("exit 3") for line in exits)
+    assert lines[-1].startswith(f"false exits: {false_exits}/2 = ")
+
+
+def test_verify_size_counts_failures_per_criterion(monkeypatch, capsys):
+    from bfoutage import verification
+    spec = importlib.util.spec_from_file_location("verify_size", ROOT / "scripts" / "verify_size.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    check = verification.CheckResult
+    runs = {
+        1: [check("agreement miso-pbf snr=5dB rho=0.8", True),
+            check("agreement mu-pbf snr=5dB rho=0.8", False, "dev=2"),
+            check("agreement mu-pbf snr=5dB rho=0.9", False, "dev=3"),
+            check("criterion 4 reduction identities raised", False, "ConvergenceError: no")],
+        2: [check("agreement miso-pbf snr=5dB rho=0.8", True)],
+    }
+    monkeypatch.setattr(verification, "run_all", lambda trials, seed, workers: runs[seed])
+    assert script.main(["--seeds", "1-2", "--trials", "10"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "seed 1: exit 3\n"
+        "    FAIL  agreement mu-pbf snr=5dB rho=0.8  [dev=2]\n"
+        "    FAIL  agreement mu-pbf snr=5dB rho=0.9  [dev=3]\n"
+        "    FAIL  criterion 4 reduction identities raised  [ConvergenceError: no]\n"
+        "seed 2: exit 0\n")
+    table = _verify_size_table(out)
+    assert table["1 three-way agreement"] == [3, 2, 1]
+    assert table["4 reduction identities"] == [1, 1, 1]
+    assert table["7 determinism"] == [0, 0, 0]
+    assert out.splitlines()[-1] == "false exits: 1/2 = 50.0% (95% Wilson interval 9.5% to 90.5%)"
